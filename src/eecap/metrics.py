@@ -57,10 +57,14 @@ class AggregateTerms:
     tn: float
 
 
-def frame_success_prob(seg: SegmentProbs, n_t: int, n: int = 63) -> float:
-    """Probability that a whole frame with an n_t-bit payload decodes."""
+def _check_payload(n_t: int, n: int) -> None:
     if n_t <= 0 or n_t % n != 0:
         raise ValueError(f"n_t must be a positive multiple of n={n}, got {n_t}")
+
+
+def frame_success_prob(seg: SegmentProbs, n_t: int, n: int = 63) -> float:
+    """Probability that a whole frame with an n_t-bit payload decodes."""
+    _check_payload(n_t, n)
     return seg.p_shr * seg.p_phr * seg.p_cw ** (n_t // n)
 
 
@@ -152,6 +156,11 @@ def nt_opt_for_throughput(p_cw: float, terms: AggregateTerms,
     admissible size; p_cw = 0 leaves throughput at zero for every size and
     returns the smallest one.
     """
+    return _nt_opt(p_cw, terms.to, terms.tn, grid, n)
+
+
+def _nt_opt(p_cw: float, to: float, tn: float, grid: Sequence[int], n: int) -> int:
+    """nt_opt_for_throughput on the payload split (to, tn) of the slot duration."""
     if not 0.0 <= p_cw <= 1.0:
         raise ValueError(f"p_cw must lie in [0, 1], got {p_cw}")
     if len(grid) == 0:
@@ -162,18 +171,18 @@ def nt_opt_for_throughput(p_cw: float, terms: AggregateTerms,
     if p_cw == 1.0:
         return n_max
     b = -math.log(p_cw) / n
-    if terms.tn <= 0.0:
+    if tn <= 0.0:
         n_cont = 1.0 / b
     else:
         # Stationary point of log throughput: b*tn*N^2 + b*to*N - to = 0.
-        disc = (b * terms.to) ** 2 + 4.0 * b * terms.tn * terms.to
-        n_cont = (-b * terms.to + math.sqrt(disc)) / (2.0 * b * terms.tn)
+        disc = (b * to) ** 2 + 4.0 * b * tn * to
+        n_cont = (-b * to + math.sqrt(disc)) / (2.0 * b * tn)
     n_cont = min(max(n_cont, float(n_min)), float(n_max))
     lo = min(int((n_cont - n_min) // n), len(grid) - 1)
     hi = min(lo + 1, len(grid) - 1)
 
     def gain(n_t: int) -> float:
-        return n_t * p_cw ** (n_t // n) / (terms.to + terms.tn * n_t)
+        return n_t * p_cw ** (n_t // n) / (to + tn * n_t)
 
     if gain(grid[hi]) > gain(grid[lo]):
         return grid[hi]

@@ -9,17 +9,18 @@ count) and propagation delay.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple, Optional, Sequence
 
-from .access import StateProbs, state_probs
+from .access import StateProbs, _affine, _validate, state_probs
 from .channel import ChannelParams, NcpbTable, link_budget
-from .costs import SPEED_OF_LIGHT, CostModel, EnergyParams, TimingParams, cost_model
-from .metrics import Node, energy_efficiency, frame_success_prob, throughput
+from .costs import (SPEED_OF_LIGHT, CostModel, EnergyParams, TimingParams, ack_duration,
+                    cost_model)
+from .metrics import _check_payload, frame_success_prob
 from .phy import LinkBudget, PhyConfig, SegmentProbs, bit_error_prob, segment_probs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeModel:
     """One node's link, error probabilities and timing, all distance-derived."""
 
@@ -33,15 +34,75 @@ class NodeModel:
     timing: TimingParams      # shared header/guard times with this node's t_sym
 
 
+class NodeCoeffs(NamedTuple):
+    """One node's payload-independent cost and decode coefficients.
+
+    A NetworkModel derives one row per node when it is built, so the hot
+    paths (evaluate, tau_min and the solver's scans) compute a slot cost
+    from a few floats instead of building CostModel objects.  costs()
+    repeats the arithmetic of cost_model step for step, so both paths
+    agree bitwise.
+    """
+
+    hdr: float          # t_shr + t_phr, seconds
+    ack: float          # ACK frame duration, seconds
+    t_sym: float        # payload symbol period, seconds
+    psifs: float        # short interframe space, seconds
+    sigma: float        # one-way propagation delay, seconds
+    t_idle: float       # idle slot duration, seconds
+    p_shr: float
+    p_phr: float
+    p_hdr: float        # p_shr * p_phr
+    p_cw: float
+    r_min: float
+    eps_b: float
+    eps_oh: float
+    eps_st: float
+    eps_b_tx: float
+    eps_oh_tx: float
+    eps_st_tx: float
+
+    def costs(self, n_t: int) -> tuple[float, float, float, float]:
+        """(t_success, t_collision, e_success, e_collision) at payload n_t."""
+        hdr, ack, t_sym, psifs, sigma, _, _, _, _, _, _, eb, eoh, est, ebt, eoht, estt = self
+        t_frame = hdr + n_t * t_sym
+        return (t_frame + ack + 2.0 * psifs + 2.0 * sigma,
+                t_frame + psifs + sigma,
+                eb * n_t + eoh + est,
+                ebt * n_t + eoht + estt)
+
+
 @dataclass(frozen=True)
 class NetworkModel:
-    """Immutable bundle of everything needed to evaluate one scenario."""
+    """Immutable bundle of everything needed to evaluate one scenario.
+
+    rows holds one NodeCoeffs per node, derived from the other fields.
+    """
 
     phy: PhyConfig
     channel: ChannelParams
     table: NcpbTable
     energy: EnergyParams
     nodes: tuple[NodeModel, ...]
+    rows: tuple[NodeCoeffs, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ep = self.energy
+        frames = {}   # (hdr, ack) per distinct TimingParams, shared by its nodes
+        rows = []
+        for nm in self.nodes:
+            tp, seg = nm.timing, nm.seg
+            if id(tp) not in frames:
+                frames[id(tp)] = (tp.t_shr + tp.t_phr, ack_duration(tp))
+            hdr, ack = frames[id(tp)]
+            rows.append(NodeCoeffs(
+                hdr=hdr, ack=ack, t_sym=tp.t_sym,
+                psifs=tp.t_psifs, sigma=tp.sigma[nm.index], t_idle=tp.t_idle_slot,
+                p_shr=seg.p_shr, p_phr=seg.p_phr, p_hdr=seg.p_shr * seg.p_phr,
+                p_cw=seg.p_cw, r_min=nm.r_min,
+                eps_b=ep.eps_b, eps_oh=ep.eps_oh, eps_st=ep.eps_st,
+                eps_b_tx=ep.eps_b_tx, eps_oh_tx=ep.eps_oh_tx, eps_st_tx=ep.eps_st_tx))
+        object.__setattr__(self, "rows", tuple(rows))
 
     @property
     def n_nodes(self) -> int:
@@ -54,9 +115,35 @@ class NetworkModel:
         """Per-state costs for one node at one payload size."""
         return cost_model(node_index, n_t, self.nodes[node_index].timing, self.energy)
 
-    def make_node(self, node_index: int, tau: float, n_t: int) -> Node:
-        nm = self.nodes[node_index]
-        return Node(index=nm.index, d=nm.d, tau=tau, n_t=n_t, r_min=nm.r_min)
+    def tau_min(self, node_index: int, tau: Sequence[float], n_t: int) -> Optional[float]:
+        """Smallest access probability meeting the node's rate target.
+
+        The table form of metrics.tau_min_for_rate, with the same arithmetic
+        and result: two O(n) passes over tau and no Node, CostModel or
+        LinearCoeffs objects.  tau and n_t are validated even when the
+        node's r_min is zero.
+        """
+        n = self.phy.n
+        if n_t <= 0 or n_t % n != 0:
+            _check_payload(n_t, n)  # raises
+        row = self.rows[node_index]
+        r_min = row.r_min
+        if r_min == 0.0:
+            _validate(tau)
+            return 0.0
+        x_s, x_c, x_i, y_s, y_c, y_i = _affine(tau, node_index)
+        t_s, t_c, _, _ = row.costs(n_t)
+        t_idle = row.t_idle
+        xt = x_s * t_s + x_c * t_c + x_i * t_idle
+        yt = y_s * t_s + y_c * t_c + y_i * t_idle
+        c = n_t * y_i * (row.p_hdr * row.p_cw ** (n_t // n))
+        denom = c - r_min * xt
+        if denom <= 0.0:
+            return None
+        t = r_min * yt / denom
+        if t >= 1.0:
+            return None
+        return t
 
 
 def build_network(distances: Sequence[float], r_mins: Sequence[float],
@@ -80,6 +167,7 @@ def build_network(distances: Sequence[float], r_mins: Sequence[float],
     timing = timing if timing is not None else TimingParams()
     energy = energy if energy is not None else EnergyParams()
     sigma = tuple(d / SPEED_OF_LIGHT for d in distances)
+    timings: dict[float, TimingParams] = {}   # nodes with equal burst length share one
     nodes = []
     for k, (d, r_min) in enumerate(zip(distances, r_mins)):
         if r_min < 0.0:
@@ -88,7 +176,9 @@ def build_network(distances: Sequence[float], r_mins: Sequence[float],
         p_b = bit_error_prob(lb, phy)
         seg = segment_probs(p_b, phy)
         t_sym = phy.t_sym * lb.n_cpb
-        node_timing = replace(timing, t_sym=t_sym, sigma=sigma)
+        node_timing = timings.get(t_sym)
+        if node_timing is None:
+            node_timing = timings[t_sym] = replace(timing, t_sym=t_sym, sigma=sigma)
         nodes.append(NodeModel(index=k, d=d, r_min=r_min, link=lb, p_b=p_b,
                                seg=seg, t_sym=t_sym, timing=node_timing))
     return NetworkModel(phy=phy, channel=channel, table=table, energy=energy,
@@ -101,22 +191,29 @@ def evaluate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
 
     With guard_zero_energy, a zero average-energy denominator yields an
     efficiency of 0.0 instead of an error; the solver uses this to keep
-    objective evaluations total during the search.
+    objective evaluations total during the search.  Reads the per-node
+    rows with the arithmetic of metrics.throughput and energy_efficiency.
     """
     if len(tau) != net.n_nodes or len(nts) != net.n_nodes:
         raise ValueError("tau and nts must have one entry per node")
     sp = state_probs(tau)
+    p_s, p_c, p_i = sp.p_success, sp.p_collision, sp.p_idle
+    n = net.phy.n
     rates = []
     etas = []
-    for k, nm in enumerate(net.nodes):
-        node = net.make_node(k, tau[k], nts[k])
-        cost = net.cost(k, nts[k])
-        rates.append(throughput(node, sp, cost, nm.seg, net.phy.n))
-        e_den = sp.p_success * cost.e_success + sp.p_collision * cost.e_collision
-        if e_den <= 0.0 and guard_zero_energy:
+    for row, n_t, p_k in zip(net.rows, nts, sp.per_node_success):
+        if n_t <= 0 or n_t % n != 0:
+            _check_payload(n_t, n)  # raises
+        t_s, t_c, e_s, e_c = row.costs(n_t)
+        num = n_t * p_k * (row.p_hdr * row.p_cw ** (n_t // n))
+        rates.append(num / (p_s * t_s + p_c * t_c + p_i * row.t_idle))
+        e_den = p_s * e_s + p_c * e_c
+        if e_den > 0.0:
+            etas.append(num / e_den)
+        elif guard_zero_energy:
             etas.append(0.0)
         else:
-            etas.append(energy_efficiency(node, sp, cost, nm.seg, net.phy.n))
+            raise ValueError("efficiency undefined at zero activity")
     return sp, tuple(rates), tuple(etas)
 
 

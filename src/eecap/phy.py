@@ -61,7 +61,7 @@ class PhyConfig:
         return range(self.n_t_min, self.n_t_max + 1, self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkBudget:
     """Received-signal description of one node-to-hub link."""
 
@@ -81,7 +81,7 @@ class LinkBudget:
             raise ValueError("t_int must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SegmentProbs:
     """Per-frame-segment success probabilities at a fixed bit error rate."""
 

@@ -25,7 +25,6 @@ from .network import NetworkModel, frame_success
 class SimConfig:
     num_slots: int = 1_000_000
     seed: int = 0
-    record_per_node: bool = True
 
     def __post_init__(self) -> None:
         if self.num_slots <= 0:
@@ -119,15 +118,6 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     e_coll = np.array([c.e_collision for c in costs])
     energy = per_node_success * e_succ + coll_tx * e_coll
 
-    if cfg.record_per_node:
-        per_success = tuple(int(v) for v in per_node_success)
-        per_delivered = tuple(int(v) for v in delivered)
-        per_bits = tuple(int(v) * nts[k] for k, v in enumerate(delivered))
-        per_energy = tuple(float(v) for v in energy)
-    else:
-        per_success = per_delivered = per_bits = ()
-        per_energy = ()
-
     return SimReport(
         num_slots=m,
         seed=cfg.seed,
@@ -140,10 +130,10 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
         se_success=math.sqrt(n_success / m * (1.0 - n_success / m) / m),
         se_collision=math.sqrt(n_collision / m * (1.0 - n_collision / m) / m),
         se_idle=math.sqrt(n_idle / m * (1.0 - n_idle / m) / m),
-        per_node_success=per_success,
-        per_node_delivered=per_delivered,
-        per_node_bits=per_bits,
-        per_node_energy=per_energy,
+        per_node_success=tuple(int(v) for v in per_node_success),
+        per_node_delivered=tuple(int(v) for v in delivered),
+        per_node_bits=tuple(int(v) * nts[k] for k, v in enumerate(delivered)),
+        per_node_energy=tuple(float(v) for v in energy),
         elapsed_time=elapsed,
     )
 

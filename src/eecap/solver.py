@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .access import linear_coeffs, state_probs
-from .metrics import aggregate_terms, nt_opt_for_throughput, tau_min_for_rate
+from .access import _affine, _product_except, state_probs
+from .metrics import _nt_opt
 from .network import NetworkModel, evaluate
 
 VARIANT_EE = "EE"
@@ -94,20 +94,6 @@ def _objective_value(variant: str, rates: Sequence[float], etas: Sequence[float]
     return total
 
 
-def _pair_products(tau: Sequence[float], k: int) -> list[float]:
-    """For each j != k, prod over i not in {j, k} of (1 - tau_i)."""
-    out = [1.0] * len(tau)
-    for j in range(len(tau)):
-        if j == k:
-            continue
-        prod = 1.0
-        for i, t in enumerate(tau):
-            if i != j and i != k:
-                prod *= 1.0 - t
-        out[j] = prod
-    return out
-
-
 class _Profile:
     """Fast evaluation of the Lagrangian as a function of one node's tau.
 
@@ -117,78 +103,70 @@ class _Profile:
     """
 
     def __init__(self, net: NetworkModel, tau: Sequence[float], nts: Sequence[int], k: int):
-        self.net = net
         self.k = k
+        self.r_min = [row.r_min for row in net.rows]
         self.tau_rest = math.fsum(tau) - tau[k]
-        lc = linear_coeffs(tau, k)
-        pair = _pair_products(tau, k)
-        own = 1.0
-        for i, t in enumerate(tau):
-            if i != k:
-                own *= 1.0 - t
+        x_s, x_c, x_i, y_s, y_c, y_i = _affine(tau, k)
+        own = _product_except(tau, (k,))
+        n_cw = net.phy.n
         self.num_coeff = []      # numerator scale per node
-        self.rate_den = []       # (slope, intercept) of the duration denominator
-        self.energy_den = []     # (slope, intercept) of the energy denominator
-        for j, nm in enumerate(net.nodes):
-            cost = net.cost(j, nts[j])
-            p_frame = net.nodes[j].seg.p_shr * net.nodes[j].seg.p_cw ** (nts[j] // net.phy.n) \
-                * net.nodes[j].seg.p_phr
+        self.xt = []             # slope and intercept of the duration denominator
+        self.yt = []
+        self.xe = []             # slope and intercept of the energy denominator
+        self.ye = []
+        for j, row in enumerate(net.rows):
+            n_t = nts[j]
+            t_s, t_c, e_s, e_c = row.costs(n_t)
+            p_frame = row.p_shr * row.p_cw ** (n_t // n_cw) * row.p_phr
             if j == k:
-                kj = nts[j] * p_frame * own
+                kj = n_t * p_frame * own
             else:
-                kj = nts[j] * p_frame * tau[j] * pair[j]
+                kj = n_t * p_frame * tau[j] * _product_except(tau, (j, k))
             self.num_coeff.append(kj)
-            xt = lc.x_s * cost.t_success + lc.x_c * cost.t_collision + lc.x_i * cost.t_idle
-            yt = lc.y_s * cost.t_success + lc.y_c * cost.t_collision + lc.y_i * cost.t_idle
-            xe = lc.x_s * cost.e_success + lc.x_c * cost.e_collision
-            ye = lc.y_s * cost.e_success + lc.y_c * cost.e_collision
-            self.rate_den.append((xt, yt))
-            self.energy_den.append((xe, ye))
-
-    def rates(self, t: float) -> list[float]:
-        out = []
-        for j in range(self.net.n_nodes):
-            num = self.num_coeff[j] * (t if j == self.k else 1.0 - t)
-            slope, intercept = self.rate_den[j]
-            den = slope * t + intercept
-            out.append(num / den if den > 0.0 else 0.0)
-        return out
+            self.xt.append(x_s * t_s + x_c * t_c + x_i * row.t_idle)
+            self.yt.append(y_s * t_s + y_c * t_c + y_i * row.t_idle)
+            self.xe.append(x_s * e_s + x_c * e_c)
+            self.ye.append(y_s * e_s + y_c * e_c)
 
     def metrics_at(self, t: float) -> tuple[list[float], list[float]]:
         rates = []
         etas = []
-        for j in range(self.net.n_nodes):
-            num = self.num_coeff[j] * (t if j == self.k else 1.0 - t)
-            xt, yt = self.rate_den[j]
+        k, rest = self.k, 1.0 - t
+        for j, (c, xt, yt, xe, ye) in enumerate(zip(self.num_coeff, self.xt, self.yt,
+                                                    self.xe, self.ye)):
+            num = c * (t if j == k else rest)
             den_t = xt * t + yt
             rates.append(num / den_t if den_t > 0.0 else 0.0)
-            xe, ye = self.energy_den[j]
             den_e = xe * t + ye
             etas.append(num / den_e if den_e > 0.0 else 0.0)
         return rates, etas
 
     def lagrangian(self, t: float, variant: str, lambdas: Sequence[float], mu: float) -> float:
         total = 0.0
-        for j, nm in enumerate(self.net.nodes):
-            num = self.num_coeff[j] * (t if j == self.k else 1.0 - t)
-            xt, yt = self.rate_den[j]
-            den_t = xt * t + yt
-            r = num / den_t if den_t > 0.0 else 0.0
-            if variant == VARIANT_LOGTHR:
+        k, rest = self.k, 1.0 - t
+        if variant == VARIANT_LOGTHR:
+            for j, (c, xt, yt) in enumerate(zip(self.num_coeff, self.xt, self.yt)):
+                den_t = xt * t + yt
+                r = c * (t if j == k else rest) / den_t if den_t > 0.0 else 0.0
                 if r <= 0.0:
                     return -math.inf
                 total += math.log(r)
-            else:
-                xe, ye = self.energy_den[j]
+        else:
+            log_eta = variant == VARIANT_LOGEE
+            for j, (c, xt, yt, xe, ye, lam, r_min) in enumerate(zip(
+                    self.num_coeff, self.xt, self.yt, self.xe, self.ye, lambdas, self.r_min)):
+                num = c * (t if j == k else rest)
+                den_t = xt * t + yt
+                r = num / den_t if den_t > 0.0 else 0.0
                 den_e = xe * t + ye
                 eta = num / den_e if den_e > 0.0 else 0.0
-                if variant == VARIANT_EE:
+                if not log_eta:
                     total += eta
-                else:
-                    if eta <= 0.0:
-                        return -math.inf
+                elif eta > 0.0:
                     total += math.log(eta)
-                total += lambdas[j] * (r - nm.r_min)
+                else:
+                    return -math.inf
+                total += lam * (r - r_min)
         total += mu * (1.0 - self.tau_rest - t)
         return total
 
@@ -230,6 +208,24 @@ def _maximize_scalar(f: Callable[[float], float], lo: float, hi: float, tol: flo
     return best_x, best_f
 
 
+def _throughput_payload(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
+                        k: int, grid: Sequence[int]) -> int:
+    """Throughput-optimal payload of node k, with the arithmetic of aggregate_terms.
+
+    Only the payload split (to, tn) of the average slot duration matters
+    here, so the affine split in tau_k is left out.
+    """
+    row = net.rows[k]
+    n_t = nts[k]
+    sp = state_probs(tau)
+    t_s, t_c, _, _ = row.costs(n_t)
+    bits_time = n_t * row.t_sym
+    to = (sp.p_success * (t_s - bits_time) + sp.p_collision * (t_c - bits_time)
+          + sp.p_idle * row.t_idle)
+    tn = (sp.p_success + sp.p_collision) * row.t_sym
+    return _nt_opt(row.p_cw, to, tn, grid, net.phy.n)
+
+
 def feasibility_stage(net: NetworkModel, cfg: SolverConfig) -> tuple[tuple[float, ...], tuple[int, ...], bool]:
     """Alternate per-node minimum-tau and best-payload updates.
 
@@ -245,16 +241,13 @@ def feasibility_stage(net: NetworkModel, cfg: SolverConfig) -> tuple[tuple[float
     for _ in range(cfg.max_feasibility_iters):
         prev_tau = tau[:]
         prev_nts = nts[:]
-        for k, nm in enumerate(net.nodes):
-            node = net.make_node(k, tau[k], nts[k])
-            cost = net.cost(k, nts[k])
-            t = tau_min_for_rate(node, tau, cost, nm.seg, net.phy.n)
+        for k, row in enumerate(net.rows):
+            t = net.tau_min(k, tau, nts[k])
             if t is None:
                 infeasible_hit = True
                 break
             tau[k] = t
-            terms = aggregate_terms(tau, k, cost, nts[k], nm.t_sym)
-            nts[k] = nt_opt_for_throughput(nm.seg.p_cw, terms, grid, net.phy.n)
+            nts[k] = _throughput_payload(net, tau, nts, k, grid)
         if infeasible_hit:
             break
         delta = max(
@@ -310,24 +303,24 @@ def _polish_payloads(net: NetworkModel, variant: str, tau: Sequence[float],
     term among those still meeting its rate target.
     """
     sp = state_probs(tau)
+    p_s, p_c, p_i = sp.p_success, sp.p_collision, sp.p_idle
+    n_cw = net.phy.n
     grid = list(net.nt_grid())
     out = list(nts)
-    for k, nm in enumerate(net.nodes):
+    for k, row in enumerate(net.rows):
+        p_k = sp.per_node_success[k]
         best_n = out[k]
         best_val = -math.inf
         for n_t in grid:
-            cost = net.cost(k, n_t)
-            p_frame = nm.seg.p_shr * nm.seg.p_phr * nm.seg.p_cw ** (n_t // net.phy.n)
-            num = n_t * sp.per_node_success[k] * p_frame
-            den_t = (sp.p_success * cost.t_success + sp.p_collision * cost.t_collision
-                     + sp.p_idle * cost.t_idle)
-            r = num / den_t
-            if enforce_rates and r < nm.r_min * (1.0 - 1e-6):
+            t_s, t_c, e_s, e_c = row.costs(n_t)
+            num = n_t * p_k * (row.p_hdr * row.p_cw ** (n_t // n_cw))
+            r = num / (p_s * t_s + p_c * t_c + p_i * row.t_idle)
+            if enforce_rates and r < row.r_min * (1.0 - 1e-6):
                 continue
             if variant == VARIANT_LOGTHR:
                 val = r
             else:
-                den_e = sp.p_success * cost.e_success + sp.p_collision * cost.e_collision
+                den_e = p_s * e_s + p_c * e_c
                 val = num / den_e if den_e > 0.0 else 0.0
             if val > best_val:
                 best_val = val
@@ -336,30 +329,34 @@ def _polish_payloads(net: NetworkModel, variant: str, tau: Sequence[float],
     return out
 
 
-def _repair_rates(net: NetworkModel, tau: Sequence[float], nts: Sequence[int]) -> Optional[list[float]]:
-    """Lift access probabilities until every rate target holds, if possible."""
+def _repair_rates(net: NetworkModel, tau: Sequence[float], nts: Sequence[int]
+                  ) -> Optional[tuple[list[float], tuple[float, ...], tuple[float, ...]]]:
+    """Lift access probabilities until every rate target holds, if possible.
+
+    Returns the repaired access vector with its rates and efficiencies.
+    """
     t = list(tau)
     for _ in range(6):
-        _, rates, _ = evaluate(net, t, nts, guard_zero_energy=True)
-        deficits = [k for k, nm in enumerate(net.nodes)
-                    if rates[k] < nm.r_min * (1.0 - 1e-9)]
+        _, rates, etas = evaluate(net, t, nts, guard_zero_energy=True)
+        deficits = [k for k, row in enumerate(net.rows)
+                    if rates[k] < row.r_min * (1.0 - 1e-9)]
         if not deficits:
             break
         for k in deficits:
-            node = net.make_node(k, t[k], nts[k])
-            cost = net.cost(k, nts[k])
-            tmin = tau_min_for_rate(node, t, cost, net.nodes[k].seg, net.phy.n)
+            tmin = net.tau_min(k, t, nts[k])
             if tmin is None:
                 return None
             if tmin > t[k]:
                 t[k] = tmin
-    _, rates, _ = evaluate(net, t, nts, guard_zero_energy=True)
-    for k, nm in enumerate(net.nodes):
-        if rates[k] < nm.r_min * (1.0 - _RATE_SLACK):
+    else:
+        # The last pass moved t after its evaluation.
+        _, rates, etas = evaluate(net, t, nts, guard_zero_energy=True)
+    for k, row in enumerate(net.rows):
+        if rates[k] < row.r_min * (1.0 - _RATE_SLACK):
             return None
     if math.fsum(t) > 1.0 + _SUM_SLACK:
         return None
-    return t
+    return t, rates, etas
 
 
 def _primal_polish(net: NetworkModel, cfg: SolverConfig, variant: str,
@@ -379,7 +376,7 @@ def _primal_polish(net: NetworkModel, cfg: SolverConfig, variant: str,
         start = _repair_rates(net, tau, nts)
         if start is None:
             return None
-        t = start
+        t = start[0]
     else:
         s = math.fsum(tau)
         t = [x / s for x in tau] if s > 1.0 else list(tau)
@@ -389,10 +386,6 @@ def _primal_polish(net: NetworkModel, cfg: SolverConfig, variant: str,
             if s > 1.0:
                 t = [x / s for x in t]
     nts2 = _polish_payloads(net, variant, t, nts, enforce_rates)
-
-    def objective_at(point: Sequence[float]) -> float:
-        _, rates, etas = evaluate(net, point, nts2, guard_zero_energy=True)
-        return _objective_value(variant, rates, etas)
 
     for _ in range(8):
         moved = 0.0
@@ -408,10 +401,10 @@ def _primal_polish(net: NetworkModel, cfg: SolverConfig, variant: str,
                     probe = t[:]
                     probe[k] = x
                     rep = _repair_rates(net, probe, nts2)
-                    if rep is None or math.fsum(rep) > 1.0 + _SUM_SLACK:
+                    if rep is None:
                         return -math.inf
-                    repaired_probe[x] = rep
-                    return objective_at(rep)
+                    repaired_probe[x] = rep[0]
+                    return _objective_value(variant, rep[1], rep[2])
 
                 best_x, best_f = _maximize_scalar(g, lo, hi, cfg.inner_search_tol)
                 if best_f > g(t[k]) and best_x in repaired_probe:
@@ -455,11 +448,11 @@ def _coordinate_solve(net: NetworkModel, cfg: SolverConfig, variant: str,
                       start_tau: Sequence[float], start_nts: Sequence[int],
                       enforce_rates: bool) -> Solution:
     """Shared coordinate-ascent loop for the dual and fallback stages."""
-    n = net.n_nodes
+    n_cw = net.phy.n
     grid = list(net.nt_grid())
     tau = list(start_tau)
     nts = list(start_nts)
-    lambdas = [0.0] * n
+    lambdas = [0.0] * net.n_nodes
     mu = 0.0
     needs_log = variant in (VARIANT_LOGEE, VARIANT_LOGTHR)
     lo = cfg.inner_search_tol if needs_log else 0.0
@@ -483,8 +476,9 @@ def _coordinate_solve(net: NetworkModel, cfg: SolverConfig, variant: str,
             pool.accept(point_tau, _polish_payloads(net, variant, point_tau, point_nts, enforce_rates))
         if enforce_rates:
             repaired = _repair_rates(net, point_tau, point_nts)
-            if repaired is not None and pool.accept(repaired, point_nts):
-                pool.accept(repaired, _polish_payloads(net, variant, repaired, point_nts, enforce_rates))
+            if repaired is not None and pool.accept(repaired[0], point_nts):
+                pool.accept(repaired[0],
+                            _polish_payloads(net, variant, repaired[0], point_nts, enforce_rates))
         else:
             s = math.fsum(point_tau)
             if s > 1.0:
@@ -501,7 +495,7 @@ def _coordinate_solve(net: NetworkModel, cfg: SolverConfig, variant: str,
     for _ in range(cfg.max_outer_iters):
         prev_tau = tau[:]
         prev_nts = nts[:]
-        for k, nm in enumerate(net.nodes):
+        for k, row in enumerate(net.rows):
             profile = _Profile(net, tau, nts, k)
             current = profile.lagrangian(tau[k], variant, lambdas, mu)
             best_t, best_f = _maximize_scalar(
@@ -511,19 +505,17 @@ def _coordinate_solve(net: NetworkModel, cfg: SolverConfig, variant: str,
                 tau[k] = best_t
             # Payload step: only node k's own objective and rate terms move.
             sp = state_probs(tau)
+            p_s, p_c, p_i, p_k = sp.p_success, sp.p_collision, sp.p_idle, sp.per_node_success[k]
             best_n = nts[k]
             best_val = -math.inf
             for n_t in grid:
-                cost = net.cost(k, n_t)
-                p_frame = nm.seg.p_shr * nm.seg.p_phr * nm.seg.p_cw ** (n_t // net.phy.n)
-                num = n_t * sp.per_node_success[k] * p_frame
-                den_t = (sp.p_success * cost.t_success + sp.p_collision * cost.t_collision
-                         + sp.p_idle * cost.t_idle)
-                r = num / den_t
+                t_s, t_c, e_s, e_c = row.costs(n_t)
+                num = n_t * p_k * (row.p_hdr * row.p_cw ** (n_t // n_cw))
+                r = num / (p_s * t_s + p_c * t_c + p_i * row.t_idle)
                 if variant == VARIANT_LOGTHR:
                     val = math.log(r) if r > 0.0 else -math.inf
                 else:
-                    den_e = sp.p_success * cost.e_success + sp.p_collision * cost.e_collision
+                    den_e = p_s * e_s + p_c * e_c
                     eta = num / den_e if den_e > 0.0 else 0.0
                     if variant == VARIANT_EE:
                         val = eta + lambdas[k] * r
@@ -535,7 +527,7 @@ def _coordinate_solve(net: NetworkModel, cfg: SolverConfig, variant: str,
             nts[k] = best_n
             if enforce_rates:
                 _, rates, _ = evaluate(net, tau, nts, guard_zero_energy=True)
-                lambdas[k] = max(cfg.multiplier_scale * (nm.r_min - rates[k]), 0.0)
+                lambdas[k] = max(cfg.multiplier_scale * (row.r_min - rates[k]), 0.0)
         mu = max(cfg.multiplier_scale * (math.fsum(tau) - 1.0), 0.0)
         process(tau, nts)
         if math.fsum(tau) > high_sum:

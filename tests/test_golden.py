@@ -1,0 +1,37 @@
+"""Golden CLI output: stdout must match files recorded before the model core moved to per-node rows.
+
+The golden files were written by the scalar-object implementation (one
+CostModel and Node per probe); the table-driven core must reproduce them
+byte for byte.  Regenerate a file only for a deliberate change of results,
+and say so in the change log:
+
+    PYTHONPATH=src python -m eecap.cli solve --scenario scenarios/two_node_1m.ini \
+        > tests/golden/solve_two_node_1m.csv
+    PYTHONPATH=src python -m eecap.cli sweep --scenario scenarios/nodes_sweep.ini \
+        --axis nodes --from 2 --to 10 > tests/golden/sweep_nodes_2_10.csv
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from eecap.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = (
+    ("solve_two_node_1m.csv", ["solve", "--scenario", "two_node_1m.ini"]),
+    ("sweep_nodes_2_10.csv", ["sweep", "--scenario", "nodes_sweep.ini",
+                              "--axis", "nodes", "--from", "2", "--to", "10"]),
+)
+
+
+@pytest.mark.parametrize("golden, argv", CASES, ids=[c[0] for c in CASES])
+def test_stdout_matches_golden(golden, argv, capsys):
+    argv = [str(ROOT / "scenarios" / a) if a.endswith(".ini") else a for a in argv]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()

@@ -189,3 +189,31 @@ class TestReportSerialization:
         rep = simulate(two_node_net, (0.1, 0.1), (126, 126), SimConfig(num_slots=100, seed=0))
         with pytest.raises(dataclasses.FrozenInstanceError):
             rep.n_success = 0
+
+
+class TestEstimatorsOnEveryReport:
+    """rate_estimate and efficiency_estimate accept whatever simulate returns."""
+
+    def test_every_node_of_every_report(self):
+        rng = np.random.default_rng(5)
+        grid = list(range(126, 2647, 63))
+        for trial in range(12):
+            n = int(rng.integers(1, 7))
+            net = build_network(list(rng.uniform(1.0, 9.5, n)), [0.0] * n)
+            tau = [float(t) for t in rng.choice([0.0, 0.05, 0.3, 1.0], n)]
+            nts = [int(v) for v in rng.choice(grid, n)]
+            rep = simulate(net, tau, nts, SimConfig(num_slots=int(rng.integers(1, 3_000)),
+                                                    seed=trial))
+            for field in ("per_node_success", "per_node_delivered", "per_node_bits",
+                          "per_node_energy"):
+                assert len(getattr(rep, field)) == n
+            for k in range(n):
+                cost = net.cost(k, nts[k])
+                for est, se in (rate_estimate(rep, k, nts[k], cost),
+                                efficiency_estimate(rep, k, nts[k], cost)):
+                    assert math.isfinite(est) and est >= 0.0
+                    assert math.isfinite(se) and se >= 0.0
+
+    def test_no_per_node_switch(self):
+        with pytest.raises(TypeError):
+            SimConfig(num_slots=10, record_per_node=False)
