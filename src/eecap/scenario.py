@@ -31,7 +31,7 @@ _PHY_FLOAT_KEYS = ("t_sym", "t_p", "w_rx")
 _CHANNEL_KEYS = ("pl0_db", "d0", "exponent", "tx_eb_over_n0_at_d0")
 _TIMING_KEYS = ("t_shr", "t_phr", "t_psifs", "t_idle_slot")
 _ENERGY_KEYS = ("eps_b", "eps_oh", "eps_st", "eps_b_tx", "eps_oh_tx", "eps_st_tx")
-_SOLVER_FLOAT_KEYS = ("convergence_tol", "inner_search_tol", "multiplier_scale", "init_tau")
+_SOLVER_FLOAT_KEYS = ("convergence_tol", "inner_search_tol", "init_tau")
 _SOLVER_INT_KEYS = ("max_outer_iters", "max_feasibility_iters")
 _NODE_KEYS = ("d", "r_min", "tau", "n_t")
 _SECTIONS = ("phy", "channel", "ncpb", "timing", "energy", "solver", "nodes")

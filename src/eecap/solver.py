@@ -2,15 +2,34 @@
 
 The solver first runs a feasibility stage that alternates the closed-form
 minimum access probability and the throughput-optimal payload size per
-node.  If the rate targets are jointly reachable, a dual-decomposition
-stage maximizes the chosen efficiency objective (sum or sum-of-logs) with
-clamped multiplier updates; otherwise a sum-log-throughput fallback drops
-the rate constraints and keeps only the access-budget constraint.
+node.  If the rate targets are jointly reachable, constrained coordinate
+ascent maximizes the chosen efficiency objective (sum or sum-of-logs)
+from that point; otherwise a sum-log-throughput fallback drops the rate
+constraints and keeps only the access-budget constraint.
 
-Because the raw multiplier iteration is not guaranteed to settle, every
-iterate (raw, rate-repaired, and payload-polished) is scored against the
-constraints and the best scoring point seen anywhere is returned, never
-the last iterate blindly.
+One round of the ascent runs a 1-D search on the true objective over each
+node's access probability, then a per-node payload scan.  With rate
+targets, every probe first lifts the other nodes back onto their targets,
+so the search can travel along an active rate constraint.  In the
+fallback, a probe above the access budget shrinks the other nodes
+proportionally, and each round starts with a search over a common scale
+of all access probabilities, so the search travels along the budget face.
+Once a round settles, a node may switch to a payload that meets its rate
+target only with more access (see _payload_switch).  Only moves that raise
+the objective are kept; the loop stops when no coordinate moves by more
+than convergence_tol, or after max_outer_iters rounds.
+
+Tolerances.  _RATE_SLACK (relative shortfall of a rate) and _SUM_SLACK
+(absolute excess of the access budget) decide every accept-or-report
+check: a repaired start or probe, and the feasible flag of the result.
+Every search move (rate repair, payload scan) aims at the tighter
+_RATE_AIM, so the points it produces pass those checks with margin.  The
+feasibility stage alone accepts its fixed point at _STAGE_SLACK: its
+node-by-node pass can leave the nodes updated first a few parts per
+million short of their targets, and such networks then go to the fallback
+although they are feasible.  Accepting them at _RATE_SLACK removes those
+fallbacks, but the rate-constrained ascent costs far more than the
+fallback on them.
 """
 
 from __future__ import annotations
@@ -19,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .access import _affine, _product_except, state_probs
+from .access import state_probs
 from .metrics import _nt_opt
 from .network import NetworkModel, evaluate
 
@@ -28,22 +47,26 @@ VARIANT_LOGEE = "LogEE"
 VARIANT_LOGTHR = "LogTHR"
 
 _OBJECTIVES = (VARIANT_EE, VARIANT_LOGEE)
-_RATE_SLACK = 1e-4        # relative slack when accepting a candidate's rates
-_SUM_SLACK = 1e-9         # absolute slack on the access-probability budget
+_RATE_SLACK = 1e-4        # relative rate shortfall an accepted point may have
+_SUM_SLACK = 1e-9         # absolute excess over the access-probability budget
+_RATE_AIM = 1e-9          # relative rate shortfall the search moves aim below
+_STAGE_SLACK = 1e-6       # relative rate shortfall the feasibility stage accepts
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PRESCAN = 64
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs; the defaults match the shipped calibration."""
+    """Solver knobs; the defaults match the shipped calibration.
+
+    max_outer_iters caps the rounds of the coordinate ascent.
+    """
 
     objective: str = VARIANT_EE
     max_outer_iters: int = 200
     max_feasibility_iters: int = 50
     convergence_tol: float = 1e-6
     inner_search_tol: float = 1e-5
-    multiplier_scale: float = 1.0
     init_tau: float = 0.01
 
     def __post_init__(self) -> None:
@@ -55,20 +78,16 @@ class SolverConfig:
             raise ValueError("convergence_tol must be positive")
         if not 0.0 < self.inner_search_tol < 0.5:
             raise ValueError("inner_search_tol must lie in (0, 0.5)")
-        if self.multiplier_scale <= 0.0:
-            raise ValueError("multiplier_scale must be positive")
         if not 0.0 < self.init_tau < 1.0:
             raise ValueError("init_tau must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
 class Solution:
-    """Best point found, with multipliers, per-iteration trace and metrics."""
+    """Best point found, with the objective after each round and its metrics."""
 
     tau_opt: tuple[float, ...]
     nt_opt: tuple[int, ...]
-    lambdas: tuple[float, ...]
-    mu: float
     variant_used: str
     trace: tuple[float, ...]
     feasible: bool
@@ -92,83 +111,6 @@ def _objective_value(variant: str, rates: Sequence[float], etas: Sequence[float]
             return -math.inf
         total += math.log(v)
     return total
-
-
-class _Profile:
-    """Fast evaluation of the Lagrangian as a function of one node's tau.
-
-    With the other access probabilities held fixed, every node's rate and
-    efficiency is a ratio of affine functions of tau_k, so one profile
-    build allows O(n_nodes) evaluation per search point.
-    """
-
-    def __init__(self, net: NetworkModel, tau: Sequence[float], nts: Sequence[int], k: int):
-        self.k = k
-        self.r_min = [row.r_min for row in net.rows]
-        self.tau_rest = math.fsum(tau) - tau[k]
-        x_s, x_c, x_i, y_s, y_c, y_i = _affine(tau, k)
-        own = _product_except(tau, (k,))
-        n_cw = net.phy.n
-        self.num_coeff = []      # numerator scale per node
-        self.xt = []             # slope and intercept of the duration denominator
-        self.yt = []
-        self.xe = []             # slope and intercept of the energy denominator
-        self.ye = []
-        for j, row in enumerate(net.rows):
-            n_t = nts[j]
-            t_s, t_c, e_s, e_c = row.costs(n_t)
-            p_frame = row.p_shr * row.p_cw ** (n_t // n_cw) * row.p_phr
-            if j == k:
-                kj = n_t * p_frame * own
-            else:
-                kj = n_t * p_frame * tau[j] * _product_except(tau, (j, k))
-            self.num_coeff.append(kj)
-            self.xt.append(x_s * t_s + x_c * t_c + x_i * row.t_idle)
-            self.yt.append(y_s * t_s + y_c * t_c + y_i * row.t_idle)
-            self.xe.append(x_s * e_s + x_c * e_c)
-            self.ye.append(y_s * e_s + y_c * e_c)
-
-    def metrics_at(self, t: float) -> tuple[list[float], list[float]]:
-        rates = []
-        etas = []
-        k, rest = self.k, 1.0 - t
-        for j, (c, xt, yt, xe, ye) in enumerate(zip(self.num_coeff, self.xt, self.yt,
-                                                    self.xe, self.ye)):
-            num = c * (t if j == k else rest)
-            den_t = xt * t + yt
-            rates.append(num / den_t if den_t > 0.0 else 0.0)
-            den_e = xe * t + ye
-            etas.append(num / den_e if den_e > 0.0 else 0.0)
-        return rates, etas
-
-    def lagrangian(self, t: float, variant: str, lambdas: Sequence[float], mu: float) -> float:
-        total = 0.0
-        k, rest = self.k, 1.0 - t
-        if variant == VARIANT_LOGTHR:
-            for j, (c, xt, yt) in enumerate(zip(self.num_coeff, self.xt, self.yt)):
-                den_t = xt * t + yt
-                r = c * (t if j == k else rest) / den_t if den_t > 0.0 else 0.0
-                if r <= 0.0:
-                    return -math.inf
-                total += math.log(r)
-        else:
-            log_eta = variant == VARIANT_LOGEE
-            for j, (c, xt, yt, xe, ye, lam, r_min) in enumerate(zip(
-                    self.num_coeff, self.xt, self.yt, self.xe, self.ye, lambdas, self.r_min)):
-                num = c * (t if j == k else rest)
-                den_t = xt * t + yt
-                r = num / den_t if den_t > 0.0 else 0.0
-                den_e = xe * t + ye
-                eta = num / den_e if den_e > 0.0 else 0.0
-                if not log_eta:
-                    total += eta
-                elif eta > 0.0:
-                    total += math.log(eta)
-                else:
-                    return -math.inf
-                total += lam * (r - r_min)
-        total += mu * (1.0 - self.tau_rest - t)
-        return total
 
 
 def _maximize_scalar(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -259,49 +201,23 @@ def feasibility_stage(net: NetworkModel, cfg: SolverConfig) -> tuple[tuple[float
     feasible = not infeasible_hit
     if feasible:
         _, rates, _ = evaluate(net, tau, nts, guard_zero_energy=True)
-        for k, nm in enumerate(net.nodes):
-            if rates[k] < nm.r_min * (1.0 - 1e-6):
+        for k, row in enumerate(net.rows):
+            if rates[k] < row.r_min * (1.0 - _STAGE_SLACK):
                 feasible = False
-        if math.fsum(tau) > 1.0 + 1e-12:
+        if math.fsum(tau) > 1.0 + _SUM_SLACK:
             feasible = False
     return tuple(tau), tuple(nts), feasible
 
 
-class _CandidatePool:
-    """Tracks the best constraint-satisfying point seen during the search."""
-
-    def __init__(self, net: NetworkModel, variant: str, enforce_rates: bool):
-        self.net = net
-        self.variant = variant
-        self.enforce_rates = enforce_rates
-        self.best_obj = -math.inf
-        self.best: Optional[tuple[tuple[float, ...], tuple[int, ...]]] = None
-
-    def accept(self, tau: Sequence[float], nts: Sequence[int]) -> bool:
-        if math.fsum(tau) > 1.0 + _SUM_SLACK:
-            return False
-        if any(not 0.0 <= t <= 1.0 for t in tau):
-            return False
-        _, rates, etas = evaluate(self.net, tau, nts, guard_zero_energy=True)
-        if self.enforce_rates:
-            for k, nm in enumerate(self.net.nodes):
-                if rates[k] < nm.r_min * (1.0 - _RATE_SLACK):
-                    return False
-        obj = _objective_value(self.variant, rates, etas)
-        if obj > self.best_obj:
-            self.best_obj = obj
-            self.best = (tuple(tau), tuple(nts))
-        return True
-
-
 def _polish_payloads(net: NetworkModel, variant: str, tau: Sequence[float],
-                     nts: Sequence[int], enforce_rates: bool) -> list[int]:
+                     nts: Sequence[int]) -> list[int]:
     """Per-node payload re-optimization that preserves rate feasibility.
 
     Each node's rate and efficiency depend on no other node's payload, so
     the scan decouples: pick the payload maximizing the node's objective
-    term among those still meeting its rate target.
+    term among those still meeting its rate target (the fallback has none).
     """
+    enforce_rates = variant != VARIANT_LOGTHR
     sp = state_probs(tau)
     p_s, p_c, p_i = sp.p_success, sp.p_collision, sp.p_idle
     n_cw = net.phy.n
@@ -315,9 +231,9 @@ def _polish_payloads(net: NetworkModel, variant: str, tau: Sequence[float],
             t_s, t_c, e_s, e_c = row.costs(n_t)
             num = n_t * p_k * (row.p_hdr * row.p_cw ** (n_t // n_cw))
             r = num / (p_s * t_s + p_c * t_c + p_i * row.t_idle)
-            if enforce_rates and r < row.r_min * (1.0 - 1e-6):
+            if enforce_rates and r < row.r_min * (1.0 - _RATE_AIM):
                 continue
-            if variant == VARIANT_LOGTHR:
+            if not enforce_rates:
                 val = r
             else:
                 den_e = p_s * e_s + p_c * e_c
@@ -339,7 +255,7 @@ def _repair_rates(net: NetworkModel, tau: Sequence[float], nts: Sequence[int]
     for _ in range(6):
         _, rates, etas = evaluate(net, t, nts, guard_zero_energy=True)
         deficits = [k for k, row in enumerate(net.rows)
-                    if rates[k] < row.r_min * (1.0 - 1e-9)]
+                    if rates[k] < row.r_min * (1.0 - _RATE_AIM)]
         if not deficits:
             break
         for k in deficits:
@@ -359,73 +275,43 @@ def _repair_rates(net: NetworkModel, tau: Sequence[float], nts: Sequence[int]
     return t, rates, etas
 
 
-def _primal_polish(net: NetworkModel, cfg: SolverConfig, variant: str,
-                   tau: Sequence[float], nts: Sequence[int],
-                   enforce_rates: bool) -> Optional[tuple[list[float], list[int]]]:
-    """Constrained coordinate ascent on the true objective from a feasible start.
+def _value(net: NetworkModel, variant: str, tau: Sequence[float], nts: Sequence[int]) -> float:
+    _, rates, etas = evaluate(net, tau, nts, guard_zero_energy=True)
+    return _objective_value(variant, rates, etas)
 
-    Each 1-D move evaluates the objective itself (not the Lagrangian): when
-    rate targets are enforced, every probe first lifts the other nodes back
-    onto their rate boundaries, so the search can travel along an active
-    constraint instead of stalling at its corner.
+
+def _payload_switch(net: NetworkModel, variant: str, tau: list[float], nts: list[int],
+                    value: float) -> Optional[tuple[list[float], list[int], float]]:
+    """Move nodes to payloads that meet their rate target only with more access.
+
+    The payload scan keeps each node on the payloads its current access
+    probability already serves.  Here every other payload of a node is
+    lifted to its minimum access probability and ranked by the objective
+    at that point; the best one is repaired once and kept if the objective
+    rises.  Returns the improved point, or None if no node moved.
     """
-    n = net.n_nodes
-    needs_log = variant in (VARIANT_LOGEE, VARIANT_LOGTHR)
-    lo = cfg.inner_search_tol if needs_log else 0.0
-    if enforce_rates:
-        start = _repair_rates(net, tau, nts)
-        if start is None:
-            return None
-        t = start[0]
-    else:
-        s = math.fsum(tau)
-        t = [x / s for x in tau] if s > 1.0 else list(tau)
-        if needs_log:
-            t = [max(x, cfg.inner_search_tol) for x in t]
-            s = math.fsum(t)
-            if s > 1.0:
-                t = [x / s for x in t]
-    nts2 = _polish_payloads(net, variant, t, nts, enforce_rates)
-
-    for _ in range(8):
-        moved = 0.0
-        for k in range(n):
-            rest = math.fsum(t) - t[k]
-            hi = min(1.0 - cfg.inner_search_tol, 1.0 - rest)
-            if hi <= lo:
+    moved = False
+    for k in range(net.n_nodes):
+        best_f, best = value, None
+        for n_t in net.nt_grid():
+            t_min = net.tau_min(k, tau, n_t)
+            if t_min is None or t_min <= tau[k]:
                 continue
-            if enforce_rates:
-                repaired_probe: dict[float, list[float]] = {}
-
-                def g(x: float) -> float:
-                    probe = t[:]
-                    probe[k] = x
-                    rep = _repair_rates(net, probe, nts2)
-                    if rep is None:
-                        return -math.inf
-                    repaired_probe[x] = rep[0]
-                    return _objective_value(variant, rep[1], rep[2])
-
-                best_x, best_f = _maximize_scalar(g, lo, hi, cfg.inner_search_tol)
-                if best_f > g(t[k]) and best_x in repaired_probe:
-                    new_t = repaired_probe[best_x]
-                    moved = max(moved, max(abs(a - b) for a, b in zip(new_t, t)))
-                    t = new_t
-            else:
-                profile = _Profile(net, t, nts2, k)
-
-                def h(x: float) -> float:
-                    rates, etas = profile.metrics_at(x)
-                    return _objective_value(variant, rates, etas)
-
-                best_x, best_f = _maximize_scalar(h, lo, hi, cfg.inner_search_tol)
-                if best_f > h(t[k]):
-                    moved = max(moved, abs(best_x - t[k]))
-                    t[k] = best_x
-        nts2 = _polish_payloads(net, variant, t, nts2, enforce_rates)
-        if moved < cfg.convergence_tol:
-            break
-    return t, nts2
+            probe = tau[:]
+            probe[k] = t_min
+            probe_nts = nts[:]
+            probe_nts[k] = n_t
+            f = _value(net, variant, probe, probe_nts)
+            if f > best_f:
+                best_f, best = f, (probe, probe_nts)
+        if best is None:
+            continue
+        rep = _repair_rates(net, *best)
+        if rep is not None:
+            f = _objective_value(variant, rep[1], rep[2])
+            if f > value:
+                tau, nts, value, moved = rep[0], best[1], f, True
+    return (tau, nts, value) if moved else None
 
 
 def _check_solution(net: NetworkModel, sol: Solution) -> Solution:
@@ -445,137 +331,98 @@ def _check_solution(net: NetworkModel, sol: Solution) -> Solution:
 
 
 def _coordinate_solve(net: NetworkModel, cfg: SolverConfig, variant: str,
-                      start_tau: Sequence[float], start_nts: Sequence[int],
-                      enforce_rates: bool) -> Solution:
-    """Shared coordinate-ascent loop for the dual and fallback stages."""
-    n_cw = net.phy.n
-    grid = list(net.nt_grid())
-    tau = list(start_tau)
-    nts = list(start_nts)
-    lambdas = [0.0] * net.n_nodes
-    mu = 0.0
-    needs_log = variant in (VARIANT_LOGEE, VARIANT_LOGTHR)
-    lo = cfg.inner_search_tol if needs_log else 0.0
-    hi = 1.0 - cfg.inner_search_tol
+                      start_tau: Sequence[float], start_nts: Sequence[int]) -> Solution:
+    """Constrained coordinate ascent on the true objective from a start point.
 
-    if needs_log:
+    Rate targets are enforced for EE and LogEE and dropped for the LogTHR
+    fallback; see the module docstring for the moves of one round.
+    """
+    n = net.n_nodes
+    enforce_rates = variant != VARIANT_LOGTHR
+    tol = cfg.inner_search_tol
+    lo = 0.0 if variant == VARIANT_EE else tol
+    t = list(start_tau)
+    nts = list(start_nts)
+    if variant != VARIANT_EE:
         # A node parked at exactly zero pins every log term at -inf, and no
         # single-coordinate move can escape that; seed such nodes with a
         # small share of the remaining access budget instead.
-        zeros = [k for k, t in enumerate(tau) if t == 0.0]
-        budget = 1.0 - math.fsum(tau)
+        zeros = [k for k, x in enumerate(t) if x == 0.0]
+        budget = 1.0 - math.fsum(t)
         if zeros and budget > 0.0:
             seed = min(cfg.init_tau, 0.5 * budget / len(zeros))
             for k in zeros:
-                tau[k] = seed
+                t[k] = seed
 
-    pool = _CandidatePool(net, variant, enforce_rates)
+    def score(probe: list[float]) -> tuple[float, list[float]]:
+        """Objective at probe, after lifting every rate onto its target when enforced."""
+        if not enforce_rates:
+            return _value(net, variant, probe, nts), probe
+        rep = _repair_rates(net, probe, nts)
+        if rep is None:
+            return -math.inf, probe
+        return _objective_value(variant, rep[1], rep[2]), rep[0]
 
-    def process(point_tau: Sequence[float], point_nts: Sequence[int]) -> None:
-        if pool.accept(point_tau, point_nts):
-            pool.accept(point_tau, _polish_payloads(net, variant, point_tau, point_nts, enforce_rates))
-        if enforce_rates:
-            repaired = _repair_rates(net, point_tau, point_nts)
-            if repaired is not None and pool.accept(repaired[0], point_nts):
-                pool.accept(repaired[0],
-                            _polish_payloads(net, variant, repaired[0], point_nts, enforce_rates))
-        else:
-            s = math.fsum(point_tau)
-            if s > 1.0:
-                projected = [t / s for t in point_tau]
-                if pool.accept(projected, point_nts):
-                    pool.accept(projected,
-                                _polish_payloads(net, variant, projected, point_nts, enforce_rates))
-
-    process(tau, nts)
-    high_snapshot = (tuple(tau), tuple(nts))
-    high_sum = math.fsum(tau)
     trace: list[float] = []
     converged = False
-    for _ in range(cfg.max_outer_iters):
-        prev_tau = tau[:]
-        prev_nts = nts[:]
-        for k, row in enumerate(net.rows):
-            profile = _Profile(net, tau, nts, k)
-            current = profile.lagrangian(tau[k], variant, lambdas, mu)
-            best_t, best_f = _maximize_scalar(
-                lambda t: profile.lagrangian(t, variant, lambdas, mu),
-                lo, hi, cfg.inner_search_tol)
-            if best_f > current:
-                tau[k] = best_t
-            # Payload step: only node k's own objective and rate terms move.
-            sp = state_probs(tau)
-            p_s, p_c, p_i, p_k = sp.p_success, sp.p_collision, sp.p_idle, sp.per_node_success[k]
-            best_n = nts[k]
-            best_val = -math.inf
-            for n_t in grid:
-                t_s, t_c, e_s, e_c = row.costs(n_t)
-                num = n_t * p_k * (row.p_hdr * row.p_cw ** (n_t // n_cw))
-                r = num / (p_s * t_s + p_c * t_c + p_i * row.t_idle)
-                if variant == VARIANT_LOGTHR:
-                    val = math.log(r) if r > 0.0 else -math.inf
-                else:
-                    den_e = p_s * e_s + p_c * e_c
-                    eta = num / den_e if den_e > 0.0 else 0.0
-                    if variant == VARIANT_EE:
-                        val = eta + lambdas[k] * r
-                    else:
-                        val = (math.log(eta) if eta > 0.0 else -math.inf) + lambdas[k] * r
-                if val > best_val:
-                    best_val = val
-                    best_n = n_t
-            nts[k] = best_n
-            if enforce_rates:
-                _, rates, _ = evaluate(net, tau, nts, guard_zero_energy=True)
-                lambdas[k] = max(cfg.multiplier_scale * (row.r_min - rates[k]), 0.0)
-        mu = max(cfg.multiplier_scale * (math.fsum(tau) - 1.0), 0.0)
-        process(tau, nts)
-        if math.fsum(tau) > high_sum:
-            high_sum = math.fsum(tau)
-            high_snapshot = (tuple(tau), tuple(nts))
-        trace.append(pool.best_obj)
-        delta = max(
-            max(abs(a - b) for a, b in zip(tau, prev_tau)),
-            max(abs(a - b) for a, b in zip(nts, prev_nts)) / net.phy.n_t_max,
-        )
-        if delta < cfg.convergence_tol:
+    rounds = cfg.max_outer_iters
+    if enforce_rates:
+        start = _repair_rates(net, t, nts)
+        if start is None:
+            rounds = 0  # no rate-feasible start: report the start point as it is
+        else:
+            t = start[0]
+    s = math.fsum(t)
+    if s > 1.0:
+        t = [x / s for x in t]
+    nts = _polish_payloads(net, variant, t, nts)
+    value = _value(net, variant, t, nts)
+
+    for _ in range(rounds):
+        prev_t, prev_nts = t[:], nts[:]
+        if not enforce_rates:
+            # A common scale of all access probabilities takes the whole
+            # vector onto the budget face, which single-node moves reach
+            # only through many small proportional shrinks.
+            s_hi = min(1.0 / math.fsum(t), (1.0 - tol) / max(t))
+            x, f = _maximize_scalar(lambda c: score([v * c for v in t])[0], 0.0, s_hi, tol)
+            if f > value:
+                value, t = score([v * x for v in t])
+        for k in range(n):
+            rest = math.fsum(t) - t[k]
+            hi = min(1.0 - tol, 1.0 - rest) if enforce_rates else 1.0 - tol
+            if hi <= lo:
+                continue
+
+            def probe(x: float) -> list[float]:
+                # Above the access budget the other nodes shrink proportionally.
+                c = (1.0 - x) / rest if x + rest > 1.0 else 1.0
+                p = [v * c for v in t]
+                p[k] = x
+                return p
+
+            x, f = _maximize_scalar(lambda x: score(probe(x))[0], lo, hi, tol)
+            if f > value:
+                value, t = score(probe(x))
+        nts = _polish_payloads(net, variant, t, nts)
+        if nts != prev_nts:
+            value = _value(net, variant, t, nts)
+        settled = nts == prev_nts and max(abs(a - b) for a, b in zip(t, prev_t)) <= cfg.convergence_tol
+        if settled and enforce_rates:
+            switched = _payload_switch(net, variant, t, nts, value)
+            if switched is not None:
+                t, nts, value = switched
+                settled = False
+        trace.append(value)
+        if settled:
             converged = True
             break
 
-    # Final primal polish from diverse starts; the pool keeps the best point.
-    polish_starts = []
-    if pool.best is not None:
-        polish_starts.append(pool.best)
-    polish_starts.append((tuple(tau), tuple(nts)))
-    polish_starts.append(high_snapshot)
-    seen = set()
-    for st_tau, st_nts in polish_starts:
-        key = (tuple(round(x, 9) for x in st_tau), st_nts)
-        if key in seen:
-            continue
-        seen.add(key)
-        res = _primal_polish(net, cfg, variant, st_tau, st_nts, enforce_rates)
-        if res is not None:
-            pool.accept(res[0], res[1])
-
-    if pool.best is not None:
-        best_tau, best_nts = pool.best
-        feasible_point = True
-    else:
-        # No iterate satisfied the constraints; return the current iterate
-        # scaled into the access budget and report it as infeasible.
-        s = math.fsum(tau)
-        best_tau = tuple(t / s for t in tau) if s > 1.0 else tuple(tau)
-        best_nts = tuple(nts)
-        feasible_point = False
-    _, rates, etas = evaluate(net, best_tau, best_nts, guard_zero_energy=True)
-    feasible = feasible_point and all(
-        rates[k] >= nm.r_min * (1.0 - _RATE_SLACK) for k, nm in enumerate(net.nodes))
+    _, rates, etas = evaluate(net, t, nts, guard_zero_energy=True)
+    feasible = all(r >= row.r_min * (1.0 - _RATE_SLACK) for r, row in zip(rates, net.rows))
     return _check_solution(net, Solution(
-        tau_opt=tuple(best_tau),
-        nt_opt=tuple(best_nts),
-        lambdas=tuple(lambdas),
-        mu=mu,
+        tau_opt=tuple(t),
+        nt_opt=tuple(nts),
         variant_used=variant,
         trace=tuple(trace),
         feasible=feasible,
@@ -588,25 +435,28 @@ def _coordinate_solve(net: NetworkModel, cfg: SolverConfig, variant: str,
 
 def solve_dual(net: NetworkModel, cfg: SolverConfig,
                start: Optional[tuple[Sequence[float], Sequence[int]]] = None) -> Solution:
-    """Dual-decomposition stage for the EE and LogEE objectives."""
+    """Rate-constrained coordinate ascent for the EE and LogEE objectives.
+
+    Starts from the feasibility-stage point unless a start is given.
+    """
     if start is None:
         tau0, nts0, ok = feasibility_stage(net, cfg)
         if not ok:
             raise ValueError("rate constraints are jointly infeasible; use solve_logthr")
         start = (tau0, nts0)
-    return _coordinate_solve(net, cfg, cfg.objective, start[0], start[1], enforce_rates=True)
+    return _coordinate_solve(net, cfg, cfg.objective, start[0], start[1])
 
 
 def solve_logthr(net: NetworkModel, cfg: SolverConfig) -> Solution:
-    """Sum-log-throughput fallback without rate constraints."""
+    """Sum-log-throughput fallback: coordinate ascent without rate constraints."""
     n = net.n_nodes
     start_tau = [cfg.init_tau] * n
     start_nts = [net.phy.n_t_max] * n
-    return _coordinate_solve(net, cfg, VARIANT_LOGTHR, start_tau, start_nts, enforce_rates=False)
+    return _coordinate_solve(net, cfg, VARIANT_LOGTHR, start_tau, start_nts)
 
 
 def eecap(net: NetworkModel, cfg: SolverConfig) -> Solution:
-    """Full pipeline: feasibility stage, then the dual stage or the fallback."""
+    """Full pipeline: feasibility stage, then the rate-constrained ascent or the fallback."""
     tau0, nts0, ok = feasibility_stage(net, cfg)
     if ok:
         return solve_dual(net, cfg, start=(tau0, nts0))

@@ -94,6 +94,7 @@ r_min = 1e5, 1e5 ; bits per second
         ("[ncpb]\ntable = 2:1\n[nodes]\nd = 1.0, 5.0\nr_min = 0, 0\n", "out of supported range"),
         ("[solver]\nobjective = fastest\n" + MINIMAL, "objective"),
         ("[solver]\nmax_outer_iters = 0\n" + MINIMAL, "iteration limits"),
+        ("[solver]\nmultiplier_scale = 1.0\n" + MINIMAL, "unknown key"),
         ("[energy]\neps_b_tx = 9e-9\n" + MINIMAL, "eps_b"),
     ])
     def test_rejects_malformed_scenarios(self, tmp_path, body, fragment):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,11 +25,14 @@ from eecap import (
     build_network,
     eecap,
     evaluate,
+    load_scenario,
     solve_dual,
     solve_logthr,
 )
 from eecap.metrics import aggregate_terms, nt_opt_for_throughput
-from eecap.solver import feasibility_stage
+from eecap.solver import _objective_value, _repair_rates, feasibility_stage
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def brute_force_ee(net, tau_step: float, nts_candidates) -> tuple[float, tuple[float, float]]:
@@ -136,6 +140,46 @@ class TestVariantSelection:
         net = build_network([1.0, 1.0], [1e9, 1e9])
         with pytest.raises(ValueError):
             solve_dual(net, SolverConfig())
+
+
+class TestPrimalMoves:
+    """Moves the coordinate ascent needs beyond one node's access search."""
+
+    def test_fallback_splits_the_budget_between_identical_nodes(self):
+        # The optimum lies on the access-budget face, which single-node
+        # moves under a fixed budget cannot travel along.
+        scn = load_scenario(str(SCENARIOS / "nodes_sweep.ini"))
+        for n in range(2, 11):
+            point = scn.with_nodes((scn.distances[0],) * n, (scn.r_mins[0],) * n)
+            sol = eecap(point.network(), point.solver)
+            assert sol.variant_used == VARIANT_LOGTHR
+            assert all(abs(t - 1.0 / n) <= 1e-6 for t in sol.tau_opt)
+
+    def test_switches_payload_under_a_binding_rate_target(self):
+        # At 9 m the 1386-bit frame beats the 2646-bit one, but meets the
+        # rate target only with more access than the start point has.
+        scn = load_scenario(str(SCENARIOS / "distance_sweep.ini"))
+        point = scn.with_nodes((9.0, 9.0), scn.r_mins)
+        sol = eecap(point.network(), point.solver)
+        assert sol.variant_used == VARIANT_EE and sol.feasible
+        assert sol.nt_opt == (1386, 1386)
+        assert sol.objective_value >= 343.5e6 * (1 - 1e-4)
+
+    def test_converges_without_losing_the_start_objective(self):
+        rng = random.Random(20)
+        for i in range(8):
+            n = rng.randrange(2, 9)
+            ds = [rng.uniform(1.0, 6.0) for _ in range(n)]
+            probe = build_network(ds, [0.0] * n)
+            _, rates, _ = evaluate(probe, [0.5 / n] * n, [probe.phy.n_t_max] * n)
+            net = build_network(ds, [rng.uniform(0.05, 0.4) * r for r in rates])
+            cfg = SolverConfig(objective=(VARIANT_EE, VARIANT_LOGEE)[i % 2])
+            tau0, nts0, ok = feasibility_stage(net, cfg)
+            assert ok
+            _, start_rates, start_etas = _repair_rates(net, tau0, nts0)
+            sol = solve_dual(net, cfg, start=(tau0, nts0))
+            assert sol.converged and sol.feasible
+            assert sol.objective_value >= _objective_value(cfg.objective, start_rates, start_etas)
 
 
 class TestSolutionInvariants:
