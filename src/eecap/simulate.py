@@ -7,6 +7,13 @@ state probabilities, throughput and energy efficiency, so alongside the
 physical accounting (energy charged to transmitters, elapsed time from
 the involved nodes' durations) it exposes per-node ratio estimators that
 mirror the analytic definitions, with delta-method standard errors.
+
+The slots are streamed in fixed-size chunks that only add to integer
+counts, so memory is O(chunk) whatever ``num_slots`` is.  The random
+stream is that of one ``PCG64(seed)`` generator drawing all slots x nodes
+transmit uniforms in slot-major order and then one delivery uniform per
+slot; the chunks replay it exactly, so a seed gives the same report
+however the slots are chunked.
 """
 
 from __future__ import annotations
@@ -75,6 +82,15 @@ class SimReport:
         ])
 
 
+# Transmit draws per chunk of slots, 512 KiB of float64.
+_CHUNK_DRAWS = 1 << 16
+
+
+def _chunk_slots(n: int) -> int:
+    """Slots per chunk for a network of n nodes."""
+    return max(1, _CHUNK_DRAWS // n)
+
+
 def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
              cfg: SimConfig) -> SimReport:
     """Run one seeded simulation; identical inputs give identical reports."""
@@ -89,30 +105,45 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     t_succ = np.array([c.t_success for c in costs])
     t_coll = np.array([c.t_collision for c in costs])
     t_idle = costs[0].t_idle
+    tau_row = np.asarray(tau, dtype=float)
+    # In a collision slot the first transmitter in this order has the
+    # longest collision duration, which is the slot's length.
+    by_t_coll = np.argsort(-t_coll, kind="stable")
 
-    rng = np.random.default_rng(cfg.seed)
     m = cfg.num_slots
-    tx = rng.random((m, n)) < np.asarray(tau, dtype=float)[None, :]
-    u = rng.random(m)
+    tx_rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    # Each float64 takes one 64-bit step, so a second generator advanced
+    # past the m * n transmit draws yields the delivery uniforms.
+    delivery_bits = np.random.PCG64(cfg.seed)
+    delivery_bits.advance(m * n)
+    delivery_rng = np.random.Generator(delivery_bits)
 
-    ntx = tx.sum(axis=1)
-    success = ntx == 1
-    collision = ntx >= 2
-    idle = ntx == 0
-    n_success = int(success.sum())
-    n_collision = int(collision.sum())
-    n_idle = int(idle.sum())
-
-    succ_by_node = tx & success[:, None]
-    per_node_success = succ_by_node.sum(axis=0)
-    delivered = (succ_by_node & (u[:, None] < p_frames[None, :])).sum(axis=0)
-    coll_tx = (tx & collision[:, None]).sum(axis=0)
+    n_success = n_collision = 0
+    per_node_success = np.zeros(n, dtype=np.int64)
+    delivered = np.zeros(n, dtype=np.int64)
+    coll_tx = np.zeros(n, dtype=np.int64)
+    coll_longest = np.zeros(n, dtype=np.int64)
+    step = _chunk_slots(n)
+    for start in range(0, m, step):
+        rows = min(step, m - start)
+        tx = tx_rng.random((rows, n)) < tau_row
+        u = delivery_rng.random(rows)
+        ntx = np.count_nonzero(tx, axis=1)
+        success = ntx == 1
+        collision = ntx >= 2
+        n_success += int(np.count_nonzero(success))
+        n_collision += int(np.count_nonzero(collision))
+        succ_rows = tx[success]
+        per_node_success += np.count_nonzero(succ_rows, axis=0)
+        delivered += np.count_nonzero(succ_rows & (u[success, None] < p_frames), axis=0)
+        coll_rows = tx[collision]
+        coll_tx += np.count_nonzero(coll_rows, axis=0)
+        longest = by_t_coll[coll_rows[:, by_t_coll].argmax(axis=1)]
+        coll_longest += np.bincount(longest, minlength=n)
+    n_idle = m - n_success - n_collision
 
     elapsed = float(per_node_success @ t_succ) + n_idle * t_idle
-    if n_collision > 0:
-        coll_rows = tx[collision]
-        coll_durations = np.where(coll_rows, t_coll[None, :], -np.inf).max(axis=1)
-        elapsed += float(coll_durations.sum())
+    elapsed += float(coll_longest @ t_coll)
 
     e_succ = np.array([c.e_success for c in costs])
     e_coll = np.array([c.e_collision for c in costs])

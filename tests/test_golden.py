@@ -1,5 +1,9 @@
 """Golden CLI output: stdout must match the files in tests/golden byte for byte.
 
+validate_two_node_1m_fixed.csv was written by the one-shot simulator that
+held every slots x nodes draw in memory; the chunked simulator must replay
+the same random stream.
+
 sweep_nodes_2_10.csv was written by the scalar-object implementation (one
 CostModel and Node per probe) and still holds.  solve_two_node_1m.csv was
 rewritten when the solver became a single primal loop: the rate target of
@@ -11,6 +15,8 @@ and say so in the change log:
         > tests/golden/solve_two_node_1m.csv
     PYTHONPATH=src python -m eecap.cli sweep --scenario scenarios/nodes_sweep.ini \
         --axis nodes --from 2 --to 10 > tests/golden/sweep_nodes_2_10.csv
+    PYTHONPATH=src python -m eecap.cli validate --scenario scenarios/two_node_1m_fixed.ini \
+        --slots 100000 --seed 42 > tests/golden/validate_two_node_1m_fixed.csv
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ CASES = (
     ("solve_two_node_1m.csv", ["solve", "--scenario", "two_node_1m.ini"]),
     ("sweep_nodes_2_10.csv", ["sweep", "--scenario", "nodes_sweep.ini",
                               "--axis", "nodes", "--from", "2", "--to", "10"]),
+    ("validate_two_node_1m_fixed.csv", ["validate", "--scenario", "two_node_1m_fixed.ini",
+                                        "--slots", "100000", "--seed", "42"]),
 )
 
 

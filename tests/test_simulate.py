@@ -1,7 +1,8 @@
 """Seeded Monte Carlo simulator and its ratio estimators.
 
 Determinism is checked field by field, the time and energy accounting
-against an independent pure-Python replay of the same random draws, and the
+against an independent pure-Python replay of the same random draws, the
+chunked stream against the one-shot algorithm it replaced, and the
 estimators against the analytic models through standardized differences.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +25,54 @@ from eecap import (
     simulate,
 )
 from eecap.network import frame_success
-from eecap.simulate import z_score
+from eecap.simulate import _chunk_slots, z_score
+
+
+def _one_shot_simulate(net, tau, nts, cfg):
+    """Reference: simulate as it was before streaming, every draw held at once."""
+    n = net.n_nodes
+    costs = [net.cost(k, nts[k]) for k in range(n)]
+    p_frames = np.array([frame_success(net, k, nts[k]) for k in range(n)])
+    t_succ = np.array([c.t_success for c in costs])
+    t_coll = np.array([c.t_collision for c in costs])
+    t_idle = costs[0].t_idle
+
+    rng = np.random.default_rng(cfg.seed)
+    m = cfg.num_slots
+    tx = rng.random((m, n)) < np.asarray(tau, dtype=float)[None, :]
+    u = rng.random(m)
+
+    ntx = tx.sum(axis=1)
+    success = ntx == 1
+    collision = ntx >= 2
+    n_success = int(success.sum())
+    n_collision = int(collision.sum())
+    n_idle = int((ntx == 0).sum())
+
+    succ_by_node = tx & success[:, None]
+    per_node_success = succ_by_node.sum(axis=0)
+    delivered = (succ_by_node & (u[:, None] < p_frames[None, :])).sum(axis=0)
+    coll_tx = (tx & collision[:, None]).sum(axis=0)
+
+    elapsed = float(per_node_success @ t_succ) + n_idle * t_idle
+    if n_collision > 0:
+        coll_rows = tx[collision]
+        coll_durations = np.where(coll_rows, t_coll[None, :], -np.inf).max(axis=1)
+        elapsed += float(coll_durations.sum())
+
+    e_succ = np.array([c.e_success for c in costs])
+    e_coll = np.array([c.e_collision for c in costs])
+    energy = per_node_success * e_succ + coll_tx * e_coll
+    return {
+        "n_success": n_success,
+        "n_collision": n_collision,
+        "n_idle": n_idle,
+        "per_node_success": tuple(int(v) for v in per_node_success),
+        "per_node_delivered": tuple(int(v) for v in delivered),
+        "per_node_bits": tuple(int(v) * nts[k] for k, v in enumerate(delivered)),
+        "per_node_energy": tuple(float(v) for v in energy),
+        "elapsed_time": elapsed,
+    }
 
 
 class TestDeterminism:
@@ -119,6 +168,52 @@ class TestAgainstReplay:
         for a, b in zip(rep.per_node_energy, energy):
             assert a == pytest.approx(b, rel=1e-12)
         assert rep.elapsed_time == pytest.approx(elapsed, rel=1e-12)
+
+
+class TestChunkedStream:
+    """The chunked simulator replays the one-shot algorithm's random stream."""
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 16))
+    @pytest.mark.parametrize("chunks, extra", ((0, 1), (1, -1), (1, 0), (1, 1), (3, 5)),
+                             ids=("1", "c-1", "c", "c+1", "3c+5"))
+    @pytest.mark.parametrize("edges", (False, True), ids=("inner", "edges"))
+    def test_matches_one_shot_at_chunk_boundaries(self, n, chunks, extra, edges):
+        m = chunks * _chunk_slots(n) + extra
+        rng = np.random.default_rng(n * 1_000 + m)
+        # Unequal payloads give unequal collision durations, so which
+        # transmitter is the longest decides each collision slot's length.
+        grid = list(range(126, 2647, 63))
+        nts = [int(v) for v in rng.choice(grid, n, replace=False)]
+        net = build_network(list(rng.uniform(1.0, 9.5, n)), [0.0] * n)
+        tau = [float(t) for t in rng.uniform(0.05, 0.6, n)]
+        if edges:
+            tau[0] = 1.0
+            if n > 1:
+                tau[1] = 0.0
+        cfg = SimConfig(num_slots=m, seed=int(rng.integers(2 ** 63)))
+        rep = simulate(net, tau, nts, cfg)
+        want = _one_shot_simulate(net, tau, nts, cfg)
+        got = {k: getattr(rep, k) for k in want}
+        assert got.pop("elapsed_time") == pytest.approx(want.pop("elapsed_time"), rel=1e-12)
+        assert got == want
+
+
+class TestBoundedMemory:
+    def test_traced_peak_is_flat_in_slots(self):
+        n = 16
+        net = build_network([1.0 + 0.5 * k for k in range(n)], [0.0] * n)
+        tau = [0.5 / n] * n
+        nts = [126 + 63 * k for k in range(n)]
+        peaks = {}
+        for m in (200_000, 2_000_000):
+            tracemalloc.start()
+            try:
+                simulate(net, tau, nts, SimConfig(num_slots=m, seed=1))
+                peaks[m] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2_000_000] < 16 * 2 ** 20
+        assert peaks[2_000_000] <= 1.5 * peaks[200_000]
 
 
 class TestEstimators:
