@@ -21,8 +21,7 @@ from .phy import (LinkBudget, PhyConfig, SegmentProbs, bit_error_prob,
 from .scenario import Scenario, ScenarioError, load_scenario
 from .simulate import SimConfig, SimReport, efficiency_estimate, rate_estimate, simulate
 from .solver import (VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR, Solution,
-                     SolverConfig, eecap, feasibility_stage, solve_dual,
-                     solve_logthr)
+                     SolverConfig, eecap, feasibility_stage)
 
 __version__ = "0.1.0"
 
@@ -39,6 +38,6 @@ __all__ = [
     "linear_coeffs", "link_budget", "load_scenario", "nt_opt_for_throughput",
     "phr_success_prob", "ppdu_duration", "ppdu_success_prob", "psdu_success_prob",
     "rate_estimate", "segment_probs", "shr_success_prob", "simulate",
-    "solve_dual", "solve_logthr", "state_probs", "tau_min_for_rate",
+    "state_probs", "tau_min_for_rate",
     "throughput", "throughput_derivative_tau",
 ]

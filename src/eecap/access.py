@@ -11,10 +11,6 @@ import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-# Below this complement value the leave-one-out product is rebuilt by
-# direct multiplication instead of division, which would lose precision.
-_DIVIDE_FLOOR = 1e-9
-
 
 @dataclass(frozen=True)
 class StateProbs:
@@ -53,22 +49,17 @@ def _validate(tau: Sequence[float]) -> None:
 
 
 def _leave_one_out(tau: Sequence[float]) -> list[float]:
-    """prod_{j != k} (1 - tau_j) for every k, stable near tau_j = 1."""
-    comp = [1.0 - t for t in tau]
-    total = 1.0
-    for c in comp:
-        total *= c
-    return [total / c if c >= _DIVIDE_FLOOR else _product_except(tau, (k,))
-            for k, c in enumerate(comp)]
-
-
-def _product_except(tau: Sequence[float], skip: Sequence[int]) -> float:
-    """prod (1 - tau_i) over i not in skip, by direct multiplication."""
-    prod = 1.0
-    for i, t in enumerate(tau):
-        if i not in skip:
-            prod *= 1.0 - t
-    return prod
+    """prod_{j != k} (1 - tau_j) for every k, from prefix and suffix products."""
+    out = []
+    prefix = 1.0
+    for t in tau:
+        out.append(prefix)
+        prefix *= 1.0 - t
+    suffix = 1.0
+    for k in range(len(tau) - 1, -1, -1):
+        out[k] *= suffix
+        suffix *= 1.0 - tau[k]
+    return out
 
 
 def state_probs(tau: Sequence[float]) -> StateProbs:
@@ -94,37 +85,27 @@ def state_probs(tau: Sequence[float]) -> StateProbs:
 def _affine(tau: Sequence[float], k: int) -> tuple[float, float, float, float, float, float]:
     """(x_s, x_c, x_i, y_s, y_c, y_i) of linear_coeffs as a plain tuple.
 
-    Two passes over tau: the first validates it and takes the product of
-    the complements, the second sums the cross terms, with every
-    leave-one-out product taken as in _leave_one_out.
+    One pass over tau validates it and keeps two running values over the
+    other nodes: none, the probability that none of them transmits, and
+    one, the probability that exactly one of them does.  Then
+    P^S = tau_k * none + (1 - tau_k) * one, P^I = (1 - tau_k) * none, and
+    P^C is the rest.
     """
     if len(tau) == 0:
         _validate(tau)  # raises
-    total = 1.0
-    for t in tau:
+    if not 0 <= k < len(tau):
+        raise IndexError(f"node index {k} outside 0..{len(tau) - 1}")
+    none, one = 1.0, 0.0
+    for j, t in enumerate(tau):
         if not 0.0 <= t <= 1.0:
             _validate(tau)  # raises, naming the entry
-        total *= 1.0 - t
+        if j != k:
+            c = 1.0 - t
+            one = one * c + none * t
+            none *= c
     if tau[k] == 1.0:
         raise ValueError(f"linearization undefined at tau_k = 1 (node {k})")
-    comp_k = 1.0 - tau[k]
-    x_c = 0.0
-    # x_c sums tau_j * prod_{i not in {j, k}} (1 - tau_i) over j != k.
-    if comp_k >= _DIVIDE_FLOOR:
-        p_k = 1.0 - total / comp_k
-        for j, t in enumerate(tau):
-            if j != k:
-                comp = 1.0 - t
-                if comp >= _DIVIDE_FLOOR:
-                    x_c += t * (total / comp) / comp_k
-                else:
-                    x_c += t * _product_except(tau, (j,)) / comp_k
-    else:
-        p_k = 1.0 - _product_except(tau, (k,))
-        for j, t in enumerate(tau):
-            if j != k:
-                x_c += t * _product_except(tau, (j, k))
-    return 1.0 - p_k - x_c, x_c, p_k - 1.0, x_c, p_k - x_c, 1.0 - p_k
+    return none - one, one, -none, one, 1.0 - none - one, none
 
 
 def linear_coeffs(tau: Sequence[float], node_index: int) -> LinearCoeffs:

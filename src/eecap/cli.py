@@ -158,7 +158,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 _fmt(sol.rates[0]), _fmt(sol.efficiencies[0]),
             ]))
             print(f"sweep {args.axis}={_fmt(value)}: variant={sol.variant_used} "
-                  f"iterations={sol.iterations}", file=sys.stderr)
+                  f"iterations={sol.iterations} converged={sol.converged}", file=sys.stderr)
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -119,7 +119,7 @@ class NetworkModel:
         """Smallest access probability meeting the node's rate target.
 
         The table form of metrics.tau_min_for_rate, with the same arithmetic
-        and result: two O(n) passes over tau and no Node, CostModel or
+        and result: one O(n) pass over tau and no Node, CostModel or
         LinearCoeffs objects.  tau and n_t are validated even when the
         node's r_min is zero.
         """

@@ -31,8 +31,6 @@ _PHY_FLOAT_KEYS = ("t_sym", "t_p", "w_rx")
 _CHANNEL_KEYS = ("pl0_db", "d0", "exponent", "tx_eb_over_n0_at_d0")
 _TIMING_KEYS = ("t_shr", "t_phr", "t_psifs", "t_idle_slot")
 _ENERGY_KEYS = ("eps_b", "eps_oh", "eps_st", "eps_b_tx", "eps_oh_tx", "eps_st_tx")
-_SOLVER_FLOAT_KEYS = ("convergence_tol", "inner_search_tol", "init_tau")
-_SOLVER_INT_KEYS = ("max_outer_iters", "max_feasibility_iters")
 _NODE_KEYS = ("d", "r_min", "tau", "n_t")
 _SECTIONS = ("phy", "channel", "ncpb", "timing", "energy", "solver", "nodes")
 
@@ -164,19 +162,13 @@ def load_scenario(path: str) -> Scenario:
 
     sol_kwargs: dict = {}
     if cp.has_section("solver"):
-        _check_keys(cp, "solver", ("objective",) + _SOLVER_INT_KEYS + _SOLVER_FLOAT_KEYS)
+        _check_keys(cp, "solver", ("objective",))
         if "objective" in cp["solver"]:
             raw = cp["solver"]["objective"].strip().lower()
             if raw not in _OBJECTIVE_NAMES:
                 raise ScenarioError(
                     f"[solver] objective: must be one of {sorted(_OBJECTIVE_NAMES)}, got {raw!r}")
             sol_kwargs["objective"] = _OBJECTIVE_NAMES[raw]
-        for key in _SOLVER_INT_KEYS:
-            if key in cp["solver"]:
-                sol_kwargs[key] = _parse_scalar("solver", key, cp["solver"][key], _int_strict, "integer")
-        for key in _SOLVER_FLOAT_KEYS:
-            if key in cp["solver"]:
-                sol_kwargs[key] = _parse_scalar("solver", key, cp["solver"][key], float, "number")
     solver = _build("solver", SolverConfig, sol_kwargs)
 
     if not cp.has_section("nodes"):

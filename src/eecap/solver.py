@@ -5,7 +5,9 @@ minimum access probability and the throughput-optimal payload size per
 node.  If the rate targets are jointly reachable, constrained coordinate
 ascent maximizes the chosen efficiency objective (sum or sum-of-logs)
 from that point; otherwise a sum-log-throughput fallback drops the rate
-constraints and keeps only the access-budget constraint.
+constraints and keeps only the access-budget constraint.  eecap() is the
+one entry point: SolverConfig chooses only the objective, and the round
+caps, the search tolerance and the start point are module constants.
 
 One round of the ascent runs a 1-D search on the true objective over each
 node's access probability, then a per-node payload scan.  With rate
@@ -17,7 +19,7 @@ of all access probabilities, so the search travels along the budget face.
 Once a round settles, a node may switch to a payload that meets its rate
 target only with more access (see _payload_switch).  Only moves that raise
 the objective are kept; the loop stops when no coordinate moves by more
-than convergence_tol, or after max_outer_iters rounds.
+than _CONVERGENCE_TOL, or after SolverConfig.max_outer_iters rounds.
 
 Tolerances.  _RATE_SLACK (relative shortfall of a rate) and _SUM_SLACK
 (absolute excess of the access budget) decide every accept-or-report
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 from .access import state_probs
 from .metrics import _nt_opt
@@ -53,33 +55,28 @@ _RATE_AIM = 1e-9          # relative rate shortfall the search moves aim below
 _STAGE_SLACK = 1e-6       # relative rate shortfall the feasibility stage accepts
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PRESCAN = 64
+_MAX_OUTER_ITERS = 200        # rounds of the coordinate ascent
+_MAX_FEASIBILITY_ITERS = 50   # passes of the feasibility stage
+_CONVERGENCE_TOL = 1e-6       # largest coordinate move of a settled round or pass
+_SEARCH_TOL = 1e-5            # bracket width of the 1-D search, and its margin below tau = 1
+_INIT_TAU = 0.01              # start access probability of every node
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs; the defaults match the shipped calibration.
+    """The efficiency objective to maximize: VARIANT_EE or VARIANT_LOGEE.
 
-    max_outer_iters caps the rounds of the coordinate ascent.
+    max_outer_iters, the round cap of the coordinate ascent, is a class
+    constant; a solve that reaches it returns with converged = False.
     """
 
+    max_outer_iters: ClassVar[int] = _MAX_OUTER_ITERS
+
     objective: str = VARIANT_EE
-    max_outer_iters: int = 200
-    max_feasibility_iters: int = 50
-    convergence_tol: float = 1e-6
-    inner_search_tol: float = 1e-5
-    init_tau: float = 0.01
 
     def __post_init__(self) -> None:
         if self.objective not in _OBJECTIVES:
             raise ValueError(f"objective must be one of {_OBJECTIVES}, got {self.objective!r}")
-        if self.max_outer_iters < 1 or self.max_feasibility_iters < 1:
-            raise ValueError("iteration limits must be at least 1")
-        if self.convergence_tol <= 0.0:
-            raise ValueError("convergence_tol must be positive")
-        if not 0.0 < self.inner_search_tol < 0.5:
-            raise ValueError("inner_search_tol must lie in (0, 0.5)")
-        if not 0.0 < self.init_tau < 1.0:
-            raise ValueError("init_tau must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -168,7 +165,7 @@ def _throughput_payload(net: NetworkModel, tau: Sequence[float], nts: Sequence[i
     return _nt_opt(row.p_cw, to, tn, grid, net.phy.n)
 
 
-def feasibility_stage(net: NetworkModel, cfg: SolverConfig) -> tuple[tuple[float, ...], tuple[int, ...], bool]:
+def feasibility_stage(net: NetworkModel) -> tuple[tuple[float, ...], tuple[int, ...], bool]:
     """Alternate per-node minimum-tau and best-payload updates.
 
     Returns the fixed point and whether it meets every rate target with
@@ -177,10 +174,10 @@ def feasibility_stage(net: NetworkModel, cfg: SolverConfig) -> tuple[tuple[float
     """
     n = net.n_nodes
     grid = list(net.nt_grid())
-    tau = [cfg.init_tau] * n
+    tau = [_INIT_TAU] * n
     nts = [net.phy.n_t_max] * n
     infeasible_hit = False
-    for _ in range(cfg.max_feasibility_iters):
+    for _ in range(_MAX_FEASIBILITY_ITERS):
         prev_tau = tau[:]
         prev_nts = nts[:]
         for k, row in enumerate(net.rows):
@@ -196,7 +193,7 @@ def feasibility_stage(net: NetworkModel, cfg: SolverConfig) -> tuple[tuple[float
             max(abs(a - b) for a, b in zip(tau, prev_tau)),
             max(abs(a - b) for a, b in zip(nts, prev_nts)) / net.phy.n_t_max,
         )
-        if delta < cfg.convergence_tol:
+        if delta < _CONVERGENCE_TOL:
             break
     feasible = not infeasible_hit
     if feasible:
@@ -330,7 +327,7 @@ def _check_solution(net: NetworkModel, sol: Solution) -> Solution:
     return sol
 
 
-def _coordinate_solve(net: NetworkModel, cfg: SolverConfig, variant: str,
+def _coordinate_solve(net: NetworkModel, variant: str,
                       start_tau: Sequence[float], start_nts: Sequence[int]) -> Solution:
     """Constrained coordinate ascent on the true objective from a start point.
 
@@ -339,7 +336,7 @@ def _coordinate_solve(net: NetworkModel, cfg: SolverConfig, variant: str,
     """
     n = net.n_nodes
     enforce_rates = variant != VARIANT_LOGTHR
-    tol = cfg.inner_search_tol
+    tol = _SEARCH_TOL
     lo = 0.0 if variant == VARIANT_EE else tol
     t = list(start_tau)
     nts = list(start_nts)
@@ -350,7 +347,7 @@ def _coordinate_solve(net: NetworkModel, cfg: SolverConfig, variant: str,
         zeros = [k for k, x in enumerate(t) if x == 0.0]
         budget = 1.0 - math.fsum(t)
         if zeros and budget > 0.0:
-            seed = min(cfg.init_tau, 0.5 * budget / len(zeros))
+            seed = min(_INIT_TAU, 0.5 * budget / len(zeros))
             for k in zeros:
                 t[k] = seed
 
@@ -365,7 +362,7 @@ def _coordinate_solve(net: NetworkModel, cfg: SolverConfig, variant: str,
 
     trace: list[float] = []
     converged = False
-    rounds = cfg.max_outer_iters
+    rounds = _MAX_OUTER_ITERS
     if enforce_rates:
         start = _repair_rates(net, t, nts)
         if start is None:
@@ -407,7 +404,7 @@ def _coordinate_solve(net: NetworkModel, cfg: SolverConfig, variant: str,
         nts = _polish_payloads(net, variant, t, nts)
         if nts != prev_nts:
             value = _value(net, variant, t, nts)
-        settled = nts == prev_nts and max(abs(a - b) for a, b in zip(t, prev_t)) <= cfg.convergence_tol
+        settled = nts == prev_nts and max(abs(a - b) for a, b in zip(t, prev_t)) <= _CONVERGENCE_TOL
         if settled and enforce_rates:
             switched = _payload_switch(net, variant, t, nts, value)
             if switched is not None:
@@ -433,31 +430,16 @@ def _coordinate_solve(net: NetworkModel, cfg: SolverConfig, variant: str,
     ))
 
 
-def solve_dual(net: NetworkModel, cfg: SolverConfig,
-               start: Optional[tuple[Sequence[float], Sequence[int]]] = None) -> Solution:
-    """Rate-constrained coordinate ascent for the EE and LogEE objectives.
-
-    Starts from the feasibility-stage point unless a start is given.
-    """
-    if start is None:
-        tau0, nts0, ok = feasibility_stage(net, cfg)
-        if not ok:
-            raise ValueError("rate constraints are jointly infeasible; use solve_logthr")
-        start = (tau0, nts0)
-    return _coordinate_solve(net, cfg, cfg.objective, start[0], start[1])
-
-
-def solve_logthr(net: NetworkModel, cfg: SolverConfig) -> Solution:
-    """Sum-log-throughput fallback: coordinate ascent without rate constraints."""
-    n = net.n_nodes
-    start_tau = [cfg.init_tau] * n
-    start_nts = [net.phy.n_t_max] * n
-    return _coordinate_solve(net, cfg, VARIANT_LOGTHR, start_tau, start_nts)
-
-
 def eecap(net: NetworkModel, cfg: SolverConfig) -> Solution:
-    """Full pipeline: feasibility stage, then the rate-constrained ascent or the fallback."""
-    tau0, nts0, ok = feasibility_stage(net, cfg)
+    """Full pipeline: feasibility stage, then the rate-constrained ascent or the fallback.
+
+    When the stage finds every rate target reachable, the ascent maximizes
+    cfg.objective from the stage point; otherwise the sum-log-throughput
+    fallback drops the rate targets and starts every node at _INIT_TAU
+    with the largest payload.
+    """
+    tau0, nts0, ok = feasibility_stage(net)
     if ok:
-        return solve_dual(net, cfg, start=(tau0, nts0))
-    return solve_logthr(net, cfg)
+        return _coordinate_solve(net, cfg.objective, tau0, nts0)
+    n = net.n_nodes
+    return _coordinate_solve(net, VARIANT_LOGTHR, [_INIT_TAU] * n, [net.phy.n_t_max] * n)

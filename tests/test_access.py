@@ -143,6 +143,8 @@ class TestLinearCoeffs:
     def test_rejects_bad_index(self):
         with pytest.raises(IndexError):
             linear_coeffs((0.5, 0.5), 2)
+        with pytest.raises(IndexError):
+            linear_coeffs((0.5, 0.5), -1)
 
 
 class TestAgainstCounting:

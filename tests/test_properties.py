@@ -6,11 +6,13 @@ stays deterministic and fast.
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eecap import SimConfig, build_network, simulate
-from eecap.access import state_probs
+from eecap.access import _leave_one_out, linear_coeffs, state_probs
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -32,6 +34,16 @@ def test_state_probs_normalise(tau):
     assert abs(total - 1.0) <= 1e-12
     for p in (sp.p_success, sp.p_collision, sp.p_idle, *sp.per_node_success, *sp.busy):
         assert 0.0 <= p <= 1.0
+    # The affine decomposition in each tau_k rebuilds the same probabilities.
+    for k, t in enumerate(tau):
+        if t < 1.0:
+            lc = linear_coeffs(tau, k)
+            assert abs(lc.x_s * t + lc.y_s - sp.p_success) <= 1e-12
+            assert abs(lc.x_c * t + lc.y_c - sp.p_collision) <= 1e-12
+            assert abs(lc.x_i * t + lc.y_i - sp.p_idle) <= 1e-12
+    for k, got in enumerate(_leave_one_out(tau)):
+        want = math.prod(1.0 - t for j, t in enumerate(tau) if j != k)
+        assert abs(got - want) <= 1e-12
 
 
 @st.composite

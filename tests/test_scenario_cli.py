@@ -93,7 +93,11 @@ r_min = 1e5, 1e5 ; bits per second
         ("[ncpb]\ntable = 2:1, 4-2\n" + MINIMAL, "distance:n_cpb"),
         ("[ncpb]\ntable = 2:1\n[nodes]\nd = 1.0, 5.0\nr_min = 0, 0\n", "out of supported range"),
         ("[solver]\nobjective = fastest\n" + MINIMAL, "objective"),
-        ("[solver]\nmax_outer_iters = 0\n" + MINIMAL, "iteration limits"),
+        ("[solver]\nmax_outer_iters = 0\n" + MINIMAL, "unknown key"),
+        ("[solver]\nmax_feasibility_iters = 50\n" + MINIMAL, "unknown key"),
+        ("[solver]\nconvergence_tol = 1e-6\n" + MINIMAL, "unknown key"),
+        ("[solver]\ninner_search_tol = 1e-5\n" + MINIMAL, "unknown key"),
+        ("[solver]\ninit_tau = 0.01\n" + MINIMAL, "unknown key"),
         ("[solver]\nmultiplier_scale = 1.0\n" + MINIMAL, "unknown key"),
         ("[energy]\neps_b_tx = 9e-9\n" + MINIMAL, "eps_b"),
     ])
@@ -172,12 +176,20 @@ class TestSweepCommand:
         rc = main(["sweep", "--scenario", SOLVE_SCN, "--axis", "rate",
                    "--from", "2e5", "--to", "4e5", "--steps", "2"])
         assert rc == EXIT_OK
-        out = capsys.readouterr().out.strip().splitlines()
+        captured = capsys.readouterr()
+        out = captured.out.strip().splitlines()
         assert len(out) == 3
         r0 = float(out[1].split(",")[15])
         r1 = float(out[2].split(",")[15])
         assert r0 == pytest.approx(2e5, rel=1e-4)
         assert r1 == pytest.approx(4e5, rel=1e-4)
+        # One stderr line per point, reporting a round-cap hit as converged=False.
+        err = captured.err.strip().splitlines()
+        assert len(err) == 2
+        for line in err:
+            words = line.split()
+            assert sum(w.startswith("iterations=") and w[11:].isdigit() for w in words) == 1
+            assert sum(w in ("converged=True", "converged=False") for w in words) == 1
 
     def test_distance_axis_reports_burst_length(self, capsys):
         rc = main(["sweep", "--scenario", FIXED_SCN, "--axis", "distance",

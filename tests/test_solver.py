@@ -8,6 +8,7 @@ invariants every returned solution must satisfy.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -26,8 +27,6 @@ from eecap import (
     eecap,
     evaluate,
     load_scenario,
-    solve_dual,
-    solve_logthr,
 )
 from eecap.metrics import aggregate_terms, nt_opt_for_throughput
 from eecap.solver import _objective_value, _repair_rates, feasibility_stage
@@ -59,7 +58,7 @@ def brute_force_ee(net, tau_step: float, nts_candidates) -> tuple[float, tuple[f
 
 class TestFeasibilityStage:
     def test_two_node_fixed_point_meets_rates(self, two_node_net):
-        tau, nts, ok = feasibility_stage(two_node_net, SolverConfig())
+        tau, nts, ok = feasibility_stage(two_node_net)
         assert ok
         _, rates, _ = evaluate(two_node_net, tau, nts)
         for r, nm in zip(rates, two_node_net.nodes):
@@ -68,21 +67,22 @@ class TestFeasibilityStage:
 
     def test_impossible_rates_reported(self):
         net = build_network([1.0, 1.0], [1e9, 1e9])
-        _, _, ok = feasibility_stage(net, SolverConfig())
+        _, _, ok = feasibility_stage(net)
         assert not ok
 
     def test_zero_rates_trivially_feasible(self):
         net = build_network([1.0, 1.0], [0.0, 0.0])
-        tau, nts, ok = feasibility_stage(net, SolverConfig())
+        tau, nts, ok = feasibility_stage(net)
         assert ok
         assert all(t == 0.0 for t in tau)
 
 
 class TestSingleNode:
     def test_saturates_the_channel_for_throughput(self):
-        net = build_network([4.45], [0.0],
+        # An unreachable rate target sends the solve to the LogTHR fallback.
+        net = build_network([4.45], [1e9],
                             channel=ChannelParams(tx_eb_over_n0_at_d0=500.0))
-        sol = solve_logthr(net, SolverConfig())
+        sol = eecap(net, SolverConfig())
         assert sol.variant_used == VARIANT_LOGTHR
         # Alone on the channel, throughput grows with tau: the optimum is
         # the upper boundary, and the payload matches its own closed form.
@@ -136,11 +136,6 @@ class TestVariantSelection:
         # Proportional fairness between identical nodes equalizes access.
         assert abs(sol.tau_opt[0] - sol.tau_opt[1]) <= 1e-3
 
-    def test_dual_stage_rejects_infeasible_network(self):
-        net = build_network([1.0, 1.0], [1e9, 1e9])
-        with pytest.raises(ValueError):
-            solve_dual(net, SolverConfig())
-
 
 class TestPrimalMoves:
     """Moves the coordinate ascent needs beyond one node's access search."""
@@ -174,10 +169,11 @@ class TestPrimalMoves:
             _, rates, _ = evaluate(probe, [0.5 / n] * n, [probe.phy.n_t_max] * n)
             net = build_network(ds, [rng.uniform(0.05, 0.4) * r for r in rates])
             cfg = SolverConfig(objective=(VARIANT_EE, VARIANT_LOGEE)[i % 2])
-            tau0, nts0, ok = feasibility_stage(net, cfg)
+            tau0, nts0, ok = feasibility_stage(net)
             assert ok
             _, start_rates, start_etas = _repair_rates(net, tau0, nts0)
-            sol = solve_dual(net, cfg, start=(tau0, nts0))
+            sol = eecap(net, cfg)
+            assert sol.variant_used == cfg.objective
             assert sol.converged and sol.feasible
             assert sol.objective_value >= _objective_value(cfg.objective, start_rates, start_etas)
 
@@ -214,9 +210,7 @@ class TestSolutionInvariants:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(objective="THR")
-        with pytest.raises(ValueError):
-            SolverConfig(max_outer_iters=0)
-        with pytest.raises(ValueError):
-            SolverConfig(convergence_tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(init_tau=1.0)
+
+    def test_objective_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["objective"]
+        assert SolverConfig.max_outer_iters == SolverConfig().max_outer_iters == 200
