@@ -11,8 +11,10 @@ caps, the search tolerance and the start point are module constants.
 
 One round of the ascent runs a 1-D search on the true objective over each
 node's access probability, then a per-node payload scan.  With rate
-targets, every probe first lifts the other nodes back onto their targets,
-so the search can travel along an active rate constraint.  In the
+targets, every probe is first lifted to the least point above it that
+meets every target (_lift), so the search can travel along an active rate
+constraint; probes score from closed forms in the odds of the lifted
+point, and a move is kept only if evaluate confirms the gain.  In the
 fallback, a probe above the access budget shrinks the other nodes
 proportionally, and each round starts with a search over a common scale
 of all access probabilities, so the search travels along the budget face.
@@ -22,10 +24,12 @@ the objective are kept; the loop stops when no coordinate moves by more
 than _CONVERGENCE_TOL, or after SolverConfig.max_outer_iters rounds.
 
 Tolerances.  _RATE_SLACK (relative shortfall of a rate) and _SUM_SLACK
-(absolute excess of the access budget) decide every accept-or-report
-check: a repaired start or probe, and the feasible flag of the result.
-Every search move (rate repair, payload scan) aims at the tighter
-_RATE_AIM, so the points it produces pass those checks with margin.  The
+(absolute excess of the access budget) decide the feasible flag of the
+result and the checks on it.  The rate repair meets every target to
+roundoff and refuses any point past _SUM_SLACK, so the start and every
+probe it passes meet the targets exactly.  The payload scan admits a
+payload up to _RATE_AIM short of its target, so roundoff cannot drop a
+node's current payload; the next probe lifts the node exactly.  The
 feasibility stage alone accepts its fixed point at _STAGE_SLACK: its
 node-by-node pass can leave the nodes updated first a few parts per
 million short of their targets, and such networks then go to the fallback
@@ -51,7 +55,7 @@ VARIANT_LOGTHR = "LogTHR"
 _OBJECTIVES = (VARIANT_EE, VARIANT_LOGEE)
 _RATE_SLACK = 1e-4        # relative rate shortfall an accepted point may have
 _SUM_SLACK = 1e-9         # absolute excess over the access-probability budget
-_RATE_AIM = 1e-9          # relative rate shortfall the search moves aim below
+_RATE_AIM = 1e-9          # relative rate shortfall the payload scan admits
 _STAGE_SLACK = 1e-6       # relative rate shortfall the feasibility stage accepts
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PRESCAN = 64
@@ -242,34 +246,154 @@ def _polish_payloads(net: NetworkModel, variant: str, tau: Sequence[float],
     return out
 
 
+def _odds_table(net: NetworkModel, nts: Sequence[int]) -> list[tuple[float, ...]]:
+    """Per-node (a t_s, a t_c, a t_idle, c, e_s, e_c) at payloads nts.
+
+    c is the node's payload bits per success slot, as in evaluate, and
+    a = r_min / c the access odds its rate target needs per second of the
+    node's average slot: zero without a target, infinite for a link that
+    delivers nothing.
+    """
+    n = net.phy.n
+    table = []
+    for row, n_t in zip(net.rows, nts):
+        t_s, t_c, e_s, e_c = row.costs(n_t)
+        c = n_t * (row.p_hdr * row.p_cw ** (n_t // n))
+        a = row.r_min / c if c > 0.0 else (math.inf if row.r_min > 0.0 else 0.0)
+        table.append((a * t_s, a * t_c, a * row.t_idle, c, e_s, e_c))
+    return table
+
+
+def _newton_jump(table: Sequence[tuple[float, ...]], x0: Sequence[float],
+                 x: Sequence[float]) -> Optional[list[float]]:
+    """From x, a point below the least fixed point above x0, by Newton steps on (u, v).
+
+    With the aggregates z = (u, v) held, node k needs the odds
+    x_k(z) = max(x0_k, a_k (u t_s + v t_c + t_idle)), and the least fixed
+    point is x(z*) for the least solution z* of z = F(z), where
+    F(z) = (sum x(z), prod(1 + x(z)) - 1 - sum x(z)).  F is a polynomial
+    with non-negative coefficients in each region of the max terms, so it
+    is monotone and order-convex.  From z <= z* with F(z) >= z, which holds
+    for the aggregates of any x that sweeps reached from x0, a Newton step
+    for z = F(z) lands at or below z* and again has F >= z, as long as
+    I - F'(z) has a non-negative inverse (positive diagonal and
+    determinant), which holds below every least fixed point that is not
+    critical.  The steps stop when it fails, or after the first step below
+    1e-8 of 1 + u + v, which leaves an error near roundoff.  Returns x(z),
+    or None once x(z) leaves the access budget, which every point above x0
+    that meets the targets then also does.
+    """
+    u = sum(x)
+    v = math.prod([1.0 + xk for xk in x]) - 1.0 - u
+    last = False
+    while True:
+        xz = []
+        j11 = j12 = s1 = s2 = taus = 0.0
+        for x0k, (as_, ac, ai, _, _, _) in zip(x0, table):
+            need = u * as_ + v * ac + ai
+            if need > x0k:
+                xz.append(need)
+                j11 += as_
+                j12 += ac
+                s1 += as_ / (1.0 + need)
+                s2 += ac / (1.0 + need)
+                taus += need / (1.0 + need)
+            else:
+                xz.append(x0k)
+                taus += x0k / (1.0 + x0k)
+        if taus > 1.0 + _SUM_SLACK:
+            return None
+        if last:
+            return xz
+        f1 = sum(xz)
+        p = math.prod([1.0 + xk for xk in xz])
+        j21, j22 = p * s1 - j11, p * s2 - j12
+        d11, d22 = 1.0 - j11, 1.0 - j22
+        det = d11 * d22 - j12 * j21
+        if d11 <= 0.0 or d22 <= 0.0 or det <= 0.0:
+            return xz
+        r1, r2 = f1 - u, p - 1.0 - f1 - v
+        du = (d22 * r1 + j12 * r2) / det
+        dv = (j21 * r1 + d11 * r2) / det
+        last = du + dv <= 1e-8 * (1.0 + u + v)
+        u, v = u + du, v + dv
+
+
+def _lift(table: Sequence[tuple[float, ...]], tau: Sequence[float]
+          ) -> Optional[tuple[list[float], list[float]]]:
+    """Least access vector at or above tau that meets every rate target.
+
+    In odds x_k = tau_k / (1 - tau_k), with u = sum(x) and
+    v = prod(1 + x) - 1 - u, node k's rate is c_k x_k / (u t_s + v t_c + t_idle),
+    so its target reads x_k >= a_k (u t_s + v t_c + t_idle).  The right-hand
+    side rises with every x_j, so sweeps that raise each node to the least
+    x_k meeting its target, the others held, climb to the least fixed point
+    above tau and never past it; they stop when no node moves.  Each node
+    costs O(1): u and P = prod(1 + x) are running values, refreshed at the
+    start of every sweep.  Sweeps converge linearly, so a lift still
+    climbing after three of them jumps ahead once with _newton_jump.
+    Since the iterates only rise, the first one above the access budget, or
+    a node that cannot meet its target however high it goes, proves that no
+    point above tau is feasible: the lift returns None.  Otherwise it
+    returns the lifted tau (entries that did not move are tau's own) and
+    the nodes' efficiencies c_k x_k / (u e_s + v e_c) there.  tau entries
+    must be below 1.
+    """
+    x0 = [t / (1.0 - t) for t in tau]
+    x = x0[:]
+    out = list(tau)
+    sweeps = 0
+    while True:
+        if math.fsum(out) > 1.0 + _SUM_SLACK:
+            return None
+        u = sum(x)
+        p = math.prod([1.0 + xk for xk in x])
+        moved = False
+        for j, (as_, ac, ai, _, _, _) in enumerate(table):
+            xj = x[j]
+            q = p / (1.0 + xj)      # prod(1 + x) and sum(x) over the other nodes
+            uo = u - xj
+            den = 1.0 - as_ - (q - 1.0) * ac
+            if not den > 0.0:   # NaN for a link that delivers nothing and has a target
+                return None
+            y = (uo * as_ + (q - 1.0 - uo) * ac + ai) / den
+            if y > xj:
+                tj = max(y / (1.0 + y), out[j])
+                if tj >= 1.0:
+                    return None
+                x[j], out[j] = y, tj
+                u, p = uo + y, q * (1.0 + y)
+                moved = True
+        if not moved:
+            break
+        sweeps += 1
+        if sweeps == 3:
+            # Sweeps that only confirm a point end within three; a lift that
+            # climbs takes 15 to 40 of them at n = 16.
+            x = _newton_jump(table, x0, x)
+            if x is None:
+                return None
+            out = [t if xk == x0k else max(xk / (1.0 + xk), t) for t, xk, x0k in zip(tau, x, x0)]
+    v = p - 1.0 - u
+    etas = []
+    for xk, (_, _, _, c, e_s, e_c) in zip(x, table):
+        e_den = u * e_s + v * e_c
+        etas.append(c * xk / e_den if e_den > 0.0 else 0.0)
+    return out, etas
+
+
 def _repair_rates(net: NetworkModel, tau: Sequence[float], nts: Sequence[int]
                   ) -> Optional[tuple[list[float], tuple[float, ...], tuple[float, ...]]]:
-    """Lift access probabilities until every rate target holds, if possible.
+    """Lift access probabilities onto every rate target, if the budget allows.
 
-    Returns the repaired access vector with its rates and efficiencies.
+    Returns the lifted access vector (see _lift) with its rates and
+    efficiencies from evaluate, or None.
     """
-    t = list(tau)
-    for _ in range(6):
-        _, rates, etas = evaluate(net, t, nts, guard_zero_energy=True)
-        deficits = [k for k, row in enumerate(net.rows)
-                    if rates[k] < row.r_min * (1.0 - _RATE_AIM)]
-        if not deficits:
-            break
-        for k in deficits:
-            tmin = net.tau_min(k, t, nts[k])
-            if tmin is None:
-                return None
-            if tmin > t[k]:
-                t[k] = tmin
-    else:
-        # The last pass moved t after its evaluation.
-        _, rates, etas = evaluate(net, t, nts, guard_zero_energy=True)
-    for k, row in enumerate(net.rows):
-        if rates[k] < row.r_min * (1.0 - _RATE_SLACK):
-            return None
-    if math.fsum(t) > 1.0 + _SUM_SLACK:
+    lifted = _lift(_odds_table(net, nts), tau)
+    if lifted is None:
         return None
-    return t, rates, etas
+    _, rates, etas = evaluate(net, lifted[0], nts, guard_zero_energy=True)
+    return lifted[0], rates, etas
 
 
 def _value(net: NetworkModel, variant: str, tau: Sequence[float], nts: Sequence[int]) -> float:
@@ -291,6 +415,8 @@ def _payload_switch(net: NetworkModel, variant: str, tau: list[float], nts: list
     for k in range(net.n_nodes):
         best_f, best = value, None
         for n_t in net.nt_grid():
+            if n_t == nts[k]:
+                continue  # the current payload is already on its target
             t_min = net.tau_min(k, tau, n_t)
             if t_min is None or t_min <= tau[k]:
                 continue
@@ -351,8 +477,22 @@ def _coordinate_solve(net: NetworkModel, variant: str,
             for k in zeros:
                 t[k] = seed
 
-    def score(probe: list[float]) -> tuple[float, list[float]]:
-        """Objective at probe, after lifting every rate onto its target when enforced."""
+    def score(probe: list[float]) -> float:
+        """Objective at probe, after lifting every rate onto its target when enforced.
+
+        A lifted probe scores from the odds closed forms, which can differ
+        from evaluate in the last bits, so a move is committed only if its
+        evaluate value also rises.
+        """
+        if not enforce_rates:
+            return _value(net, variant, probe, nts)
+        lifted = _lift(table, probe)
+        if lifted is None:
+            return -math.inf
+        return _objective_value(variant, (), lifted[1])  # EE and LogEE read only etas
+
+    def commit(probe: list[float]) -> tuple[float, list[float]]:
+        """The probe, repaired when rates are enforced, and its objective from evaluate."""
         if not enforce_rates:
             return _value(net, variant, probe, nts), probe
         rep = _repair_rates(net, probe, nts)
@@ -377,14 +517,16 @@ def _coordinate_solve(net: NetworkModel, variant: str,
 
     for _ in range(rounds):
         prev_t, prev_nts = t[:], nts[:]
-        if not enforce_rates:
+        if enforce_rates:
+            table = _odds_table(net, nts)   # nts holds until the payload scan below
+        else:
             # A common scale of all access probabilities takes the whole
             # vector onto the budget face, which single-node moves reach
             # only through many small proportional shrinks.
             s_hi = min(1.0 / math.fsum(t), (1.0 - tol) / max(t))
-            x, f = _maximize_scalar(lambda c: score([v * c for v in t])[0], 0.0, s_hi, tol)
+            x, f = _maximize_scalar(lambda c: score([v * c for v in t]), 0.0, s_hi, tol)
             if f > value:
-                value, t = score([v * x for v in t])
+                value, t = commit([v * x for v in t])
         for k in range(n):
             rest = math.fsum(t) - t[k]
             hi = min(1.0 - tol, 1.0 - rest) if enforce_rates else 1.0 - tol
@@ -398,9 +540,11 @@ def _coordinate_solve(net: NetworkModel, variant: str,
                 p[k] = x
                 return p
 
-            x, f = _maximize_scalar(lambda x: score(probe(x))[0], lo, hi, tol)
+            x, f = _maximize_scalar(lambda x: score(probe(x)), lo, hi, tol)
             if f > value:
-                value, t = score(probe(x))
+                f, p = commit(probe(x))
+                if f > value:
+                    value, t = f, p
         nts = _polish_payloads(net, variant, t, nts)
         if nts != prev_nts:
             value = _value(net, variant, t, nts)

@@ -6,10 +6,14 @@ the same random stream.
 
 sweep_nodes_2_10.csv was written by the scalar-object implementation (one
 CostModel and Node per probe) and still holds.  solve_two_node_1m.csv was
-rewritten when the solver became a single primal loop: the rate target of
-node 0 is now met to 1e-9 instead of 2.4e-7, which moves the objective in
-the 9th digit.  Regenerate a file only for a deliberate change of results,
-and say so in the change log:
+rewritten when the solver became a single primal loop (the rate target of
+node 0 met to 1e-9 instead of 2.4e-7, the objective moved in the 9th
+digit), and again when the rate repair became an exact least lift: node 0
+now meets its target to roundoff (rate 999999.9996 -> 1000000), and
+sum_eta moves in the 10th digit (437020742.3 -> 437020742.2), with node
+1's tau and efficiency and sum_tau in their last printed digit.
+Regenerate a file only for a deliberate change of results, and say so in
+the change log:
 
     PYTHONPATH=src python -m eecap.cli solve --scenario scenarios/two_node_1m.ini \
         > tests/golden/solve_two_node_1m.csv

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eecap import SimConfig, build_network, simulate
+from eecap import SimConfig, build_network, evaluate, simulate
 from eecap.access import _leave_one_out, linear_coeffs, state_probs
+from eecap.network import frame_success
+from eecap.solver import _repair_rates
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -70,3 +72,82 @@ def test_simulate_accounting(case):
         if t == 0.0:
             assert rep.per_node_success[k] == 0
             assert rep.per_node_energy[k] == 0.0
+
+
+def jacobi_leaves_budget(net, tau, nts) -> bool:
+    """Reference for the rate repair: plain Jacobi iteration to its fixed point.
+
+    Every node at once moves to x_k = max(x_k, r_min,k D_k / c_k), with
+    D_k = u t_s,k + v t_c,k + t_idle the node's average slot duration per
+    idle slot and c_k its payload bits per success slot, until nothing
+    moves.  True when an iterate leaves the access budget (or a target
+    needs tau_k = 1), which the iteration, only rising, never returns from.
+    """
+    nodes = []
+    for k, (row, n_t) in enumerate(zip(net.rows, nts)):
+        t_s, t_c, _, _ = row.costs(n_t)
+        c = n_t * frame_success(net, k, n_t)
+        if row.r_min > 0.0 and c == 0.0:
+            return True
+        nodes.append((row.r_min / c if row.r_min > 0.0 else 0.0, t_s, t_c, row.t_idle))
+    x = [t / (1.0 - t) for t in tau]
+    while True:
+        taus = [xk / (1.0 + xk) for xk in x]
+        if math.fsum(taus) > 1.0 + 1e-9 or max(taus) >= 1.0:
+            return True
+        u = math.fsum(x)
+        v = math.prod([1.0 + xk for xk in x]) - 1.0 - u
+        new = [max(xk, a * (u * t_s + v * t_c + t_idle)) for xk, (a, t_s, t_c, t_idle) in zip(x, nodes)]
+        if new == x:
+            return False
+        x = new
+
+
+@st.composite
+def repair_cases(draw):
+    """A network of up to 8 nodes, payloads, and a start access vector.
+
+    Each rate target is zero or a random multiple, from 1e-300 to 3, of
+    the node's rate when every node sends with probability 0.5 / n, so both
+    sides of feasibility occur (subnormal targets underflow in the repair's
+    products and are left out).  Start entries are zero or up to 1.2 / n,
+    so some starts already exceed the access budget.
+    """
+    n = draw(st.integers(1, 8))
+    distances = draw(st.lists(st.floats(1.0, 9.5), min_size=n, max_size=n))
+    nts = draw(st.lists(st.sampled_from(NT_GRID), min_size=n, max_size=n))
+    shares = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 3.0)), min_size=n, max_size=n))
+    tau = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.2 / n)), min_size=n, max_size=n))
+    _, rates, _ = evaluate(build_network(distances, [0.0] * n), [0.5 / n] * n, nts)
+    return build_network(distances, [s * r for s, r in zip(shares, rates)]), tau, nts
+
+
+# Eight nodes at 1 m near the edge of feasibility, where sweeps climb slowly
+# and the Newton steps on (u, v) decide: feasible at 2.45 Mbit/s in total, and
+# infeasible at 2.6 and 2.7 Mbit/s.
+EDGE = [(build_network([1.0] * 8, [total / 8] * 8), [0.0] * 8, [2646] * 8)
+        for total in (2.45e6, 2.6e6, 2.7e6)]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(repair_cases())
+@example(EDGE[0])
+@example(EDGE[1])
+@example(EDGE[2])
+def test_rate_repair_is_the_least_feasible_lift(case):
+    net, tau, nts = case
+    rep = _repair_rates(net, tau, nts)
+    assert (rep is None) == jacobi_leaves_budget(net, tau, nts)
+    if rep is None:
+        return
+    lifted, rates, _ = rep
+    assert math.fsum(lifted) <= 1.0 + 1e-9
+    for k, row in enumerate(net.rows):
+        assert lifted[k] >= tau[k]
+        assert rates[k] >= row.r_min * (1.0 - 1e-12)
+        if lifted[k] > tau[k]:
+            # Least: a little less access and the node misses its own target.
+            lower = list(lifted)
+            lower[k] *= 1.0 - 1e-9
+            _, lower_rates, _ = evaluate(net, lower, nts)
+            assert lower_rates[k] < row.r_min

@@ -28,6 +28,7 @@ from eecap import (
     evaluate,
     load_scenario,
 )
+from eecap.network import frame_success
 from eecap.metrics import aggregate_terms, nt_opt_for_throughput
 from eecap.solver import _objective_value, _repair_rates, feasibility_stage
 
@@ -75,6 +76,48 @@ class TestFeasibilityStage:
         tau, nts, ok = feasibility_stage(net)
         assert ok
         assert all(t == 0.0 for t in tau)
+
+
+class TestRateRepair:
+    """Edge cases of the lift onto the rate targets (random cases: test_properties)."""
+
+    @staticmethod
+    def meets_exactly(net, rates, nodes):
+        return all(abs(rates[k] / net.nodes[k].r_min - 1.0) <= 1e-12 for k in nodes)
+
+    def test_single_node_matches_the_closed_form_minimum(self):
+        net = build_network([2.0], [1e6])
+        lifted, rates, _ = _repair_rates(net, [0.0], [2646])
+        assert lifted[0] == pytest.approx(net.tau_min(0, [0.0], 2646), rel=1e-12)
+        assert self.meets_exactly(net, rates, [0])
+        # Above the rate the node reaches at tau = 1, no lift exists.
+        _, top, _ = evaluate(net, [1.0], [2646])
+        assert _repair_rates(build_network([2.0], [1.01 * top[0]]), [0.0], [2646]) is None
+
+    def test_nodes_without_a_target_keep_their_access(self):
+        net = build_network([1.0, 3.0, 5.0], [0.0, 4e5, 0.0])
+        start = [0.05, 0.0, 0.0]
+        lifted, rates, _ = _repair_rates(net, start, [2646] * 3)
+        assert lifted[0] == start[0] and lifted[2] == 0.0
+        assert lifted[1] > 0.0 and self.meets_exactly(net, rates, [1])
+
+    def test_a_link_that_delivers_nothing_cannot_meet_a_target(self):
+        ch = ChannelParams(tx_eb_over_n0_at_d0=100.0)
+        far = build_network([1.0, 10.0], [1e5, 1e3], channel=ch)
+        assert frame_success(far, 1, 2646) == 0.0
+        assert _repair_rates(far, [0.1, 0.1], [2646, 2646]) is None
+        # Without a target the dead link only takes its share of the slots.
+        idle = build_network([1.0, 10.0], [1e5, 0.0], channel=ch)
+        lifted, rates, etas = _repair_rates(idle, [0.0, 0.1], [2646, 2646])
+        assert lifted[1] == 0.1 and rates[1] == etas[1] == 0.0
+        assert self.meets_exactly(idle, rates, [0])
+
+    def test_a_start_at_zero_lands_on_every_target(self, two_node_net):
+        lifted, rates, _ = _repair_rates(two_node_net, [0.0, 0.0], [2646, 2646])
+        assert self.meets_exactly(two_node_net, rates, [0, 1])
+        # The least point: any feasible start below it lifts to the same point.
+        again, _, _ = _repair_rates(two_node_net, [0.5 * t for t in lifted], [2646, 2646])
+        assert again == pytest.approx(lifted, rel=1e-12)
 
 
 class TestSingleNode:
