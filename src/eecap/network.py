@@ -9,6 +9,7 @@ count) and propagation delay.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
@@ -155,7 +156,9 @@ def build_network(distances: Sequence[float], r_mins: Sequence[float],
     """Derive every per-node model from the node distances and rate targets.
 
     The payload symbol period of a node is the configured base period times
-    its pulses-per-burst count, and its propagation delay is d / c.
+    its pulses-per-burst count, and its propagation delay is d / c.  A rate
+    target is zero or at least the smallest normal float: the solver's
+    products of a subnormal target with slot durations underflow to zero.
     """
     if len(distances) == 0:
         raise ValueError("at least one node required")
@@ -172,6 +175,8 @@ def build_network(distances: Sequence[float], r_mins: Sequence[float],
     for k, (d, r_min) in enumerate(zip(distances, r_mins)):
         if r_min < 0.0:
             raise ValueError(f"r_min[{k}] must be non-negative")
+        if 0.0 < r_min < sys.float_info.min:
+            raise ValueError(f"r_min[{k}] = {r_min} is subnormal; use 0 or at least {sys.float_info.min}")
         lb = link_budget(d, channel, table, phy)
         p_b = bit_error_prob(lb, phy)
         seg = segment_probs(p_b, phy)

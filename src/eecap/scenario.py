@@ -9,6 +9,7 @@ Every parse or validation error names the offending section and key.
 from __future__ import annotations
 
 import configparser
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -187,8 +188,8 @@ def load_scenario(path: str) -> Scenario:
         if d <= 0.0:
             raise ScenarioError(f"[nodes] d: entry {k} must be positive, got {d}")
     for k, r in enumerate(r_mins):
-        if r < 0.0:
-            raise ScenarioError(f"[nodes] r_min: entry {k} must be non-negative, got {r}")
+        if r < 0.0 or 0.0 < r < sys.float_info.min:
+            raise ScenarioError(f"[nodes] r_min: entry {k} must be non-negative and not subnormal, got {r}")
 
     tau: Optional[tuple[float, ...]] = None
     nts: Optional[tuple[int, ...]] = None

@@ -23,6 +23,17 @@ target only with more access (see _payload_switch).  Only moves that raise
 the objective are kept; the loop stops when no coordinate moves by more
 than _CONVERGENCE_TOL, or after SolverConfig.max_outer_iters rounds.
 
+Batched probes.  The 64-point pre-scan of every 1-D search is scored as
+one (64 x n) numpy array in the odds of its probes: fallback probes from
+the closed-form rates (_log_rates), rate-constrained probes by lifting
+all 64 at once on their aggregates (_lift_many).  The payload switch ranks
+all payloads of a node as one array, and the payload scan covers every
+node and payload at once, both from a per-payload cost table built once
+per solve (_PayloadTable).  The golden-section probes and the commits
+come one at a time, each depending on the last; for a single probe the
+numpy call overhead costs more than the scalar arithmetic, so they keep
+the scalar _lift, _repair_rates and evaluate.
+
 Tolerances.  _RATE_SLACK (relative shortfall of a rate) and _SUM_SLACK
 (absolute excess of the access budget) decide the feasible flag of the
 result and the checks on it.  The rate repair meets every target to
@@ -42,7 +53,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .access import state_probs
 from .metrics import _nt_opt
@@ -64,6 +77,7 @@ _MAX_FEASIBILITY_ITERS = 50   # passes of the feasibility stage
 _CONVERGENCE_TOL = 1e-6       # largest coordinate move of a settled round or pass
 _SEARCH_TOL = 1e-5            # bracket width of the 1-D search, and its margin below tau = 1
 _INIT_TAU = 0.01              # start access probability of every node
+_LIFT_STEPS = 40              # steps on (u, v) of a batched lift before the scalar one takes over
 
 
 @dataclass(frozen=True)
@@ -114,15 +128,30 @@ def _objective_value(variant: str, rates: Sequence[float], etas: Sequence[float]
     return total
 
 
-def _maximize_scalar(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _objective_rows(variant: str, etas: np.ndarray) -> np.ndarray:
+    """The EE or LogEE objective of every row of etas."""
+    if variant == VARIANT_EE:
+        return etas.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        return np.log(etas).sum(axis=1)
+
+
+def _maximize_scalar(f: Callable[[float], float], scan: Callable[[np.ndarray], np.ndarray],
+                     lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Bracketed 1-D maximization: coarse pre-scan, then golden-section.
 
-    Returns the best point evaluated anywhere, which makes the search
-    robust when the function is not unimodal on [lo, hi].
+    scan(xs) returns f at every point of xs at once; it scores the
+    pre-scan, and f the golden-section probes.  Returns the best point
+    evaluated anywhere, which makes the search robust when the function is
+    not unimodal on [lo, hi].
     """
     if hi <= lo:
         return lo, f(lo)
-    best_x, best_f = lo, -math.inf
+    step = (hi - lo) / (_PRESCAN - 1)
+    xs = lo + np.arange(_PRESCAN) * step
+    values = scan(xs)
+    i_best = int(np.argmax(values))
+    best_x, best_f = float(xs[i_best]), float(values[i_best])
 
     def probe(x: float) -> float:
         nonlocal best_x, best_f
@@ -131,9 +160,6 @@ def _maximize_scalar(f: Callable[[float], float], lo: float, hi: float, tol: flo
             best_x, best_f = x, fx
         return fx
 
-    step = (hi - lo) / (_PRESCAN - 1)
-    values = [probe(lo + i * step) for i in range(_PRESCAN)]
-    i_best = max(range(_PRESCAN), key=lambda i: values[i])
     a = lo + max(i_best - 1, 0) * step
     b = lo + min(i_best + 1, _PRESCAN - 1) * step
     c = b - _INVPHI * (b - a)
@@ -210,40 +236,66 @@ def feasibility_stage(net: NetworkModel) -> tuple[tuple[float, ...], tuple[int, 
     return tuple(tau), tuple(nts), feasible
 
 
-def _polish_payloads(net: NetworkModel, variant: str, tau: Sequence[float],
+class _PayloadTable(NamedTuple):
+    """Every node's slot costs at every payload of the grid, built once per solve.
+
+    t_s, t_c, e_s, e_c (success and collision times and energies) and f
+    (the probability that a success slot delivers its frame) are (n, G)
+    arrays over the nodes and the G grid payloads nt; t_idle and r_min
+    are (n,).  The entries repeat the arithmetic of NodeCoeffs.costs and
+    evaluate, so slot costs read from the table agree with them bitwise.
+    """
+
+    nt: np.ndarray
+    t_s: np.ndarray
+    t_c: np.ndarray
+    e_s: np.ndarray
+    e_c: np.ndarray
+    f: np.ndarray
+    t_idle: np.ndarray
+    r_min: np.ndarray
+
+    @classmethod
+    def build(cls, net: NetworkModel) -> _PayloadTable:
+        n = net.phy.n
+        grid = net.nt_grid()
+        costs = np.array([[row.costs(n_t) for n_t in grid] for row in net.rows]).transpose(2, 0, 1)
+        f = np.array([[row.p_hdr * row.p_cw ** (n_t // n) for n_t in grid] for row in net.rows])
+        return cls(np.array(grid), *costs, f,
+                   np.array([row.t_idle for row in net.rows]),
+                   np.array([row.r_min for row in net.rows]))
+
+    def at(self, nts: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """(t_s, t_c, e_s, e_c, c) of every node at payloads nts, with c = n_t f."""
+        rows = np.arange(len(nts))
+        j = np.searchsorted(self.nt, nts)
+        return (self.t_s[rows, j], self.t_c[rows, j], self.e_s[rows, j], self.e_c[rows, j],
+                self.nt[j] * self.f[rows, j])
+
+
+def _polish_payloads(pay: _PayloadTable, variant: str, tau: Sequence[float],
                      nts: Sequence[int]) -> list[int]:
     """Per-node payload re-optimization that preserves rate feasibility.
 
     Each node's rate and efficiency depend on no other node's payload, so
     the scan decouples: pick the payload maximizing the node's objective
     term among those still meeting its rate target (the fallback has none).
+    The scan runs on every node and payload at once, with the arithmetic
+    of evaluate; ties go to the smallest payload.
     """
-    enforce_rates = variant != VARIANT_LOGTHR
     sp = state_probs(tau)
     p_s, p_c, p_i = sp.p_success, sp.p_collision, sp.p_idle
-    n_cw = net.phy.n
-    grid = list(net.nt_grid())
-    out = list(nts)
-    for k, row in enumerate(net.rows):
-        p_k = sp.per_node_success[k]
-        best_n = out[k]
-        best_val = -math.inf
-        for n_t in grid:
-            t_s, t_c, e_s, e_c = row.costs(n_t)
-            num = n_t * p_k * (row.p_hdr * row.p_cw ** (n_t // n_cw))
-            r = num / (p_s * t_s + p_c * t_c + p_i * row.t_idle)
-            if enforce_rates and r < row.r_min * (1.0 - _RATE_AIM):
-                continue
-            if not enforce_rates:
-                val = r
-            else:
-                den_e = p_s * e_s + p_c * e_c
-                val = num / den_e if den_e > 0.0 else 0.0
-            if val > best_val:
-                best_val = val
-                best_n = n_t
-        out[k] = best_n
-    return out
+    num = pay.nt * np.array(sp.per_node_success)[:, None] * pay.f
+    r = num / (p_s * pay.t_s + p_c * pay.t_c + p_i * pay.t_idle[:, None])
+    if variant == VARIANT_LOGTHR:
+        val = r
+    else:
+        den_e = p_s * pay.e_s + p_c * pay.e_c
+        val = np.divide(num, den_e, out=np.zeros_like(num), where=den_e > 0.0)
+        val[r < pay.r_min[:, None] * (1.0 - _RATE_AIM)] = -math.inf
+    best = np.argmax(val, axis=1)
+    keep = val[np.arange(len(nts)), best] == -math.inf   # no payload meets the target
+    return [n_t if k else int(pay.nt[j]) for n_t, k, j in zip(nts, keep, best)]
 
 
 def _odds_table(net: NetworkModel, nts: Sequence[int]) -> list[tuple[float, ...]]:
@@ -382,6 +434,91 @@ def _lift(table: Sequence[tuple[float, ...]], tau: Sequence[float]
     return out, etas
 
 
+def _lift_many(table: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_lift of every row of taus at once: (lifted taus, efficiencies, ok).
+
+    table is _odds_table as an (n, 6) array.  Instead of sweeping node by
+    node, every row iterates on its aggregates z = (u, v): with z held,
+    node k needs x_k(z) = max(x0_k, a_k (u t_s + v t_c + t_idle)), and the
+    least fixed point is x(z*) for the least solution z* of z = F(z), with
+    F as in _newton_jump.  Each step is that function's guarded Newton
+    step, or the plain step z <- F(z) where the guard fails; both stay at
+    or below z* and rise to it.  A row ends at x(z) once F(z) no longer
+    rises above z, or one Newton step after a step below 1e-8 of 1 + u + v.
+    It is dropped (ok False, entries NaN) as soon as x(z) leaves the access
+    budget, reaches tau = 1, or leaves a node with a target unable to meet
+    it however high it goes, the others held (the denominator of _lift's
+    sweep is not positive): every point above x(z) then fails too.  Rows
+    still climbing after _LIFT_STEPS steps get the scalar _lift.
+    """
+    out = np.full(taus.shape, math.nan)
+    etas = np.full(taus.shape, math.nan)
+    ok = np.zeros(len(taus), dtype=bool)
+    a_s, a_c, a_i, c, e_s, e_c = table.T
+    if not np.isfinite(table[:, :3]).all():
+        return out, etas, ok   # a link that delivers nothing has a target
+    with np.errstate(all="ignore"):
+        x0 = taus / (1.0 - taus)
+        u = x0.sum(axis=1)
+        v = np.prod(1.0 + x0, axis=1) - 1.0 - u
+        rows = np.flatnonzero(taus.sum(axis=1) <= 1.0 + _SUM_SLACK)
+        x0, u, v = x0[rows], u[rows], v[rows]
+        last = np.zeros(rows.size, dtype=bool)
+        for _ in range(_LIFT_STEPS):
+            need = u[:, None] * a_s + v[:, None] * a_c + a_i
+            up = need > x0
+            x = np.where(up, need, x0)
+            t = np.where(up, np.maximum(x / (1.0 + x), taus[rows]), taus[rows])
+            f1 = x.sum(axis=1)
+            p = np.prod(1.0 + x, axis=1)
+            den = 1.0 - a_s - (p[:, None] / (1.0 + x) - 1.0) * a_c
+            live = (t.sum(axis=1) <= 1.0 + _SUM_SLACK) & (t < 1.0).all(axis=1) & (den > 0.0).all(axis=1)
+            g_s, g_c = np.where(up, a_s, 0.0), np.where(up, a_c, 0.0)
+            j11, j12 = g_s.sum(axis=1), g_c.sum(axis=1)
+            j21 = p * (g_s / (1.0 + x)).sum(axis=1) - j11
+            j22 = p * (g_c / (1.0 + x)).sum(axis=1) - j12
+            d11, d22 = 1.0 - j11, 1.0 - j22
+            det = d11 * d22 - j12 * j21
+            r1, r2 = f1 - u, p - 1.0 - f1 - v
+            newton = (d11 > 0.0) & (d22 > 0.0) & (det > 0.0)
+            du = np.where(newton, (d22 * r1 + j12 * r2) / det, r1)
+            dv = np.where(newton, (j21 * r1 + d11 * r2) / det, r2)
+            done = live & (last | (du + dv <= 0.0))
+            out[rows[done]] = t[done]
+            ok[rows[done]] = True
+            keep = live & ~done
+            last = (newton & (du + dv <= 1e-8 * (1.0 + u + v)))[keep]
+            rows, x0, u, v = rows[keep], x0[keep], u[keep] + du[keep], v[keep] + dv[keep]
+            if rows.size == 0:
+                break
+        lifted = ok.nonzero()[0]
+        x = out[lifted] / (1.0 - out[lifted])
+        u = x.sum(axis=1, keepdims=True)
+        v = np.prod(1.0 + x, axis=1, keepdims=True) - 1.0 - u
+        e_den = u * e_s + v * e_c
+        etas[lifted] = np.divide(c * x, e_den, out=np.zeros_like(x), where=e_den > 0.0)
+    for i in rows:   # still climbing
+        res = _lift(table.tolist(), taus[i].tolist())
+        if res is not None:
+            out[i], etas[i], ok[i] = res[0], res[1], True
+    return out, etas, ok
+
+
+def _log_rates(cols: tuple[np.ndarray, ...], taus: np.ndarray) -> np.ndarray:
+    """Sum of log rates, the fallback objective, of every row of taus (entries below 1).
+
+    cols holds (t_s, t_c, t_idle, c) per node.  In odds x = tau / (1 - tau),
+    with u = sum(x) and v = prod(1 + x) - 1 - u, node k's rate is
+    c_k x_k / (u t_s,k + v t_c,k + t_idle,k); a zero rate gives -inf.
+    """
+    t_s, t_c, t_idle, c = cols
+    with np.errstate(divide="ignore"):
+        x = taus / (1.0 - taus)
+        u = x.sum(axis=1, keepdims=True)
+        v = np.prod(1.0 + x, axis=1, keepdims=True) - 1.0 - u
+        return np.log(c * x / (u * t_s + v * t_c + t_idle)).sum(axis=1)
+
+
 def _repair_rates(net: NetworkModel, tau: Sequence[float], nts: Sequence[int]
                   ) -> Optional[tuple[list[float], tuple[float, ...], tuple[float, ...]]]:
     """Lift access probabilities onto every rate target, if the budget allows.
@@ -401,39 +538,54 @@ def _value(net: NetworkModel, variant: str, tau: Sequence[float], nts: Sequence[
     return _objective_value(variant, rates, etas)
 
 
-def _payload_switch(net: NetworkModel, variant: str, tau: list[float], nts: list[int],
-                    value: float) -> Optional[tuple[list[float], list[int], float]]:
+def _payload_switch(net: NetworkModel, pay: _PayloadTable, variant: str, tau: list[float],
+                    nts: list[int], value: float) -> Optional[tuple[list[float], list[int], float]]:
     """Move nodes to payloads that meet their rate target only with more access.
 
     The payload scan keeps each node on the payloads its current access
     probability already serves.  Here every other payload of a node is
-    lifted to its minimum access probability and ranked by the objective
-    at that point; the best one is repaired once and kept if the objective
-    rises.  Returns the improved point, or None if no node moved.
+    lifted to its minimum access probability, the others held, and ranked
+    by the objective at that point, all payloads at once from the odds
+    closed forms (see _lift); the best one is repaired once and kept if the
+    objective rises.  Returns the improved point, or None if no node moved.
     """
     moved = False
     for k in range(net.n_nodes):
-        best_f, best = value, None
-        for n_t in net.nt_grid():
-            if n_t == nts[k]:
-                continue  # the current payload is already on its target
-            t_min = net.tau_min(k, tau, n_t)
-            if t_min is None or t_min <= tau[k]:
+        _, _, e_s, e_c, c = pay.at(nts)
+        x = np.array(tau) / (1.0 - np.array(tau))
+        q = np.prod(1.0 + x) / (1.0 + x[k])   # prod(1 + x) and sum(x) over the other nodes
+        uo = x.sum() - x[k]
+        c_k = pay.nt * pay.f[k]
+        with np.errstate(all="ignore"):
+            a = pay.r_min[k] / c_k if pay.r_min[k] > 0.0 else np.zeros_like(c_k)
+            a_s, a_c = a * pay.t_s[k], a * pay.t_c[k]
+            den = 1.0 - a_s - (q - 1.0) * a_c
+            y = (uo * a_s + (q - 1.0 - uo) * a_c + a * pay.t_idle[k]) / den
+            t_min = y / (1.0 + y)
+            cand = (den > 0.0) & (t_min < 1.0) & (t_min > tau[k]) & (pay.nt != nts[k])
+            if not cand.any():
                 continue
-            probe = tau[:]
-            probe[k] = t_min
-            probe_nts = nts[:]
-            probe_nts[k] = n_t
-            f = _value(net, variant, probe, probe_nts)
-            if f > best_f:
-                best_f, best = f, (probe, probe_nts)
-        if best is None:
+            u = uo + y
+            v = q * (1.0 + y) - 1.0 - u
+            cols = [np.tile(col, (len(y), 1)) for col in (x, c, e_s, e_c)]
+            for col, own in zip(cols, (y, c_k, pay.e_s[k], pay.e_c[k])):
+                col[:, k] = own
+            xs, cs, es, ec = cols
+            e_den = u[:, None] * es + v[:, None] * ec
+            etas = np.divide(cs * xs, e_den, out=np.zeros_like(xs), where=e_den > 0.0)
+            f = np.where(cand, _objective_rows(variant, etas), -math.inf)
+        j = int(np.argmax(f))
+        if not f[j] > value:
             continue
-        rep = _repair_rates(net, *best)
+        probe = tau[:]
+        probe[k] = float(t_min[j])
+        probe_nts = nts[:]
+        probe_nts[k] = int(pay.nt[j])
+        rep = _repair_rates(net, probe, probe_nts)
         if rep is not None:
             f = _objective_value(variant, rep[1], rep[2])
             if f > value:
-                tau, nts, value, moved = rep[0], best[1], f, True
+                tau, nts, value, moved = rep[0], probe_nts, f, True
     return (tau, nts, value) if moved else None
 
 
@@ -462,6 +614,7 @@ def _coordinate_solve(net: NetworkModel, variant: str,
     """
     n = net.n_nodes
     enforce_rates = variant != VARIANT_LOGTHR
+    pay = _PayloadTable.build(net)
     tol = _SEARCH_TOL
     lo = 0.0 if variant == VARIANT_EE else tol
     t = list(start_tau)
@@ -491,6 +644,13 @@ def _coordinate_solve(net: NetworkModel, variant: str,
             return -math.inf
         return _objective_value(variant, (), lifted[1])  # EE and LogEE read only etas
 
+    def scan(probes: np.ndarray) -> np.ndarray:
+        """score() of every row of probes, from the same closed forms in numpy."""
+        if not enforce_rates:
+            return _log_rates(rate_cols, probes)
+        _, etas, ok = _lift_many(odds, probes)
+        return np.where(ok, _objective_rows(variant, etas), -math.inf)
+
     def commit(probe: list[float]) -> tuple[float, list[float]]:
         """The probe, repaired when rates are enforced, and its objective from evaluate."""
         if not enforce_rates:
@@ -512,19 +672,23 @@ def _coordinate_solve(net: NetworkModel, variant: str,
     s = math.fsum(t)
     if s > 1.0:
         t = [x / s for x in t]
-    nts = _polish_payloads(net, variant, t, nts)
+    nts = _polish_payloads(pay, variant, t, nts)
     value = _value(net, variant, t, nts)
 
     for _ in range(rounds):
         prev_t, prev_nts = t[:], nts[:]
         if enforce_rates:
             table = _odds_table(net, nts)   # nts holds until the payload scan below
+            odds = np.array(table)
         else:
+            t_s, t_c, _, _, c = pay.at(nts)
+            rate_cols = (t_s, t_c, pay.t_idle, c)
             # A common scale of all access probabilities takes the whole
             # vector onto the budget face, which single-node moves reach
             # only through many small proportional shrinks.
             s_hi = min(1.0 / math.fsum(t), (1.0 - tol) / max(t))
-            x, f = _maximize_scalar(lambda c: score([v * c for v in t]), 0.0, s_hi, tol)
+            x, f = _maximize_scalar(lambda c: score([v * c for v in t]),
+                                    lambda cs: scan(np.outer(cs, t)), 0.0, s_hi, tol)
             if f > value:
                 value, t = commit([v * x for v in t])
         for k in range(n):
@@ -540,17 +704,24 @@ def _coordinate_solve(net: NetworkModel, variant: str,
                 p[k] = x
                 return p
 
-            x, f = _maximize_scalar(lambda x: score(probe(x)), lo, hi, tol)
+            def probes(xs: np.ndarray) -> np.ndarray:
+                over = xs + rest > 1.0
+                scale = np.where(over, (1.0 - xs) / rest, 1.0) if over.any() else np.ones_like(xs)
+                p = scale[:, None] * np.array(t)
+                p[:, k] = xs
+                return p
+
+            x, f = _maximize_scalar(lambda x: score(probe(x)), lambda xs: scan(probes(xs)), lo, hi, tol)
             if f > value:
                 f, p = commit(probe(x))
                 if f > value:
                     value, t = f, p
-        nts = _polish_payloads(net, variant, t, nts)
+        nts = _polish_payloads(pay, variant, t, nts)
         if nts != prev_nts:
             value = _value(net, variant, t, nts)
         settled = nts == prev_nts and max(abs(a - b) for a, b in zip(t, prev_t)) <= _CONVERGENCE_TOL
         if settled and enforce_rates:
-            switched = _payload_switch(net, variant, t, nts, value)
+            switched = _payload_switch(net, pay, variant, t, nts, value)
             if switched is not None:
                 t, nts, value = switched
                 settled = False

@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eecap import SimConfig, build_network, evaluate, simulate
+from eecap import (VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR, SimConfig, build_network,
+                   evaluate, simulate)
 from eecap.access import _leave_one_out, linear_coeffs, state_probs
 from eecap.network import frame_success
-from eecap.solver import _repair_rates
+from eecap.solver import (_PayloadTable, _lift, _lift_many, _log_rates, _odds_table,
+                          _polish_payloads, _repair_rates, _value)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -151,3 +154,89 @@ def test_rate_repair_is_the_least_feasible_lift(case):
             lower[k] *= 1.0 - 1e-9
             _, lower_rates, _ = evaluate(net, lower, nts)
             assert lower_rates[k] < row.r_min
+
+
+@st.composite
+def probe_batches(draw):
+    """A network of up to 16 nodes with rate targets, payloads and a batch of probes.
+
+    Targets are as in repair_cases.  Probe entries are zero or between
+    1e-9 and 1.2 / n (below 0.99): the 1-D searches never probe subnormal
+    access probabilities, whose products underflow in evaluate.
+    """
+    n = draw(st.integers(1, 16))
+    distances = draw(st.lists(st.floats(1.0, 9.5), min_size=n, max_size=n))
+    nts = draw(st.lists(st.sampled_from(NT_GRID), min_size=n, max_size=n))
+    shares = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 3.0)), min_size=n, max_size=n))
+    entry = st.one_of(st.just(0.0), st.floats(1e-9, min(1.2 / n, 0.99)))
+    probes = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=8))
+    _, rates, _ = evaluate(build_network(distances, [0.0] * n), [0.5 / n] * n, nts)
+    return build_network(distances, [s * r for s, r in zip(shares, rates)]), nts, probes
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(probe_batches())
+@example((EDGE[0][0], EDGE[0][2], [EDGE[0][1], [0.05] * 8]))
+@example((EDGE[1][0], EDGE[1][2], [EDGE[1][1], [0.05] * 8]))
+def test_batched_lift_matches_the_scalar_lift(case):
+    net, nts, probes = case
+    table = _odds_table(net, nts)
+    out, etas, ok = _lift_many(np.array(table), np.array(probes))
+    for row, got, got_etas, got_ok in zip(probes, out, etas, ok):
+        want = _lift(table, row)
+        assert got_ok == (want is not None)
+        if want is not None:
+            assert np.abs(got - want[0]).max() <= 1e-12
+            assert np.allclose(got_etas, want[1], rtol=1e-12, atol=0.0)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(probe_batches())
+def test_batched_log_rates_match_evaluate(case):
+    net, nts, probes = case
+    pay = _PayloadTable.build(net)
+    t_s, t_c, _, _, c = pay.at(nts)
+    got = _log_rates((t_s, t_c, pay.t_idle, c), np.array(probes))
+    for row, value in zip(probes, got):
+        want = _value(net, VARIANT_LOGTHR, row, nts)
+        if want == -math.inf:
+            assert value == -math.inf
+        else:
+            assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def payload_scan_loop(net, variant, tau, nts):
+    """Reference for the payload scan: one node and one payload at a time.
+
+    Per node, the first payload with the largest objective term (rate in
+    the fallback, efficiency otherwise) among those within 1e-9 of the
+    node's rate target; the current payload if none is.
+    """
+    sp = state_probs(tau)
+    n_cw = net.phy.n
+    out = list(nts)
+    for k, row in enumerate(net.rows):
+        best_val = -math.inf
+        for n_t in net.nt_grid():
+            t_s, t_c, e_s, e_c = row.costs(n_t)
+            num = n_t * sp.per_node_success[k] * (row.p_hdr * row.p_cw ** (n_t // n_cw))
+            r = num / (sp.p_success * t_s + sp.p_collision * t_c + sp.p_idle * row.t_idle)
+            if variant == VARIANT_LOGTHR:
+                val = r
+            elif r < row.r_min * (1.0 - 1e-9):
+                continue
+            else:
+                den_e = sp.p_success * e_s + sp.p_collision * e_c
+                val = num / den_e if den_e > 0.0 else 0.0
+            if val > best_val:
+                best_val, out[k] = val, n_t
+    return out
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(probe_batches(), st.sampled_from((VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR)))
+def test_payload_scan_matches_the_loop(case, variant):
+    net, nts, probes = case
+    pay = _PayloadTable.build(net)
+    for tau in probes:
+        assert _polish_payloads(pay, variant, tau, nts) == payload_scan_loop(net, variant, tau, nts)

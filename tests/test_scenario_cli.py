@@ -84,6 +84,7 @@ r_min = 1e5, 1e5 ; bits per second
         ("[nodes]\nd = 1.0\nr_min = 1e5, 1e5\n", "match d"),
         ("[nodes]\nd = 1.0, -2.0\nr_min = 1e5, 1e5\n", "must be positive"),
         ("[nodes]\nd = 1.0\nr_min = -1.0\n", "non-negative"),
+        ("[nodes]\nd = 1.0\nr_min = 1e-320\n", "r_min: entry 0 must be non-negative and not subnormal"),
         ("[nodes]\nr_min = 1e5\n", "[nodes] d"),
         ("[nodes]\nd = 1.0\n", "r_min"),
         (MINIMAL + "tau = 0.1, 0.2\n", "n_t: required"),

@@ -12,6 +12,8 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +120,14 @@ class TestRateRepair:
         # The least point: any feasible start below it lifts to the same point.
         again, _, _ = _repair_rates(two_node_net, [0.5 * t for t in lifted], [2646, 2646])
         assert again == pytest.approx(lifted, rel=1e-12)
+
+    def test_subnormal_targets_are_rejected(self):
+        # a_k t_idle = r_min t_idle / c_k rounds to zero for such a target, and
+        # the solve took the fallback although both targets are reachable.
+        with pytest.raises(ValueError, match="subnormal"):
+            build_network([1.0, 2.0], [8.9e-319, 1e5])
+        sol = eecap(build_network([1.0, 2.0], [sys.float_info.min, 1e5]), SolverConfig())
+        assert sol.variant_used == VARIANT_EE and sol.feasible
 
 
 class TestSingleNode:
@@ -249,6 +259,24 @@ class TestSolutionInvariants:
             if sol.feasible and sol.variant_used != VARIANT_LOGTHR:
                 for r, nm in zip(sol.rates, net.nodes):
                     assert r >= nm.r_min * (1 - 2e-4)
+
+    def test_no_numpy_warning_escapes_a_solve(self):
+        # The array scorers meet log(0), overflow and 0/0 on probes they
+        # drop; every such warning stays inside its np.errstate.
+        nets = [load_scenario(str(path)).network() for path in sorted(SCENARIOS.glob("*.ini"))]
+        rng = random.Random(41)
+        for _ in range(20):
+            n = rng.randrange(1, 9)
+            ds = [rng.uniform(1.0, 9.5) for _ in range(n)]
+            _, rates, _ = evaluate(build_network(ds, [0.0] * n), [0.5 / n] * n, [2646] * n)
+            nets.append(build_network(ds, [rng.choice((0.0, rng.uniform(0.05, 1.5))) * r for r in rates]))
+        variants = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, net in enumerate(nets):
+                sol = eecap(net, SolverConfig(objective=(VARIANT_EE, VARIANT_LOGEE)[i % 2]))
+                variants.add(sol.variant_used)
+        assert variants == {VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR}
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
