@@ -157,8 +157,9 @@ def build_network(distances: Sequence[float], r_mins: Sequence[float],
 
     The payload symbol period of a node is the configured base period times
     its pulses-per-burst count, and its propagation delay is d / c.  A rate
-    target is zero or at least the smallest normal float: the solver's
-    products of a subnormal target with slot durations underflow to zero.
+    target is zero or at least the smallest normal float (infinity is an
+    unreachable target, NaN is rejected): the solver's products of a
+    subnormal target with slot durations underflow to zero.
     """
     if len(distances) == 0:
         raise ValueError("at least one node required")
@@ -173,8 +174,8 @@ def build_network(distances: Sequence[float], r_mins: Sequence[float],
     timings: dict[float, TimingParams] = {}   # nodes with equal burst length share one
     nodes = []
     for k, (d, r_min) in enumerate(zip(distances, r_mins)):
-        if r_min < 0.0:
-            raise ValueError(f"r_min[{k}] must be non-negative")
+        if not r_min >= 0.0:   # NaN too
+            raise ValueError(f"r_min[{k}] must be non-negative, got {r_min}")
         if 0.0 < r_min < sys.float_info.min:
             raise ValueError(f"r_min[{k}] = {r_min} is subnormal; use 0 or at least {sys.float_info.min}")
         lb = link_budget(d, channel, table, phy)

@@ -56,7 +56,7 @@ class Scenario:
             return build_network(self.distances, self.r_mins, self.phy, self.channel,
                                  self.table, self.timing, self.energy)
         except ValueError as exc:
-            raise ScenarioError(f"[nodes] d: {exc}") from exc
+            raise ScenarioError(f"[nodes] {exc}") from exc
 
     def with_nodes(self, distances: tuple[float, ...], r_mins: tuple[float, ...]) -> "Scenario":
         return replace(self, distances=distances, r_mins=r_mins, tau=None, nts=None)
@@ -188,7 +188,7 @@ def load_scenario(path: str) -> Scenario:
         if d <= 0.0:
             raise ScenarioError(f"[nodes] d: entry {k} must be positive, got {d}")
     for k, r in enumerate(r_mins):
-        if r < 0.0 or 0.0 < r < sys.float_info.min:
+        if not r >= 0.0 or 0.0 < r < sys.float_info.min:   # NaN too
             raise ScenarioError(f"[nodes] r_min: entry {k} must be non-negative and not subnormal, got {r}")
 
     tau: Optional[tuple[float, ...]] = None

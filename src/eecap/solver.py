@@ -24,15 +24,15 @@ the objective are kept; the loop stops when no coordinate moves by more
 than _CONVERGENCE_TOL, or after SolverConfig.max_outer_iters rounds.
 
 Batched probes.  The 64-point pre-scan of every 1-D search is scored as
-one (64 x n) numpy array in the odds of its probes: fallback probes from
-the closed-form rates (_log_rates), rate-constrained probes by lifting
-all 64 at once on their aggregates (_lift_many).  The payload switch ranks
-all payloads of a node as one array, and the payload scan covers every
-node and payload at once, both from a per-payload cost table built once
-per solve (_PayloadTable).  The golden-section probes and the commits
-come one at a time, each depending on the last; for a single probe the
-numpy call overhead costs more than the scalar arithmetic, so they keep
-the scalar _lift, _repair_rates and evaluate.
+one (64 x n) numpy array: fallback probes from the closed-form rates
+(_log_rates), rate-constrained probes lifted all at once (_lift_many).
+The payload switch and the payload scan rank payloads as arrays too, from
+a per-payload cost table built once per solve (_PayloadTable).  The
+golden-section probes and the commits come one at a time, where numpy's
+call overhead exceeds the arithmetic, so they use the scalar _lift and
+evaluate.  Both lifts run one iteration, guarded Newton steps on the odds
+aggregates (u, v); a lift fails where the Newton guard fails while F(z)
+still rises, which happens only at a critical or absent least fixed point.
 
 Tolerances.  _RATE_SLACK (relative shortfall of a rate) and _SUM_SLACK
 (absolute excess of the access budget) decide the feasible flag of the
@@ -77,7 +77,6 @@ _MAX_FEASIBILITY_ITERS = 50   # passes of the feasibility stage
 _CONVERGENCE_TOL = 1e-6       # largest coordinate move of a settled round or pass
 _SEARCH_TOL = 1e-5            # bracket width of the 1-D search, and its margin below tau = 1
 _INIT_TAU = 0.01              # start access probability of every node
-_LIFT_STEPS = 40              # steps on (u, v) of a batched lift before the scalar one takes over
 
 
 @dataclass(frozen=True)
@@ -316,120 +315,83 @@ def _odds_table(net: NetworkModel, nts: Sequence[int]) -> list[tuple[float, ...]
     return table
 
 
-def _newton_jump(table: Sequence[tuple[float, ...]], x0: Sequence[float],
-                 x: Sequence[float]) -> Optional[list[float]]:
-    """From x, a point below the least fixed point above x0, by Newton steps on (u, v).
-
-    With the aggregates z = (u, v) held, node k needs the odds
-    x_k(z) = max(x0_k, a_k (u t_s + v t_c + t_idle)), and the least fixed
-    point is x(z*) for the least solution z* of z = F(z), where
-    F(z) = (sum x(z), prod(1 + x(z)) - 1 - sum x(z)).  F is a polynomial
-    with non-negative coefficients in each region of the max terms, so it
-    is monotone and order-convex.  From z <= z* with F(z) >= z, which holds
-    for the aggregates of any x that sweeps reached from x0, a Newton step
-    for z = F(z) lands at or below z* and again has F >= z, as long as
-    I - F'(z) has a non-negative inverse (positive diagonal and
-    determinant), which holds below every least fixed point that is not
-    critical.  The steps stop when it fails, or after the first step below
-    1e-8 of 1 + u + v, which leaves an error near roundoff.  Returns x(z),
-    or None once x(z) leaves the access budget, which every point above x0
-    that meets the targets then also does.
-    """
-    u = sum(x)
-    v = math.prod([1.0 + xk for xk in x]) - 1.0 - u
-    last = False
-    while True:
-        xz = []
-        j11 = j12 = s1 = s2 = taus = 0.0
-        for x0k, (as_, ac, ai, _, _, _) in zip(x0, table):
-            need = u * as_ + v * ac + ai
-            if need > x0k:
-                xz.append(need)
-                j11 += as_
-                j12 += ac
-                s1 += as_ / (1.0 + need)
-                s2 += ac / (1.0 + need)
-                taus += need / (1.0 + need)
-            else:
-                xz.append(x0k)
-                taus += x0k / (1.0 + x0k)
-        if taus > 1.0 + _SUM_SLACK:
-            return None
-        if last:
-            return xz
-        f1 = sum(xz)
-        p = math.prod([1.0 + xk for xk in xz])
-        j21, j22 = p * s1 - j11, p * s2 - j12
-        d11, d22 = 1.0 - j11, 1.0 - j22
-        det = d11 * d22 - j12 * j21
-        if d11 <= 0.0 or d22 <= 0.0 or det <= 0.0:
-            return xz
-        r1, r2 = f1 - u, p - 1.0 - f1 - v
-        du = (d22 * r1 + j12 * r2) / det
-        dv = (j21 * r1 + d11 * r2) / det
-        last = du + dv <= 1e-8 * (1.0 + u + v)
-        u, v = u + du, v + dv
-
-
 def _lift(table: Sequence[tuple[float, ...]], tau: Sequence[float]
           ) -> Optional[tuple[list[float], list[float]]]:
     """Least access vector at or above tau that meets every rate target.
 
-    In odds x_k = tau_k / (1 - tau_k), with u = sum(x) and
-    v = prod(1 + x) - 1 - u, node k's rate is c_k x_k / (u t_s + v t_c + t_idle),
-    so its target reads x_k >= a_k (u t_s + v t_c + t_idle).  The right-hand
-    side rises with every x_j, so sweeps that raise each node to the least
-    x_k meeting its target, the others held, climb to the least fixed point
-    above tau and never past it; they stop when no node moves.  Each node
-    costs O(1): u and P = prod(1 + x) are running values, refreshed at the
-    start of every sweep.  Sweeps converge linearly, so a lift still
-    climbing after three of them jumps ahead once with _newton_jump.
-    Since the iterates only rise, the first one above the access budget, or
-    a node that cannot meet its target however high it goes, proves that no
-    point above tau is feasible: the lift returns None.  Otherwise it
-    returns the lifted tau (entries that did not move are tau's own) and
-    the nodes' efficiencies c_k x_k / (u e_s + v e_c) there.  tau entries
-    must be below 1.
+    In odds x = tau / (1 - tau), with u = sum(x) and v = prod(1 + x) - 1 - u,
+    node k's rate is c_k x_k / (u t_s + v t_c + t_idle), so its target reads
+    x_k >= a_k (u t_s + v t_c + t_idle).  With z = (u, v) held, node k needs
+    x_k(z) = max(x0_k, a_k (u t_s + v t_c + t_idle)), x0 the odds of tau, and
+    the lift is x(z*) for the least solution z* of z = F(z), where
+    F(z) = (sum x(z), prod(1 + x(z)) - 1 - sum x(z)).
+
+    Guarded Newton steps for z = F(z) start at the aggregates z0 of tau,
+    where z0 <= z* and F(z0) >= z0.  F is a polynomial with non-negative
+    coefficients in each region of the max terms, so F' is non-negative and
+    order-convex: from z <= z* with F(z) >= z, a Newton step stays at or
+    below z* with F >= z if I - F'(z) is a non-singular M-matrix, which the
+    guard (positive diagonal and determinant) tests.  As z <= z*,
+    I - F'(z) >= I - F'(z*), a non-singular M-matrix unless z* is critical,
+    so the guard holds (Esparza, Kiefer and Luttenberger, J. ACM 57(6),
+    2010).  A guard that fails while F(z) still rises thus means that z* is
+    critical or absent: the lift returns None, as it does once x(z) leaves
+    the access budget or reaches tau = 1, or a node with a target cannot
+    meet it however high it goes, the others held (1 - a_s - (q - 1) a_c <= 0,
+    q = prod_{j != k}(1 + x_j)); the iterates only rise, so every point
+    above tau then fails too.  Otherwise the lift ends once F(z) - z no
+    longer rises, or one step after a step below 1e-8 of 1 + u + v that
+    raised no further node (across a kink of F a step is not quadratic),
+    and returns the lifted tau (unmoved entries are tau's own) and the
+    efficiencies c_k x_k / (u e_s + v e_c) at x(z).  tau entries are below 1.
     """
     x0 = [t / (1.0 - t) for t in tau]
-    x = x0[:]
-    out = list(tau)
-    sweeps = 0
+    u = sum(x0)
+    v = math.prod([1.0 + xk for xk in x0]) - 1.0 - u
+    last, ups = False, 0
     while True:
-        if math.fsum(out) > 1.0 + _SUM_SLACK:
-            return None
-        u = sum(x)
-        p = math.prod([1.0 + xk for xk in x])
-        moved = False
-        for j, (as_, ac, ai, _, _, _) in enumerate(table):
-            xj = x[j]
-            q = p / (1.0 + xj)      # prod(1 + x) and sum(x) over the other nodes
-            uo = u - xj
-            den = 1.0 - as_ - (q - 1.0) * ac
-            if not den > 0.0:   # NaN for a link that delivers nothing and has a target
-                return None
-            y = (uo * as_ + (q - 1.0 - uo) * ac + ai) / den
-            if y > xj:
-                tj = max(y / (1.0 + y), out[j])
-                if tj >= 1.0:
+        x, out = [], []
+        f1 = j11 = j12 = s1 = s2 = 0.0
+        p, m = 1.0, 0
+        for t, x0k, (as_, ac, ai, _, _, _) in zip(tau, x0, table):
+            xk = u * as_ + v * ac + ai
+            if xk > x0k:
+                w = 1.0 + xk
+                tk = xk / w
+                if not tk < 1.0:
                     return None
-                x[j], out[j] = y, tj
-                u, p = uo + y, q * (1.0 + y)
-                moved = True
-        if not moved:
+                t = tk if tk > t else t
+                m += 1
+                j11 += as_
+                j12 += ac
+                s1 += as_ / w
+                s2 += ac / w
+            else:
+                xk, w = x0k, 1.0 + x0k
+            x.append(xk)
+            out.append(t)
+            f1 += xk
+            p *= w
+        if not math.fsum(out) <= 1.0 + _SUM_SLACK:
+            return None
+        r1, r2 = f1 - u, p - 1.0 - f1 - v
+        if r1 + r2 <= 0.0 or last and m <= ups:
             break
-        sweeps += 1
-        if sweeps == 3:
-            # Sweeps that only confirm a point end within three; a lift that
-            # climbs takes 15 to 40 of them at n = 16.
-            x = _newton_jump(table, x0, x)
-            if x is None:
-                return None
-            out = [t if xk == x0k else max(xk / (1.0 + xk), t) for t, xk, x0k in zip(tau, x, x0)]
-    v = p - 1.0 - u
+        j21, j22 = p * s1 - j11, p * s2 - j12
+        d11, d22 = 1.0 - j11, 1.0 - j22
+        det = d11 * d22 - j12 * j21
+        if not (d11 > 0.0 and d22 > 0.0 and det > 0.0):
+            return None
+        du, dv = (d22 * r1 + j12 * r2) / det, (j21 * r1 + d11 * r2) / det
+        last, ups = du + dv <= 1e-8 * (1.0 + u + v), m
+        u, v = u + du, v + dv
+    # The denominators only fall as the iterates rise, so the last one decides.
+    v = p - 1.0 - f1
     etas = []
-    for xk, (_, _, _, c, e_s, e_c) in zip(x, table):
-        e_den = u * e_s + v * e_c
+    for xk, (as_, ac, _, c, e_s, e_c) in zip(x, table):
+        if not 1.0 - as_ - (p / (1.0 + xk) - 1.0) * ac > 0.0:
+            return None
+        e_den = f1 * e_s + v * e_c
         etas.append(c * xk / e_den if e_den > 0.0 else 0.0)
     return out, etas
 
@@ -437,70 +399,48 @@ def _lift(table: Sequence[tuple[float, ...]], tau: Sequence[float]
 def _lift_many(table: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_lift of every row of taus at once: (lifted taus, efficiencies, ok).
 
-    table is _odds_table as an (n, 6) array.  Instead of sweeping node by
-    node, every row iterates on its aggregates z = (u, v): with z held,
-    node k needs x_k(z) = max(x0_k, a_k (u t_s + v t_c + t_idle)), and the
-    least fixed point is x(z*) for the least solution z* of z = F(z), with
-    F as in _newton_jump.  Each step is that function's guarded Newton
-    step, or the plain step z <- F(z) where the guard fails; both stay at
-    or below z* and rise to it.  A row ends at x(z) once F(z) no longer
-    rises above z, or one Newton step after a step below 1e-8 of 1 + u + v.
-    It is dropped (ok False, entries NaN) as soon as x(z) leaves the access
-    budget, reaches tau = 1, or leaves a node with a target unable to meet
-    it however high it goes, the others held (the denominator of _lift's
-    sweep is not positive): every point above x(z) then fails too.  Rows
-    still climbing after _LIFT_STEPS steps get the scalar _lift.
+    table is _odds_table as an (n, 6) array.  Every row runs _lift's
+    guarded Newton iteration on its own aggregates, with the same end and
+    drop rules; a dropped row has ok False and NaN entries.
     """
-    out = np.full(taus.shape, math.nan)
-    etas = np.full(taus.shape, math.nan)
+    out, etas = np.full(taus.shape, math.nan), np.full(taus.shape, math.nan)
     ok = np.zeros(len(taus), dtype=bool)
     a_s, a_c, a_i, c, e_s, e_c = table.T
-    if not np.isfinite(table[:, :3]).all():
-        return out, etas, ok   # a link that delivers nothing has a target
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):   # a link that delivers nothing has a = inf
         x0 = taus / (1.0 - taus)
         u = x0.sum(axis=1)
         v = np.prod(1.0 + x0, axis=1) - 1.0 - u
-        rows = np.flatnonzero(taus.sum(axis=1) <= 1.0 + _SUM_SLACK)
-        x0, u, v = x0[rows], u[rows], v[rows]
-        last = np.zeros(rows.size, dtype=bool)
-        for _ in range(_LIFT_STEPS):
+        rows, t0, last, ups = np.arange(len(taus)), taus, np.zeros(len(taus), dtype=bool), 0
+        while rows.size:
             need = u[:, None] * a_s + v[:, None] * a_c + a_i
             up = need > x0
             x = np.where(up, need, x0)
-            t = np.where(up, np.maximum(x / (1.0 + x), taus[rows]), taus[rows])
+            w = 1.0 + x
+            t = np.where(up, np.maximum(x / w, t0), t0)
+            live = (t.sum(axis=1) <= 1.0 + _SUM_SLACK) & (t < 1.0).all(axis=1)
             f1 = x.sum(axis=1)
-            p = np.prod(1.0 + x, axis=1)
-            den = 1.0 - a_s - (p[:, None] / (1.0 + x) - 1.0) * a_c
-            live = (t.sum(axis=1) <= 1.0 + _SUM_SLACK) & (t < 1.0).all(axis=1) & (den > 0.0).all(axis=1)
+            p = np.prod(w, axis=1)
+            r1, r2 = f1 - u, p - 1.0 - f1 - v
+            m = up.sum(axis=1)
+            done = live & ((r1 + r2 <= 0.0) | last & (m <= ups))
+            if done.any():
+                xd, f1d, pd = x[done], f1[done, None], p[done, None]
+                good = (1.0 - a_s - (pd / w[done] - 1.0) * a_c > 0.0).all(axis=1)
+                e_den = f1d * e_s + (pd - 1.0 - f1d) * e_c
+                lifted = rows[done][good]
+                out[lifted] = t[done][good]
+                etas[lifted] = np.divide(c * xd, e_den, out=np.zeros_like(xd), where=e_den > 0.0)[good]
+                ok[lifted] = True
             g_s, g_c = np.where(up, a_s, 0.0), np.where(up, a_c, 0.0)
             j11, j12 = g_s.sum(axis=1), g_c.sum(axis=1)
-            j21 = p * (g_s / (1.0 + x)).sum(axis=1) - j11
-            j22 = p * (g_c / (1.0 + x)).sum(axis=1) - j12
+            j21, j22 = p * (g_s / w).sum(axis=1) - j11, p * (g_c / w).sum(axis=1) - j12
             d11, d22 = 1.0 - j11, 1.0 - j22
             det = d11 * d22 - j12 * j21
-            r1, r2 = f1 - u, p - 1.0 - f1 - v
-            newton = (d11 > 0.0) & (d22 > 0.0) & (det > 0.0)
-            du = np.where(newton, (d22 * r1 + j12 * r2) / det, r1)
-            dv = np.where(newton, (j21 * r1 + d11 * r2) / det, r2)
-            done = live & (last | (du + dv <= 0.0))
-            out[rows[done]] = t[done]
-            ok[rows[done]] = True
-            keep = live & ~done
-            last = (newton & (du + dv <= 1e-8 * (1.0 + u + v)))[keep]
-            rows, x0, u, v = rows[keep], x0[keep], u[keep] + du[keep], v[keep] + dv[keep]
-            if rows.size == 0:
-                break
-        lifted = ok.nonzero()[0]
-        x = out[lifted] / (1.0 - out[lifted])
-        u = x.sum(axis=1, keepdims=True)
-        v = np.prod(1.0 + x, axis=1, keepdims=True) - 1.0 - u
-        e_den = u * e_s + v * e_c
-        etas[lifted] = np.divide(c * x, e_den, out=np.zeros_like(x), where=e_den > 0.0)
-    for i in rows:   # still climbing
-        res = _lift(table.tolist(), taus[i].tolist())
-        if res is not None:
-            out[i], etas[i], ok[i] = res[0], res[1], True
+            du, dv = (d22 * r1 + j12 * r2) / det, (j21 * r1 + d11 * r2) / det
+            keep = live & ~done & (d11 > 0.0) & (d22 > 0.0) & (det > 0.0)
+            last, ups = (du + dv <= 1e-8 * (1.0 + u + v))[keep], m[keep]
+            rows, x0, t0 = rows[keep], x0[keep], t0[keep]
+            u, v = u[keep] + du[keep], v[keep] + dv[keep]
     return out, etas, ok
 
 

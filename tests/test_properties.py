@@ -125,11 +125,19 @@ def repair_cases(draw):
     return build_network(distances, [s * r for s, r in zip(shares, rates)]), tau, nts
 
 
-# Eight nodes at 1 m near the edge of feasibility, where sweeps climb slowly
-# and the Newton steps on (u, v) decide: feasible at 2.45 Mbit/s in total, and
-# infeasible at 2.6 and 2.7 Mbit/s.
+# Eight nodes at 1 m near the edge of feasibility, where Jacobi steps climb
+# slowly and the Newton guard on (u, v) decides: feasible at 2.45 Mbit/s in
+# total, and infeasible at 2.6 and 2.7 Mbit/s.  FOLD sits at the fold itself,
+# 2.48167 Mbit/s, where the least fixed point is critical and plain steps
+# crawl, so only the lifts are compared there, not the Jacobi reference.
 EDGE = [(build_network([1.0] * 8, [total / 8] * 8), [0.0] * 8, [2646] * 8)
         for total in (2.45e6, 2.6e6, 2.7e6)]
+FOLD = (build_network([1.0] * 8, [2481673.51127322 / 8] * 8), [0.0] * 8, [2646] * 8)
+# Two nodes at 1 m, probed where node 1 still meets its target and node 0
+# does not: the first Newton step raises node 0 alone and is below 1e-8, and
+# a lift that ended one step later left both rates 7e-10 short.
+KINK = (build_network([1.0, 1.0], [6e5, 3e5]), [0.07615430372261425, 0.03958441621455994],
+        [2646, 2646])
 
 
 @settings(PROPERTY_SETTINGS, max_examples=200)
@@ -137,6 +145,7 @@ EDGE = [(build_network([1.0] * 8, [total / 8] * 8), [0.0] * 8, [2646] * 8)
 @example(EDGE[0])
 @example(EDGE[1])
 @example(EDGE[2])
+@example(KINK)
 def test_rate_repair_is_the_least_feasible_lift(case):
     net, tau, nts = case
     rep = _repair_rates(net, tau, nts)
@@ -178,6 +187,7 @@ def probe_batches(draw):
 @given(probe_batches())
 @example((EDGE[0][0], EDGE[0][2], [EDGE[0][1], [0.05] * 8]))
 @example((EDGE[1][0], EDGE[1][2], [EDGE[1][1], [0.05] * 8]))
+@example((FOLD[0], FOLD[2], [FOLD[1], [0.05] * 8]))
 def test_batched_lift_matches_the_scalar_lift(case):
     net, nts, probes = case
     table = _odds_table(net, nts)

@@ -85,6 +85,7 @@ r_min = 1e5, 1e5 ; bits per second
         ("[nodes]\nd = 1.0, -2.0\nr_min = 1e5, 1e5\n", "must be positive"),
         ("[nodes]\nd = 1.0\nr_min = -1.0\n", "non-negative"),
         ("[nodes]\nd = 1.0\nr_min = 1e-320\n", "r_min: entry 0 must be non-negative and not subnormal"),
+        ("[nodes]\nd = 1.0, 2.0\nr_min = 1e5, nan\n", "[nodes] r_min: entry 1 must be non-negative"),
         ("[nodes]\nr_min = 1e5\n", "[nodes] d"),
         ("[nodes]\nd = 1.0\n", "r_min"),
         (MINIMAL + "tau = 0.1, 0.2\n", "n_t: required"),
@@ -210,6 +211,17 @@ class TestSweepCommand:
     def test_invalid_ranges_exit_code(self, argv, capsys):
         assert main(argv) == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start,fragment", [
+        ("-1", "error: [nodes] r_min[0] must be non-negative"),
+        ("nan", "error: [nodes] r_min[0] must be non-negative, got nan"),
+    ])
+    def test_invalid_scaled_targets_name_their_key(self, start, fragment, capsys):
+        # A scaled target is checked where the network is built, and the
+        # message names its key, not the distances.
+        argv = ["sweep", "--scenario", SOLVE_SCN, "--axis", "rate", "--from", start, "--to", "1e5"]
+        assert main(argv) == EXIT_INVALID
+        assert fragment in capsys.readouterr().err
 
 
 class TestValidateCommand:

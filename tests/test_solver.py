@@ -13,6 +13,7 @@ import itertools
 import math
 import random
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -32,7 +33,8 @@ from eecap import (
 )
 from eecap.network import frame_success
 from eecap.metrics import aggregate_terms, nt_opt_for_throughput
-from eecap.solver import _objective_value, _repair_rates, feasibility_stage
+from eecap.solver import (_lift, _lift_many, _objective_value, _odds_table, _repair_rates,
+                          feasibility_stage)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -126,8 +128,37 @@ class TestRateRepair:
         # the solve took the fallback although both targets are reachable.
         with pytest.raises(ValueError, match="subnormal"):
             build_network([1.0, 2.0], [8.9e-319, 1e5])
+        # A NaN target passed every comparison and failed the solve later.
+        with pytest.raises(ValueError, match=r"r_min\[0\]"):
+            build_network([1.0, 2.0], [math.nan, 1e5])
         sol = eecap(build_network([1.0, 2.0], [sys.float_info.min, 1e5]), SolverConfig())
         assert sol.variant_used == VARIANT_EE and sol.feasible
+        # An infinite target is unreachable, so the solve falls back.
+        sol = eecap(build_network([1.0, 2.0], [math.inf, 1e5]), SolverConfig())
+        assert sol.variant_used == VARIANT_LOGTHR and not sol.feasible
+
+    def test_the_lift_ends_at_the_feasibility_fold(self):
+        # Eight nodes at 1 m whose total target sits at the fold, where the
+        # least fixed point of the lift is critical: plain steps there gain
+        # about 1e-13 of the access budget per step, and took tens of seconds.
+        net = build_network([1.0] * 8, [2481673.51127322 / 8] * 8)
+        nts = [2646] * 8
+        table = _odds_table(net, nts)
+
+        def batched():
+            out, _, ok = _lift_many(np.array(table), np.zeros((1, 8)))
+            return (list(out[0]),) if ok[0] else None
+
+        verdicts = []
+        for lift in (lambda: _lift(table, [0.0] * 8), batched, lambda: _repair_rates(net, [0.0] * 8, nts)):
+            start = time.perf_counter()
+            got = lift()   # None, or a tuple that starts with the lifted tau
+            assert time.perf_counter() - start < 1.0
+            verdicts.append(got is None)
+            if got is not None:
+                _, rates, _ = evaluate(net, got[0], nts)
+                assert all(r >= nm.r_min * (1.0 - 1e-12) for r, nm in zip(rates, net.nodes))
+        assert len(set(verdicts)) == 1
 
 
 class TestSingleNode:
