@@ -14,6 +14,16 @@ stream is that of one ``PCG64(seed)`` generator drawing all slots x nodes
 transmit uniforms in slot-major order and then one delivery uniform per
 slot; the chunks replay it exactly, so a seed gives the same report
 however the slots are chunked.
+
+A chunk's counts are integer arithmetic on its boolean transmit matrix.
+One product of the matrix's bytes with a ones vector, of a dtype wide
+enough to hold n, gives each slot's transmitter count.  In a success slot
+the lone transmitter's column is the sender, and bincounts of the senders
+give the per-node successes and, where the slot's delivery uniform falls
+below the sender's frame success probability, the deliveries.  The
+collision rows are selected once, for the per-node transmissions and the
+longest transmitter.  Counting only reads the draws, so the stream and
+every report field stay those of the seed.
 """
 
 from __future__ import annotations
@@ -34,6 +44,11 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("num_slots", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.num_slots <= 0:
             raise ValueError("num_slots must be positive")
         if not 0 <= self.seed < 2 ** 64:
@@ -118,28 +133,29 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     delivery_bits.advance(m * n)
     delivery_rng = np.random.Generator(delivery_bits)
 
-    n_success = n_collision = 0
+    n_collision = 0
     per_node_success = np.zeros(n, dtype=np.int64)
     delivered = np.zeros(n, dtype=np.int64)
     coll_tx = np.zeros(n, dtype=np.int64)
     coll_longest = np.zeros(n, dtype=np.int64)
+    # Wide enough for a slot where all n nodes transmit.
+    ones = np.ones(n, dtype=np.min_scalar_type(n))
     step = _chunk_slots(n)
     for start in range(0, m, step):
         rows = min(step, m - start)
         tx = tx_rng.random((rows, n)) < tau_row
         u = delivery_rng.random(rows)
-        ntx = np.count_nonzero(tx, axis=1)
-        success = ntx == 1
-        collision = ntx >= 2
-        n_success += int(np.count_nonzero(success))
-        n_collision += int(np.count_nonzero(collision))
-        succ_rows = tx[success]
-        per_node_success += np.count_nonzero(succ_rows, axis=0)
-        delivered += np.count_nonzero(succ_rows & (u[success, None] < p_frames), axis=0)
-        coll_rows = tx[collision]
-        coll_tx += np.count_nonzero(coll_rows, axis=0)
+        ntx = tx.view(np.uint8) @ ones
+        succ = np.flatnonzero(ntx == 1)
+        who = tx[succ].argmax(axis=1)
+        per_node_success += np.bincount(who, minlength=n)
+        delivered += np.bincount(who[u[succ] < p_frames[who]], minlength=n)
+        coll_rows = tx[ntx >= 2]
+        n_collision += len(coll_rows)
+        coll_tx += coll_rows.sum(axis=0)
         longest = by_t_coll[coll_rows[:, by_t_coll].argmax(axis=1)]
         coll_longest += np.bincount(longest, minlength=n)
+    n_success = int(per_node_success.sum())
     n_idle = m - n_success - n_collision
 
     elapsed = float(per_node_success @ t_succ) + n_idle * t_idle

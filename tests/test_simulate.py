@@ -98,16 +98,20 @@ class TestDegenerateInputs:
         t_idle = two_node_net.cost(0, 126).t_idle
         assert rep.elapsed_time == pytest.approx(10_000 * t_idle, rel=1e-12)
 
-    def test_saturated_network_only_collides(self, two_node_net):
+    # 256 transmitters overflow a uint8 count, which would read as idle.
+    @pytest.mark.parametrize("n", (2, 256))
+    def test_saturated_network_only_collides(self, n):
+        net = build_network([1.0] * n, [0.0] * n)
+        nts = [(126, 252)[k % 2] for k in range(n)]
         cfg = SimConfig(num_slots=5_000, seed=0)
-        rep = simulate(two_node_net, (1.0, 1.0), (126, 252), cfg)
-        assert rep.p_collision == 1.0
-        costs = [two_node_net.cost(k, n) for k, n in enumerate((126, 252))]
+        rep = simulate(net, [1.0] * n, nts, cfg)
+        assert rep.p_collision == 1.0 and rep.n_idle == 0
+        costs = [net.cost(k, nt) for k, nt in enumerate(nts)]
         for k, c in enumerate(costs):
             assert rep.per_node_energy[k] == pytest.approx(5_000 * c.e_collision, rel=1e-12)
         want_elapsed = 5_000 * max(c.t_collision for c in costs)
         assert rep.elapsed_time == pytest.approx(want_elapsed, rel=1e-12)
-        assert rep.per_node_delivered == (0, 0)
+        assert rep.per_node_delivered == (0,) * n
 
     def test_input_validation(self, two_node_net):
         with pytest.raises(ValueError):
@@ -118,6 +122,12 @@ class TestDegenerateInputs:
             SimConfig(num_slots=0)
         with pytest.raises(ValueError):
             SimConfig(num_slots=10, seed=-1)
+        for bad in ({"num_slots": 10.5}, {"num_slots": 10.0}, {"num_slots": True},
+                    {"seed": 1.5}, {"seed": False}, {"seed": "1"}):
+            with pytest.raises(ValueError):
+                SimConfig(**bad)
+        cfg = SimConfig(num_slots=np.int64(10), seed=np.uint64(3))
+        assert type(cfg.num_slots) is int and type(cfg.seed) is int
         with pytest.raises(ValueError):
             SimReport(num_slots=10, seed=0, n_success=3, n_collision=3, n_idle=3,
                       p_success=0.3, p_collision=0.3, p_idle=0.3,
@@ -173,7 +183,7 @@ class TestAgainstReplay:
 class TestChunkedStream:
     """The chunked simulator replays the one-shot algorithm's random stream."""
 
-    @pytest.mark.parametrize("n", (1, 2, 7, 16))
+    @pytest.mark.parametrize("n", (1, 2, 7, 16, 300))
     @pytest.mark.parametrize("chunks, extra", ((0, 1), (1, -1), (1, 0), (1, 1), (3, 5)),
                              ids=("1", "c-1", "c", "c+1", "3c+5"))
     @pytest.mark.parametrize("edges", (False, True), ids=("inner", "edges"))
@@ -181,9 +191,10 @@ class TestChunkedStream:
         m = chunks * _chunk_slots(n) + extra
         rng = np.random.default_rng(n * 1_000 + m)
         # Unequal payloads give unequal collision durations, so which
-        # transmitter is the longest decides each collision slot's length.
+        # transmitter is the longest decides each collision slot's length;
+        # past the grid's 41 payloads some must repeat.
         grid = list(range(126, 2647, 63))
-        nts = [int(v) for v in rng.choice(grid, n, replace=False)]
+        nts = [int(v) for v in rng.choice(grid, n, replace=n > len(grid))]
         net = build_network(list(rng.uniform(1.0, 9.5, n)), [0.0] * n)
         tau = [float(t) for t in rng.uniform(0.05, 0.6, n)]
         if edges:
