@@ -82,36 +82,29 @@ def state_probs(tau: Sequence[float]) -> StateProbs:
     )
 
 
-def _affine(tau: Sequence[float], k: int) -> tuple[float, float, float, float, float, float]:
-    """(x_s, x_c, x_i, y_s, y_c, y_i) of linear_coeffs as a plain tuple.
+def linear_coeffs(tau: Sequence[float], node_index: int) -> LinearCoeffs:
+    """Affine decomposition of the slot-state probabilities in tau_k.
 
-    One pass over tau validates it and keeps two running values over the
-    other nodes: none, the probability that none of them transmits, and
-    one, the probability that exactly one of them does.  Then
+    The coefficients depend only on the other nodes' access probabilities,
+    so the decomposition holds for every value of tau_k in [0, 1].  One
+    pass over tau validates it and keeps two running values over the other
+    nodes: none, the probability that none of them transmits, and one, the
+    probability that exactly one of them does.  Then
     P^S = tau_k * none + (1 - tau_k) * one, P^I = (1 - tau_k) * none, and
     P^C is the rest.
     """
     if len(tau) == 0:
         _validate(tau)  # raises
-    if not 0 <= k < len(tau):
-        raise IndexError(f"node index {k} outside 0..{len(tau) - 1}")
+    if not 0 <= node_index < len(tau):
+        raise IndexError(f"node index {node_index} outside 0..{len(tau) - 1}")
     none, one = 1.0, 0.0
     for j, t in enumerate(tau):
         if not 0.0 <= t <= 1.0:
             _validate(tau)  # raises, naming the entry
-        if j != k:
+        if j != node_index:
             c = 1.0 - t
             one = one * c + none * t
             none *= c
-    if tau[k] == 1.0:
-        raise ValueError(f"linearization undefined at tau_k = 1 (node {k})")
-    return none - one, one, -none, one, 1.0 - none - one, none
-
-
-def linear_coeffs(tau: Sequence[float], node_index: int) -> LinearCoeffs:
-    """Affine decomposition of the slot-state probabilities in tau_k.
-
-    The coefficients depend only on the other nodes' access probabilities,
-    so the decomposition holds for every value of tau_k in [0, 1].
-    """
-    return LinearCoeffs(*_affine(tau, node_index))
+    if tau[node_index] == 1.0:
+        raise ValueError(f"linearization undefined at tau_k = 1 (node {node_index})")
+    return LinearCoeffs(none - one, one, -none, one, 1.0 - none - one, none)

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
-from .access import StateProbs, _affine, _validate, state_probs
+from .access import StateProbs, state_probs
 from .channel import ChannelParams, NcpbTable, link_budget
 from .costs import (SPEED_OF_LIGHT, CostModel, EnergyParams, TimingParams, ack_duration,
                     cost_model)
@@ -39,10 +39,9 @@ class NodeCoeffs(NamedTuple):
     """One node's payload-independent cost and decode coefficients.
 
     A NetworkModel derives one row per node when it is built, so the hot
-    paths (evaluate, tau_min and the solver's scans) compute a slot cost
-    from a few floats instead of building CostModel objects.  costs()
-    repeats the arithmetic of cost_model step for step, so both paths
-    agree bitwise.
+    paths (evaluate and the solver) compute a slot cost from a few floats
+    instead of building CostModel objects.  costs() repeats the arithmetic
+    of cost_model step for step, so both paths agree bitwise.
     """
 
     hdr: float          # t_shr + t_phr, seconds
@@ -51,9 +50,7 @@ class NodeCoeffs(NamedTuple):
     psifs: float        # short interframe space, seconds
     sigma: float        # one-way propagation delay, seconds
     t_idle: float       # idle slot duration, seconds
-    p_shr: float
-    p_phr: float
-    p_hdr: float        # p_shr * p_phr
+    p_hdr: float        # header decode probability, p_shr * p_phr
     p_cw: float
     r_min: float
     eps_b: float
@@ -65,7 +62,7 @@ class NodeCoeffs(NamedTuple):
 
     def costs(self, n_t: int) -> tuple[float, float, float, float]:
         """(t_success, t_collision, e_success, e_collision) at payload n_t."""
-        hdr, ack, t_sym, psifs, sigma, _, _, _, _, _, _, eb, eoh, est, ebt, eoht, estt = self
+        hdr, ack, t_sym, psifs, sigma, _, _, _, _, eb, eoh, est, ebt, eoht, estt = self
         t_frame = hdr + n_t * t_sym
         return (t_frame + ack + 2.0 * psifs + 2.0 * sigma,
                 t_frame + psifs + sigma,
@@ -99,7 +96,7 @@ class NetworkModel:
             rows.append(NodeCoeffs(
                 hdr=hdr, ack=ack, t_sym=tp.t_sym,
                 psifs=tp.t_psifs, sigma=tp.sigma[nm.index], t_idle=tp.t_idle_slot,
-                p_shr=seg.p_shr, p_phr=seg.p_phr, p_hdr=seg.p_shr * seg.p_phr,
+                p_hdr=seg.p_shr * seg.p_phr,
                 p_cw=seg.p_cw, r_min=nm.r_min,
                 eps_b=ep.eps_b, eps_oh=ep.eps_oh, eps_st=ep.eps_st,
                 eps_b_tx=ep.eps_b_tx, eps_oh_tx=ep.eps_oh_tx, eps_st_tx=ep.eps_st_tx))
@@ -115,36 +112,6 @@ class NetworkModel:
     def cost(self, node_index: int, n_t: int) -> CostModel:
         """Per-state costs for one node at one payload size."""
         return cost_model(node_index, n_t, self.nodes[node_index].timing, self.energy)
-
-    def tau_min(self, node_index: int, tau: Sequence[float], n_t: int) -> Optional[float]:
-        """Smallest access probability meeting the node's rate target.
-
-        The table form of metrics.tau_min_for_rate, with the same arithmetic
-        and result: one O(n) pass over tau and no Node, CostModel or
-        LinearCoeffs objects.  tau and n_t are validated even when the
-        node's r_min is zero.
-        """
-        n = self.phy.n
-        if n_t <= 0 or n_t % n != 0:
-            _check_payload(n_t, n)  # raises
-        row = self.rows[node_index]
-        r_min = row.r_min
-        if r_min == 0.0:
-            _validate(tau)
-            return 0.0
-        x_s, x_c, x_i, y_s, y_c, y_i = _affine(tau, node_index)
-        t_s, t_c, _, _ = row.costs(n_t)
-        t_idle = row.t_idle
-        xt = x_s * t_s + x_c * t_c + x_i * t_idle
-        yt = y_s * t_s + y_c * t_c + y_i * t_idle
-        c = n_t * y_i * (row.p_hdr * row.p_cw ** (n_t // n))
-        denom = c - r_min * xt
-        if denom <= 0.0:
-            return None
-        t = r_min * yt / denom
-        if t >= 1.0:
-            return None
-        return t
 
 
 def build_network(distances: Sequence[float], r_mins: Sequence[float],

@@ -26,12 +26,16 @@ class ScenarioError(ValueError):
 
 _OBJECTIVE_NAMES = {"ee": VARIANT_EE, "logee": VARIANT_LOGEE}
 
-_PHY_INT_KEYS = ("n", "k", "t", "n_phr", "t_phr", "kasami_len", "rho",
-                 "preamble_reps", "n_t_min", "n_t_max")
-_PHY_FLOAT_KEYS = ("t_sym", "t_p", "w_rx")
-_CHANNEL_KEYS = ("pl0_db", "d0", "exponent", "tx_eb_over_n0_at_d0")
-_TIMING_KEYS = ("t_shr", "t_phr", "t_psifs", "t_idle_slot")
-_ENERGY_KEYS = ("eps_b", "eps_oh", "eps_st", "eps_b_tx", "eps_oh_tx", "eps_st_tx")
+_INT = (int, "integer")      # int() rejects floats masquerading as ints ("2.5")
+_NUMBER = (float, "number")
+# Each parameter section's keys with their (converter, kind), in parse order.
+_PHY_KEYS = {**dict.fromkeys(("n", "k", "t", "n_phr", "t_phr", "kasami_len", "rho",
+                              "preamble_reps", "n_t_min", "n_t_max"), _INT),
+             **dict.fromkeys(("t_sym", "t_p", "w_rx"), _NUMBER)}
+_CHANNEL_KEYS = dict.fromkeys(("pl0_db", "d0", "exponent", "tx_eb_over_n0_at_d0"), _NUMBER)
+_TIMING_KEYS = dict.fromkeys(("t_shr", "t_phr", "t_psifs", "t_idle_slot"), _NUMBER)
+_ENERGY_KEYS = dict.fromkeys(("eps_b", "eps_oh", "eps_st", "eps_b_tx", "eps_oh_tx", "eps_st_tx"),
+                             _NUMBER)
 _NODE_KEYS = ("d", "r_min", "tau", "n_t")
 _SECTIONS = ("phy", "channel", "ncpb", "timing", "energy", "solver", "nodes")
 
@@ -76,11 +80,6 @@ def _parse_list(section: str, key: str, raw: str, conv: Callable, kind: str) -> 
     return tuple(_parse_scalar(section, key, item, conv, kind) for item in items)
 
 
-def _int_strict(raw: str) -> int:
-    # Reject floats masquerading as ints ("2.5") but accept "2646".
-    return int(raw)
-
-
 def _check_keys(cp: configparser.ConfigParser, section: str, allowed: tuple[str, ...]) -> None:
     for key in cp[section]:
         if key not in allowed:
@@ -92,6 +91,18 @@ def _build(section: str, factory: Callable, kwargs: dict):
         return factory(**kwargs)
     except ValueError as exc:
         raise ScenarioError(f"[{section}] {exc}") from exc
+
+
+def _load_section(cp: configparser.ConfigParser, section: str, factory: Callable,
+                  keys: dict[str, tuple[Callable, str]]):
+    """factory built from the section's keys, each parsed by its (converter, kind)."""
+    kwargs = {}
+    if cp.has_section(section):
+        _check_keys(cp, section, tuple(keys))
+        for key, (conv, kind) in keys.items():
+            if key in cp[section]:
+                kwargs[key] = _parse_scalar(section, key, cp[section][key], conv, kind)
+    return _build(section, factory, kwargs)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -107,24 +118,8 @@ def load_scenario(path: str) -> Scenario:
         if section not in _SECTIONS:
             raise ScenarioError(f"[{section}]: unknown section (allowed: {', '.join(_SECTIONS)})")
 
-    phy_kwargs: dict = {}
-    if cp.has_section("phy"):
-        _check_keys(cp, "phy", _PHY_INT_KEYS + _PHY_FLOAT_KEYS)
-        for key in _PHY_INT_KEYS:
-            if key in cp["phy"]:
-                phy_kwargs[key] = _parse_scalar("phy", key, cp["phy"][key], _int_strict, "integer")
-        for key in _PHY_FLOAT_KEYS:
-            if key in cp["phy"]:
-                phy_kwargs[key] = _parse_scalar("phy", key, cp["phy"][key], float, "number")
-    phy = _build("phy", PhyConfig, phy_kwargs)
-
-    ch_kwargs: dict = {}
-    if cp.has_section("channel"):
-        _check_keys(cp, "channel", _CHANNEL_KEYS)
-        for key in _CHANNEL_KEYS:
-            if key in cp["channel"]:
-                ch_kwargs[key] = _parse_scalar("channel", key, cp["channel"][key], float, "number")
-    channel = _build("channel", ChannelParams, ch_kwargs)
+    phy = _load_section(cp, "phy", PhyConfig, _PHY_KEYS)
+    channel = _load_section(cp, "channel", ChannelParams, _CHANNEL_KEYS)
 
     if cp.has_section("ncpb"):
         _check_keys(cp, "ncpb", ("table",))
@@ -138,28 +133,15 @@ def load_scenario(path: str) -> Scenario:
             parts = item.split(":")
             if len(parts) != 2:
                 raise ScenarioError(f"[ncpb] table: expected 'distance:n_cpb' pairs, got {item!r}")
-            bound = _parse_scalar("ncpb", "table", parts[0].strip(), float, "number")
-            n_cpb = _parse_scalar("ncpb", "table", parts[1].strip(), _int_strict, "integer")
+            bound = _parse_scalar("ncpb", "table", parts[0].strip(), *_NUMBER)
+            n_cpb = _parse_scalar("ncpb", "table", parts[1].strip(), *_INT)
             entries.append((bound, n_cpb))
         table = _build("ncpb", NcpbTable, {"entries": tuple(entries)})
     else:
         table = NcpbTable()
 
-    tim_kwargs: dict = {}
-    if cp.has_section("timing"):
-        _check_keys(cp, "timing", _TIMING_KEYS)
-        for key in _TIMING_KEYS:
-            if key in cp["timing"]:
-                tim_kwargs[key] = _parse_scalar("timing", key, cp["timing"][key], float, "number")
-    timing = _build("timing", TimingParams, tim_kwargs)
-
-    en_kwargs: dict = {}
-    if cp.has_section("energy"):
-        _check_keys(cp, "energy", _ENERGY_KEYS)
-        for key in _ENERGY_KEYS:
-            if key in cp["energy"]:
-                en_kwargs[key] = _parse_scalar("energy", key, cp["energy"][key], float, "number")
-    energy = _build("energy", EnergyParams, en_kwargs)
+    timing = _load_section(cp, "timing", TimingParams, _TIMING_KEYS)
+    energy = _load_section(cp, "energy", EnergyParams, _ENERGY_KEYS)
 
     sol_kwargs: dict = {}
     if cp.has_section("solver"):
@@ -177,10 +159,10 @@ def load_scenario(path: str) -> Scenario:
     _check_keys(cp, "nodes", _NODE_KEYS)
     if "d" not in cp["nodes"]:
         raise ScenarioError("[nodes] d: required; at least one node required")
-    distances = _parse_list("nodes", "d", cp["nodes"]["d"], float, "number")
+    distances = _parse_list("nodes", "d", cp["nodes"]["d"], *_NUMBER)
     if "r_min" not in cp["nodes"]:
         raise ScenarioError("[nodes] r_min: required (one value per node)")
-    r_mins = _parse_list("nodes", "r_min", cp["nodes"]["r_min"], float, "number")
+    r_mins = _parse_list("nodes", "r_min", cp["nodes"]["r_min"], *_NUMBER)
     if len(r_mins) != len(distances):
         raise ScenarioError(
             f"[nodes] r_min: expected {len(distances)} values to match d, got {len(r_mins)}")
@@ -194,7 +176,7 @@ def load_scenario(path: str) -> Scenario:
     tau: Optional[tuple[float, ...]] = None
     nts: Optional[tuple[int, ...]] = None
     if "tau" in cp["nodes"]:
-        tau = _parse_list("nodes", "tau", cp["nodes"]["tau"], float, "number")
+        tau = _parse_list("nodes", "tau", cp["nodes"]["tau"], *_NUMBER)
         if len(tau) != len(distances):
             raise ScenarioError(
                 f"[nodes] tau: expected {len(distances)} values to match d, got {len(tau)}")
@@ -203,8 +185,10 @@ def load_scenario(path: str) -> Scenario:
                 raise ScenarioError(f"[nodes] tau: entry {k} must lie in [0, 1], got {t}")
         if "n_t" not in cp["nodes"]:
             raise ScenarioError("[nodes] n_t: required when tau is provided")
+    elif "n_t" in cp["nodes"]:
+        raise ScenarioError("[nodes] n_t: allowed only with tau (a solve chooses the payloads)")
     if "n_t" in cp["nodes"]:
-        nts = _parse_list("nodes", "n_t", cp["nodes"]["n_t"], _int_strict, "integer")
+        nts = _parse_list("nodes", "n_t", cp["nodes"]["n_t"], *_INT)
         if len(nts) != len(distances):
             raise ScenarioError(
                 f"[nodes] n_t: expected {len(distances)} values to match d, got {len(nts)}")

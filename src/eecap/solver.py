@@ -1,13 +1,18 @@
 """Joint optimization of access probabilities and payload sizes.
 
-The solver first runs a feasibility stage that alternates the closed-form
-minimum access probability and the throughput-optimal payload size per
-node.  If the rate targets are jointly reachable, constrained coordinate
-ascent maximizes the chosen efficiency objective (sum or sum-of-logs)
-from that point; otherwise a sum-log-throughput fallback drops the rate
-constraints and keeps only the access-budget constraint.  eecap() is the
-one entry point: SolverConfig chooses only the objective, and the round
-caps, the search tolerance and the start point are module constants.
+The solver has one model of the rate targets.  In the access odds
+x = tau / (1 - tau) and the slot aggregates u = sum(x) and
+v = prod(1 + x) - 1 - u, node k's rate is c_k x_k / (u t_s + v t_c + t_idle),
+so its target reads x_k >= a_k (u t_s + v t_c + t_idle), a_k = r_min / c_k.
+The solver first runs a feasibility stage, a node-by-node pass that moves
+each node to the least odds meeting its target, the others held, and then
+to its throughput-optimal payload size.  If the rate targets are jointly
+reachable, constrained coordinate ascent maximizes the chosen efficiency
+objective (sum or sum-of-logs) from that point; otherwise a
+sum-log-throughput fallback drops the rate constraints and keeps only the
+access-budget constraint.  eecap() is the one entry point: SolverConfig
+chooses only the objective, and the round caps, the search tolerance and
+the start point are module constants.
 
 One round of the ascent runs a 1-D search on the true objective over each
 node's access probability, then a per-node payload scan.  With rate
@@ -59,7 +64,7 @@ import numpy as np
 
 from .access import state_probs
 from .metrics import _nt_opt
-from .network import NetworkModel, evaluate
+from .network import NetworkModel, NodeCoeffs, evaluate
 
 VARIANT_EE = "EE"
 VARIANT_LOGEE = "LogEE"
@@ -176,62 +181,73 @@ def _maximize_scalar(f: Callable[[float], float], scan: Callable[[np.ndarray], n
     return best_x, best_f
 
 
-def _throughput_payload(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
-                        k: int, grid: Sequence[int]) -> int:
-    """Throughput-optimal payload of node k, with the arithmetic of aggregate_terms.
+def _odds_row(row: NodeCoeffs, n_t: int, n: int) -> tuple[float, float, float, float, float, float]:
+    """One node's (a t_s, a t_c, a t_idle, c, e_s, e_c) at payload n_t.
 
-    Only the payload split (to, tn) of the average slot duration matters
-    here, so the affine split in tau_k is left out.
+    c is the node's payload bits per success slot, as in evaluate, and
+    a = r_min / c the access odds its rate target needs per second of the
+    node's average slot: zero without a target, infinite for a link that
+    delivers nothing.
     """
-    row = net.rows[k]
-    n_t = nts[k]
-    sp = state_probs(tau)
-    t_s, t_c, _, _ = row.costs(n_t)
-    bits_time = n_t * row.t_sym
-    to = (sp.p_success * (t_s - bits_time) + sp.p_collision * (t_c - bits_time)
-          + sp.p_idle * row.t_idle)
-    tn = (sp.p_success + sp.p_collision) * row.t_sym
-    return _nt_opt(row.p_cw, to, tn, grid, net.phy.n)
+    t_s, t_c, e_s, e_c = row.costs(n_t)
+    c = n_t * (row.p_hdr * row.p_cw ** (n_t // n))
+    a = row.r_min / c if c > 0.0 else (math.inf if row.r_min > 0.0 else 0.0)
+    return a * t_s, a * t_c, a * row.t_idle, c, e_s, e_c
+
+
+def _least_odds(odds: Sequence[float], uo: float, q: float) -> float:
+    """Least odds x_k meeting a node's rate target, the other nodes held.
+
+    With odds row (a_s, a_c, a_i, ...), the target reads
+    x_k >= a_s u + a_c v + a_i, where u = uo + x_k and v = q (1 + x_k) - 1 - u
+    for the other nodes' odds sum uo and product q of their 1 + x.  Returns
+    inf when no odds reach it (1 - a_s - (q - 1) a_c <= 0).
+    """
+    a_s, a_c, a_i = odds[:3]
+    den = 1.0 - a_s - (q - 1.0) * a_c
+    if not den > 0.0:
+        return math.inf
+    return (uo * a_s + (q - 1.0 - uo) * a_c + a_i) / den
 
 
 def feasibility_stage(net: NetworkModel) -> tuple[tuple[float, ...], tuple[int, ...], bool]:
-    """Alternate per-node minimum-tau and best-payload updates.
+    """Alternate per-node minimum-access and best-payload updates, in odds.
 
-    Returns the fixed point and whether it meets every rate target with
-    the access budget; a per-node infeasible signal ends the stage with
-    feasible = False.
+    Node by node, x_k moves to the least odds meeting its rate target at
+    its payload (_least_odds), and the payload to the throughput-optimal
+    one for the split (u (t_s - n_t t_sym) + v (t_c - n_t t_sym) + t_idle,
+    (u + v) t_sym) of the average slot duration over P^I.  Returns the fixed
+    point and whether it meets every rate target with the access budget; a
+    node that cannot meet its target ends the stage with feasible = False.
     """
-    n = net.n_nodes
+    n = net.phy.n
     grid = list(net.nt_grid())
-    tau = [_INIT_TAU] * n
-    nts = [net.phy.n_t_max] * n
-    infeasible_hit = False
+    tau = [_INIT_TAU] * net.n_nodes
+    x = [_INIT_TAU / (1.0 - _INIT_TAU)] * net.n_nodes
+    nts = [net.phy.n_t_max] * net.n_nodes
     for _ in range(_MAX_FEASIBILITY_ITERS):
-        prev_tau = tau[:]
-        prev_nts = nts[:]
+        prev_tau, prev_nts = tau[:], nts[:]
         for k, row in enumerate(net.rows):
-            t = net.tau_min(k, tau, nts[k])
-            if t is None:
-                infeasible_hit = True
-                break
-            tau[k] = t
-            nts[k] = _throughput_payload(net, tau, nts, k, grid)
-        if infeasible_hit:
-            break
-        delta = max(
-            max(abs(a - b) for a, b in zip(tau, prev_tau)),
-            max(abs(a - b) for a, b in zip(nts, prev_nts)) / net.phy.n_t_max,
-        )
+            others = x[:k] + x[k + 1:]
+            uo, q = sum(others), math.prod([1.0 + xi for xi in others])
+            y = _least_odds(_odds_row(row, nts[k], n), uo, q)
+            t = y / (1.0 + y)
+            if not t < 1.0:
+                return tuple(tau), tuple(nts), False
+            tau[k], x[k] = t, y
+            u = uo + y
+            v = q * (1.0 + y) - 1.0 - u
+            t_s, t_c, _, _ = row.costs(nts[k])
+            bits_time = nts[k] * row.t_sym
+            to = u * (t_s - bits_time) + v * (t_c - bits_time) + row.t_idle
+            nts[k] = _nt_opt(row.p_cw, to, (u + v) * row.t_sym, grid, n)
+        delta = max(max(abs(a - b) for a, b in zip(tau, prev_tau)),
+                    max(abs(a - b) for a, b in zip(nts, prev_nts)) / net.phy.n_t_max)
         if delta < _CONVERGENCE_TOL:
             break
-    feasible = not infeasible_hit
-    if feasible:
-        _, rates, _ = evaluate(net, tau, nts, guard_zero_energy=True)
-        for k, row in enumerate(net.rows):
-            if rates[k] < row.r_min * (1.0 - _STAGE_SLACK):
-                feasible = False
-        if math.fsum(tau) > 1.0 + _SUM_SLACK:
-            feasible = False
+    _, rates, _ = evaluate(net, tau, nts, guard_zero_energy=True)
+    feasible = (all(r >= row.r_min * (1.0 - _STAGE_SLACK) for r, row in zip(rates, net.rows))
+                and math.fsum(tau) <= 1.0 + _SUM_SLACK)
     return tuple(tau), tuple(nts), feasible
 
 
@@ -298,33 +314,18 @@ def _polish_payloads(pay: _PayloadTable, variant: str, tau: Sequence[float],
 
 
 def _odds_table(net: NetworkModel, nts: Sequence[int]) -> list[tuple[float, ...]]:
-    """Per-node (a t_s, a t_c, a t_idle, c, e_s, e_c) at payloads nts.
-
-    c is the node's payload bits per success slot, as in evaluate, and
-    a = r_min / c the access odds its rate target needs per second of the
-    node's average slot: zero without a target, infinite for a link that
-    delivers nothing.
-    """
-    n = net.phy.n
-    table = []
-    for row, n_t in zip(net.rows, nts):
-        t_s, t_c, e_s, e_c = row.costs(n_t)
-        c = n_t * (row.p_hdr * row.p_cw ** (n_t // n))
-        a = row.r_min / c if c > 0.0 else (math.inf if row.r_min > 0.0 else 0.0)
-        table.append((a * t_s, a * t_c, a * row.t_idle, c, e_s, e_c))
-    return table
+    """_odds_row of every node at payloads nts."""
+    return [_odds_row(row, n_t, net.phy.n) for row, n_t in zip(net.rows, nts)]
 
 
 def _lift(table: Sequence[tuple[float, ...]], tau: Sequence[float]
           ) -> Optional[tuple[list[float], list[float]]]:
     """Least access vector at or above tau that meets every rate target.
 
-    In odds x = tau / (1 - tau), with u = sum(x) and v = prod(1 + x) - 1 - u,
-    node k's rate is c_k x_k / (u t_s + v t_c + t_idle), so its target reads
-    x_k >= a_k (u t_s + v t_c + t_idle).  With z = (u, v) held, node k needs
-    x_k(z) = max(x0_k, a_k (u t_s + v t_c + t_idle)), x0 the odds of tau, and
-    the lift is x(z*) for the least solution z* of z = F(z), where
-    F(z) = (sum x(z), prod(1 + x(z)) - 1 - sum x(z)).
+    With z = (u, v) held, the odds form of the targets (module docstring)
+    asks x_k(z) = max(x0_k, a_k (u t_s + v t_c + t_idle)) of node k, x0 the
+    odds of tau, and the lift is x(z*) for the least solution z* of z = F(z),
+    where F(z) = (sum x(z), prod(1 + x(z)) - 1 - sum x(z)).
 
     Guarded Newton steps for z = F(z) start at the aggregates z0 of tau,
     where z0 <= z* and F(z0) >= z0.  F is a polynomial with non-negative
@@ -447,9 +448,8 @@ def _lift_many(table: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _log_rates(cols: tuple[np.ndarray, ...], taus: np.ndarray) -> np.ndarray:
     """Sum of log rates, the fallback objective, of every row of taus (entries below 1).
 
-    cols holds (t_s, t_c, t_idle, c) per node.  In odds x = tau / (1 - tau),
-    with u = sum(x) and v = prod(1 + x) - 1 - u, node k's rate is
-    c_k x_k / (u t_s,k + v t_c,k + t_idle,k); a zero rate gives -inf.
+    cols holds (t_s, t_c, t_idle, c) per node, for the odds closed form of
+    the rates (see the module docstring); a zero rate gives -inf.
     """
     t_s, t_c, t_idle, c = cols
     with np.errstate(divide="ignore"):
@@ -530,18 +530,15 @@ def _payload_switch(net: NetworkModel, pay: _PayloadTable, variant: str, tau: li
 
 
 def _check_solution(net: NetworkModel, sol: Solution) -> Solution:
+    phy = net.phy
     if math.fsum(sol.tau_opt) > 1.0 + _SUM_SLACK:
         raise RuntimeError("solution violates the access-probability budget")
-    for t in sol.tau_opt:
-        if not 0.0 <= t <= 1.0:
-            raise RuntimeError("solution access probability outside [0, 1]")
-    for n_t in sol.nt_opt:
-        if n_t % net.phy.n != 0 or not net.phy.n_t_min <= n_t <= net.phy.n_t_max:
-            raise RuntimeError("solution payload size off the admissible grid")
-    if sol.feasible:
-        for k, nm in enumerate(net.nodes):
-            if sol.rates[k] < nm.r_min * (1.0 - _RATE_SLACK):
-                raise RuntimeError("feasible solution misses a rate target")
+    if not all(0.0 <= t <= 1.0 for t in sol.tau_opt):
+        raise RuntimeError("solution access probability outside [0, 1]")
+    if not all(n_t % phy.n == 0 and phy.n_t_min <= n_t <= phy.n_t_max for n_t in sol.nt_opt):
+        raise RuntimeError("solution payload size off the admissible grid")
+    if sol.feasible and any(r < nm.r_min * (1.0 - _RATE_SLACK) for r, nm in zip(sol.rates, net.nodes)):
+        raise RuntimeError("feasible solution misses a rate target")
     return sol
 
 

@@ -89,6 +89,7 @@ r_min = 1e5, 1e5 ; bits per second
         ("[nodes]\nr_min = 1e5\n", "[nodes] d"),
         ("[nodes]\nd = 1.0\n", "r_min"),
         (MINIMAL + "tau = 0.1, 0.2\n", "n_t: required"),
+        (MINIMAL + "n_t = 126, 126\n", "[nodes] n_t: allowed only with tau"),
         (MINIMAL + "tau = 0.1, 1.2\nn_t = 126, 126\n", "lie in [0, 1]"),
         (MINIMAL + "tau = 0.1, 0.2\nn_t = 100, 126\n", "multiple of 63"),
         (MINIMAL + "tau = 0.1, 0.2\nn_t = 126, 5040\n", "multiple of 63"),

@@ -22,6 +22,7 @@ import pytest
 
 from eecap import (
     ChannelParams,
+    Node,
     SolverConfig,
     VARIANT_EE,
     VARIANT_LOGEE,
@@ -30,6 +31,7 @@ from eecap import (
     eecap,
     evaluate,
     load_scenario,
+    tau_min_for_rate,
 )
 from eecap.network import frame_success
 from eecap.metrics import aggregate_terms, nt_opt_for_throughput
@@ -75,6 +77,22 @@ class TestFeasibilityStage:
         _, _, ok = feasibility_stage(net)
         assert not ok
 
+    def test_fixed_point_payloads_maximize_throughput(self):
+        # Each node's stage payload is the throughput optimum of the tau-affine
+        # closed form at the fixed point.
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(40):
+            n = rng.randrange(1, 9)
+            net = build_network([rng.uniform(1.0, 9.5) for _ in range(n)],
+                                [rng.uniform(0.05, 0.5) * 2e6 / n for _ in range(n)])
+            tau, nts, ok = feasibility_stage(net)
+            for k, nm in enumerate(net.nodes if ok else ()):
+                terms = aggregate_terms(tau, k, net.cost(k, nts[k]), nts[k], nm.t_sym)
+                assert nts[k] == nt_opt_for_throughput(nm.seg.p_cw, terms, list(net.nt_grid()))
+                checked += 1
+        assert checked > 50
+
     def test_zero_rates_trivially_feasible(self):
         net = build_network([1.0, 1.0], [0.0, 0.0])
         tau, nts, ok = feasibility_stage(net)
@@ -92,7 +110,9 @@ class TestRateRepair:
     def test_single_node_matches_the_closed_form_minimum(self):
         net = build_network([2.0], [1e6])
         lifted, rates, _ = _repair_rates(net, [0.0], [2646])
-        assert lifted[0] == pytest.approx(net.tau_min(0, [0.0], 2646), rel=1e-12)
+        node = Node(index=0, d=2.0, tau=0.0, n_t=2646, r_min=1e6)
+        want = tau_min_for_rate(node, [0.0], net.cost(0, 2646), net.nodes[0].seg, net.phy.n)
+        assert lifted[0] == pytest.approx(want, rel=1e-12)
         assert self.meets_exactly(net, rates, [0])
         # Above the rate the node reaches at tau = 1, no lift exists.
         _, top, _ = evaluate(net, [1.0], [2646])

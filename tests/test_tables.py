@@ -1,15 +1,16 @@
 """The per-node coefficient rows against the scalar oracles.
 
-evaluate and NetworkModel.tau_min read the rows build_network derives once
-per network; metrics.throughput, energy_efficiency and tau_min_for_rate
-build Node and CostModel objects per call.  Both paths must agree on
-seeded random networks of 1 to 16 nodes, at access probabilities of
-exactly 0, exactly 1 and within 1e-10 of 1, for every admissible payload
-size.
+evaluate and the feasibility stage's per-node update read the rows
+build_network derives once per network; metrics.throughput,
+energy_efficiency and tau_min_for_rate build Node and CostModel objects
+per call.  Both paths must agree on seeded random networks of 1 to 16
+nodes, at access probabilities of exactly 0, exactly 1 (evaluate only) and
+within 1e-10 of 1, for every admissible payload size.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from eecap import (
     tau_min_for_rate,
     throughput,
 )
+from eecap.solver import _least_odds, _odds_row
 
 GRID = list(PhyConfig().nt_grid())
 REL = 1e-12
@@ -76,18 +78,26 @@ def test_evaluate_matches_scalar_metrics():
     assert checked > 10_000
 
 
-def test_tau_min_matches_scalar_oracle():
+def test_stage_update_matches_scalar_oracle():
+    """The feasibility stage's least odds per node against tau_min_for_rate.
+
+    The stage's iterates stay below tau = 1, so exact ones of random_tau
+    are moved just below it.
+    """
     outcomes = {"none": 0, "zero": 0, "value": 0}
     for rng, net in networks():
         n = net.n_nodes
-        tau = random_tau(rng, n)
+        tau = [min(t, 1.0 - 1e-12) for t in random_tau(rng, n)]
+        x = [t / (1.0 - t) for t in tau]
         for k, nm in enumerate(net.nodes):
-            if tau[k] == 1.0:
-                continue
+            others = x[:k] + x[k + 1:]
+            uo, q = sum(others), math.prod([1.0 + xi for xi in others])
             for n_t in GRID:
                 node = Node(index=k, d=nm.d, tau=tau[k], n_t=n_t, r_min=nm.r_min)
                 want = tau_min_for_rate(node, tau, net.cost(k, n_t), nm.seg, net.phy.n)
-                got = net.tau_min(k, tau, n_t)
+                y = _least_odds(_odds_row(net.rows[k], n_t, net.phy.n), uo, q)
+                got = y / (1.0 + y)
+                got = got if got < 1.0 else None
                 assert close(got, want), (n, k, n_t)
                 outcomes["none" if got is None else "zero" if got == 0.0 else "value"] += 1
     assert all(count > 100 for count in outcomes.values()), outcomes
@@ -112,16 +122,6 @@ def test_rejects_tau_outside_unit_interval(tau):
     net = build_network([1.0, 2.0, 3.0], [1e5, 1e5, 1e5])
     with pytest.raises(ValueError):
         evaluate(net, tau, [126, 126, 126])
-    for k in range(3):
-        with pytest.raises(ValueError):
-            net.tau_min(k, tau, 126)
-
-
-def test_tau_min_rejects_saturated_node():
-    net = build_network([1.0, 2.0], [1e5, 1e5])
-    with pytest.raises(ValueError):
-        net.tau_min(0, (1.0, 0.2), 126)
-    assert net.tau_min(1, (1.0, 0.2), 126) is None
 
 
 @pytest.mark.parametrize("n_t", [0, -63, 100, 2647, 127.5])
@@ -129,6 +129,3 @@ def test_rejects_off_grid_payload(n_t):
     net = build_network([1.0, 2.0], [1e5, 0.0])
     with pytest.raises(ValueError):
         evaluate(net, (0.1, 0.2), (126, n_t))
-    for k in range(2):
-        with pytest.raises(ValueError):
-            net.tau_min(k, (0.1, 0.2), n_t)
