@@ -7,6 +7,8 @@ for that processing gain through the distance-indexed n_cpb table.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 from .phy import ALLOWED_NCPB, LinkBudget, PhyConfig
@@ -22,6 +24,17 @@ class ChannelParams:
     tx_eb_over_n0_at_d0: float = 5530.0   # burst SNR at d0, dimensionless
 
     def __post_init__(self) -> None:
+        for name in ("pl0_db", "d0", "exponent", "tx_eb_over_n0_at_d0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        try:
+            gain = 10.0 ** (-self.pl0_db / 10.0)
+        except OverflowError:
+            gain = math.inf
+        # link_budget divides by the gain, and a subnormal one has lost its precision.
+        if not sys.float_info.min <= gain <= sys.float_info.max:
+            raise ValueError(f"pl0_db = {self.pl0_db} dB gives a path gain 10 ** (-pl0_db / 10) "
+                             f"outside the normal floats")
         if self.d0 <= 0.0:
             raise ValueError("d0 must be positive")
         if self.exponent < 0.0:

@@ -39,17 +39,35 @@ evaluate.  Both lifts run one iteration, guarded Newton steps on the odds
 aggregates (u, v); a lift fails where the Newton guard fails while F(z)
 still rises, which happens only at a critical or absent least fixed point.
 
+Certificate exit.  An EE solve first computes the least rate-feasible
+point x* (_lift from tau = 0) at the stage's payloads, moves each node to
+its best EE payload there, and repeats until the payloads settle
+(_certified_point).  It returns x* at once, with no round of the ascent,
+if evaluate puts it within _CERT_GAP of the bound B' (_ee_bound), which
+holds for every rate-feasible point at any payloads:
+  (1) EE = sum_k (x_k / u) c_k / (e_s,k + rho e_c,k), with rho = v / u, is
+      a mean of per-node ratios with weights summing to 1, so
+      EE <= max_{k, n_t} c_k / (e_s,k + rho e_c,k) at every payload choice;
+  (2) rho is nondecreasing in every x_j, and e_c >= 0;
+  (3) each rate-feasible x satisfies x >= L(x) for the lower map L whose
+      node k holds its minima over the payload grid of a t_s, a t_c and
+      a t_idle, so x >= lfp(L) and rho(x) >= rho_lo = rho(lfp(L)).
+So B' = max_{k, n_t} c_k / (e_s,k + rho_lo e_c,k) >= EE(x), and an x*
+within _CERT_GAP of B' is globally optimal to that gap, not only a
+stationary point.  The solve reports B' as Solution.upper_bound either way.
+
 Tolerances.  _RATE_SLACK (relative shortfall of a rate) and _SUM_SLACK
 (absolute excess of the access budget) decide the feasible flag of the
 result and the checks on it.  The rate repair meets every target to
 roundoff and refuses any point past _SUM_SLACK, so the start and every
 probe it passes meet the targets exactly.  The payload scan admits a
 payload up to _RATE_AIM short of its target, so roundoff cannot drop a
-node's current payload; the next probe lifts the node exactly.  The
-feasibility stage alone accepts its fixed point at _STAGE_SLACK: its
-node-by-node pass can leave the nodes updated first a few parts per
-million short of their targets, and such networks then go to the fallback
-although they are feasible.  Accepting them at _RATE_SLACK removes those
+node's current payload; the next probe lifts the node exactly.
+_CERT_GAP (1e-9, relative) is how close to B' an EE solve's x* must come
+to be returned as certified.  The feasibility stage alone accepts its
+fixed point at _STAGE_SLACK: its node-by-node pass can leave the nodes
+updated first a few parts per million short of their targets, and such
+networks then go to the fallback although they are feasible.  Accepting them at _RATE_SLACK removes those
 fallbacks, but the rate-constrained ascent costs far more than the
 fallback on them.
 """
@@ -82,6 +100,8 @@ _MAX_FEASIBILITY_ITERS = 50   # passes of the feasibility stage
 _CONVERGENCE_TOL = 1e-6       # largest coordinate move of a settled round or pass
 _SEARCH_TOL = 1e-5            # bracket width of the 1-D search, and its margin below tau = 1
 _INIT_TAU = 0.01              # start access probability of every node
+_CERT_GAP = 1e-9              # relative gap to the EE upper bound at which a solve returns at once
+_CERT_ROUNDS = 4              # lift-and-polish rounds of the certificate candidate
 
 
 @dataclass(frozen=True)
@@ -103,7 +123,14 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class Solution:
-    """Best point found, with the objective after each round and its metrics."""
+    """Best point found, with the objective after each round and its metrics.
+
+    upper_bound is, for an EE solve, the bound B' on the objective of every
+    rate-feasible point (module docstring, "Certificate exit"), and None
+    for LogEE and the LogTHR fallback.  A solve that ends on the
+    certificate runs no round of the ascent: its trace holds the one
+    objective value of the returned point, so iterations is 1.
+    """
 
     tau_opt: tuple[float, ...]
     nt_opt: tuple[int, ...]
@@ -114,6 +141,7 @@ class Solution:
     objective_value: float
     rates: tuple[float, ...]
     efficiencies: tuple[float, ...]
+    upper_bound: Optional[float] = None
 
     @property
     def iterations(self) -> int:
@@ -529,6 +557,56 @@ def _payload_switch(net: NetworkModel, pay: _PayloadTable, variant: str, tau: li
     return (tau, nts, value) if moved else None
 
 
+def _ee_bound(pay: _PayloadTable) -> float:
+    """B', an upper bound on the EE objective of every rate-feasible point.
+
+    rho_lo = v / u at the least fixed point of the lower map, lifted from
+    tau = 0 by _lift on one row per node: the node's minima over the
+    payload grid of a t_s, a t_c and a t_idle (module docstring,
+    "Certificate exit").  rho_lo = 0 when no node has a target, and also
+    if that lift fails, since rho >= 0 everywhere.
+    """
+    c = pay.nt * pay.f
+    r_min = pay.r_min[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(r_min > 0.0, r_min / c, 0.0)   # inf for a payload that delivers nothing
+        lower = [(a * col).min(axis=1).tolist() for col in (pay.t_s, pay.t_c, pay.t_idle[:, None])]
+    low = _lift([(s, cc, i, 0.0, 0.0, 0.0) for s, cc, i in zip(*lower)], [0.0] * len(c))
+    rho = 0.0
+    if low is not None:
+        u = v = q = 0.0   # v as sum_k x_k (prod_{j<k} (1 + x_j) - 1), free of cancellation
+        for t in low[0]:
+            x = t / (1.0 - t)
+            v += x * q
+            q += x * (1.0 + q)
+            u += x
+        if u > 0.0:
+            rho = v / u
+    with np.errstate(divide="ignore"):   # zero energies give an infinite bound
+        return float(np.divide(c, pay.e_s + rho * pay.e_c, out=np.zeros_like(c), where=c > 0.0).max())
+
+
+def _certified_point(net: NetworkModel, pay: _PayloadTable, nts: Sequence[int]
+                     ) -> Optional[tuple[list[float], list[int]]]:
+    """The certificate candidate x* with its payloads, or None.
+
+    Lifts tau = 0 onto the rate targets at nts (the least rate-feasible
+    point there), moves every node to its best EE payload at that point
+    (_polish_payloads), and repeats until the payloads stop changing.
+    None if a lift fails or the payloads still change after _CERT_ROUNDS.
+    """
+    nts = list(nts)
+    for _ in range(_CERT_ROUNDS):
+        lifted = _lift(_odds_table(net, nts), [0.0] * len(nts))
+        if lifted is None:
+            return None
+        polished = _polish_payloads(pay, VARIANT_EE, lifted[0], nts)
+        if polished == nts:
+            return lifted[0], nts
+        nts = polished
+    return None
+
+
 def _check_solution(net: NetworkModel, sol: Solution) -> Solution:
     phy = net.phy
     if math.fsum(sol.tau_opt) > 1.0 + _SUM_SLACK:
@@ -542,16 +620,46 @@ def _check_solution(net: NetworkModel, sol: Solution) -> Solution:
     return sol
 
 
+def _solution(net: NetworkModel, variant: str, tau: Sequence[float], nts: Sequence[int],
+              trace: tuple[float, ...], converged: bool, rates: tuple[float, ...],
+              etas: tuple[float, ...], bound: Optional[float]) -> Solution:
+    """The checked Solution at (tau, nts), whose rates and etas come from evaluate."""
+    feasible = all(r >= row.r_min * (1.0 - _RATE_SLACK) for r, row in zip(rates, net.rows))
+    return _check_solution(net, Solution(
+        tau_opt=tuple(tau),
+        nt_opt=tuple(nts),
+        variant_used=variant,
+        trace=trace,
+        feasible=feasible,
+        converged=converged,
+        objective_value=_objective_value(variant, rates, etas),
+        rates=rates,
+        efficiencies=etas,
+        upper_bound=bound,
+    ))
+
+
 def _coordinate_solve(net: NetworkModel, variant: str,
                       start_tau: Sequence[float], start_nts: Sequence[int]) -> Solution:
     """Constrained coordinate ascent on the true objective from a start point.
 
     Rate targets are enforced for EE and LogEE and dropped for the LogTHR
-    fallback; see the module docstring for the moves of one round.
+    fallback; see the module docstring for the moves of one round.  An EE
+    solve first tries the certificate exit from start_nts (module
+    docstring) and runs the ascent only if it does not close.
     """
     n = net.n_nodes
     enforce_rates = variant != VARIANT_LOGTHR
     pay = _PayloadTable.build(net)
+    bound = None
+    if variant == VARIANT_EE:
+        bound = _ee_bound(pay)
+        cand = _certified_point(net, pay, start_nts)
+        if cand is not None:
+            _, rates, etas = evaluate(net, cand[0], cand[1], guard_zero_energy=True)
+            value = math.fsum(etas)
+            if value >= bound * (1.0 - _CERT_GAP):
+                return _solution(net, variant, cand[0], cand[1], (value,), True, rates, etas, bound)
     tol = _SEARCH_TOL
     lo = 0.0 if variant == VARIANT_EE else tol
     t = list(start_tau)
@@ -668,18 +776,7 @@ def _coordinate_solve(net: NetworkModel, variant: str,
             break
 
     _, rates, etas = evaluate(net, t, nts, guard_zero_energy=True)
-    feasible = all(r >= row.r_min * (1.0 - _RATE_SLACK) for r, row in zip(rates, net.rows))
-    return _check_solution(net, Solution(
-        tau_opt=tuple(t),
-        nt_opt=tuple(nts),
-        variant_used=variant,
-        trace=tuple(trace),
-        feasible=feasible,
-        converged=converged,
-        objective_value=_objective_value(variant, rates, etas),
-        rates=rates,
-        efficiencies=etas,
-    ))
+    return _solution(net, variant, t, nts, tuple(trace), converged, rates, etas, bound)
 
 
 def eecap(net: NetworkModel, cfg: SolverConfig) -> Solution:

@@ -358,3 +358,30 @@ def test_c9_byte_identical_output(capsys):
         assert first.encode("utf-8") == second.encode("utf-8")
     print("\n[PASS] criterion 9: byte-identical CSV across repeated runs of "
           "solve, sweep and validate")
+
+
+def test_c10_hard_links_vs_brute_force():
+    """Four two-node networks with links out to 9.5 m: within 2% of the grid, which B' bounds."""
+    t0 = time.perf_counter()
+    worst = 0.0
+    for case in range(4):
+        # Targets as in the benchmark pool: 0.2 to 0.8 times each node's rate
+        # at tau = 0.5 / n.  Beyond about 8 m codewords fail, and the
+        # certificate need not close there.
+        rng = random.Random(f"hard/n=2/i={case}")
+        ds = [rng.uniform(1.0, 9.5) for _ in range(2)]
+        probe = build_network(ds, [0.0, 0.0])
+        _, rates, _ = evaluate(probe, (0.25, 0.25), (2646, 2646))
+        net = build_network(ds, [rng.uniform(0.2, 0.8) * r for r in rates])
+        sol = eecap(net, SolverConfig(objective=VARIANT_EE))
+        assert sol.feasible and sol.variant_used == VARIANT_EE, f"case {case}"
+        reference = grid_search_ee(net)
+        rel = abs(sol.objective_value - reference) / reference
+        worst = max(worst, rel)
+        assert rel <= 0.02, f"case {case}: solver {sol.objective_value} vs grid {reference}"
+        assert sol.upper_bound >= reference, f"case {case}: bound {sol.upper_bound} below the grid"
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 60.0
+    print(f"\n[PASS] criterion 10: solver within 2% of dense grid search on 4 "
+          f"networks with links to 9.5 m, under its bound (max rel gap {worst:.2e}, "
+          f"{elapsed:.1f} s < 60 s)")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from eecap import ChannelParams, NcpbTable, PhyConfig
@@ -79,6 +81,23 @@ class TestPathLoss:
             ChannelParams(exponent=-1.0)
         with pytest.raises(ValueError):
             ChannelParams(tx_eb_over_n0_at_d0=-5.0)
+
+    @pytest.mark.parametrize("name", ["pl0_db", "d0", "exponent", "tx_eb_over_n0_at_d0"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_parameters(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ChannelParams(**{name: value})
+
+    def test_path_gain_must_be_a_normal_float(self):
+        # link_budget divides by 10 ** (-pl0_db / 10): it underflows to zero
+        # above about 3,240 dB, is subnormal from about 3,080 dB, and
+        # overflows below about -3,080 dB.
+        for pl0_db in (3300.0, 3100.0, -4000.0, -3090.0):
+            with pytest.raises(ValueError, match="pl0_db"):
+                ChannelParams(pl0_db=pl0_db)
+        for pl0_db in (3000.0, -3000.0, 0.0):
+            lb = link_budget(1.0, ChannelParams(pl0_db=pl0_db), NcpbTable(), PHY)
+            assert 0.0 < lb.h < math.inf and 0.0 < lb.eb_over_n0 < math.inf
 
 
 class TestBurstTable:

@@ -12,11 +12,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eecap import (VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR, SimConfig, build_network,
-                   evaluate, simulate)
+from eecap import (VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR, SimConfig, SolverConfig,
+                   build_network, eecap, evaluate, simulate)
 from eecap.access import _leave_one_out, linear_coeffs, state_probs
 from eecap.network import frame_success
-from eecap.solver import (_PayloadTable, _lift, _lift_many, _log_rates, _odds_table,
+from eecap.solver import (_PayloadTable, _ee_bound, _lift, _lift_many, _log_rates, _odds_table,
                           _polish_payloads, _repair_rates, _value)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -250,3 +250,57 @@ def test_payload_scan_matches_the_loop(case, variant):
     pay = _PayloadTable.build(net)
     for tau in probes:
         assert _polish_payloads(pay, variant, tau, nts) == payload_scan_loop(net, variant, tau, nts)
+
+
+@st.composite
+def bound_cases(draw):
+    """A network of up to 8 nodes at 1 to 9.5 m, with probes at random payloads.
+
+    Each rate target is zero or 0.05 to 1 times the node's rate when every
+    node sends with probability 0.5 / n at the largest payload, so most
+    networks are feasible and some nodes have no target.  A probe is a
+    payload vector and a start access vector with entries up to 1.2 / n.
+    """
+    n = draw(st.integers(1, 8))
+    distances = draw(st.lists(st.floats(1.0, 9.5), min_size=n, max_size=n))
+    shares = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)), min_size=n, max_size=n))
+    probe = st.tuples(st.lists(st.sampled_from(NT_GRID), min_size=n, max_size=n),
+                      st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.2 / n)), min_size=n, max_size=n))
+    probes = draw(st.lists(probe, min_size=1, max_size=6))
+    _, rates, _ = evaluate(build_network(distances, [0.0] * n), [0.5 / n] * n, [NT_GRID[-1]] * n)
+    return build_network(distances, [s * r for s, r in zip(shares, rates)]), probes
+
+
+def ratio_bound(pay, tau) -> float:
+    """max over nodes and payloads of c / (e_s + rho e_c), at rho = v / u of tau."""
+    u = v = q = 0.0   # v = sum_k x_k (prod_{j<k} (1 + x_j) - 1)
+    for t in tau:
+        x = t / (1.0 - t)
+        u, v, q = u + x, v + x * q, q + x * (1.0 + q)
+    rho = v / u if u > 0.0 else 0.0
+    return float((pay.nt * pay.f / (pay.e_s + rho * pay.e_c)).max())
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(bound_cases())
+def test_the_ee_bound_holds_everywhere(case):
+    # B' bounds the EE objective of every rate-feasible point at any payloads:
+    # the solve's own result and every lifted probe.  It is the bound at the
+    # least rho = v / u of all those points, so it also covers the bound at
+    # each probe's own rho.
+    net, probes = case
+    pay = _PayloadTable.build(net)
+    sol = eecap(net, SolverConfig(objective=VARIANT_EE))
+    if sol.variant_used == VARIANT_EE:
+        bound = sol.upper_bound
+        assert bound >= sol.objective_value * (1.0 - 1e-12)
+    else:   # the bound still holds wherever a rate-feasible point exists
+        assert sol.upper_bound is None
+        bound = _ee_bound(pay)
+    # Also the least rate-feasible point at the payloads the solve returned.
+    for nts, tau in probes + [(sol.nt_opt, [0.0] * net.n_nodes)]:
+        lifted = _lift(_odds_table(net, nts), tau)
+        if lifted is not None:
+            _, _, etas = evaluate(net, lifted[0], nts, guard_zero_energy=True)
+            assert math.fsum(etas) <= bound * (1.0 + 1e-12)
+            assert ratio_bound(pay, lifted[0]) <= bound * (1.0 + 1e-12)

@@ -103,6 +103,11 @@ r_min = 1e5, 1e5 ; bits per second
         ("[solver]\ninit_tau = 0.01\n" + MINIMAL, "unknown key"),
         ("[solver]\nmultiplier_scale = 1.0\n" + MINIMAL, "unknown key"),
         ("[energy]\neps_b_tx = 9e-9\n" + MINIMAL, "eps_b"),
+        ("[channel]\npl0_db = inf\n" + MINIMAL, "[channel] pl0_db must be finite"),
+        ("[channel]\npl0_db = nan\n" + MINIMAL, "[channel] pl0_db must be finite"),
+        ("[channel]\npl0_db = 3300\n" + MINIMAL, "[channel] pl0_db = 3300.0 dB"),
+        ("[channel]\npl0_db = -4000\n" + MINIMAL, "[channel] pl0_db = -4000.0 dB"),
+        ("[channel]\nexponent = inf\n" + MINIMAL, "[channel] exponent must be finite"),
     ])
     def test_rejects_malformed_scenarios(self, tmp_path, body, fragment):
         with pytest.raises(ScenarioError) as err:
@@ -152,6 +157,12 @@ class TestSolveCommand:
         path = write_ini(tmp_path, "[nodes]\nd = 1.0\nr_min = -5\n")
         assert main(["solve", "--scenario", path]) == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
+
+    def test_unusable_path_loss_is_an_invalid_input(self, tmp_path, capsys):
+        # An infinite path loss made link_budget divide by a zero path gain.
+        path = write_ini(tmp_path, "[channel]\npl0_db = inf\n" + MINIMAL)
+        assert main(["solve", "--scenario", path]) == EXIT_INVALID
+        assert "[channel] pl0_db must be finite" in capsys.readouterr().err
 
     def test_deterministic_output(self, capsys):
         assert main(["solve", "--scenario", SOLVE_SCN]) == EXIT_OK

@@ -33,6 +33,7 @@ from eecap import (
     load_scenario,
     tau_min_for_rate,
 )
+from eecap import solver
 from eecap.network import frame_success
 from eecap.metrics import aggregate_terms, nt_opt_for_throughput
 from eecap.solver import (_lift, _lift_many, _objective_value, _odds_table, _repair_rates,
@@ -179,6 +180,43 @@ class TestRateRepair:
                 _, rates, _ = evaluate(net, got[0], nts)
                 assert all(r >= nm.r_min * (1.0 - 1e-12) for r, nm in zip(rates, net.nodes))
         assert len(set(verdicts)) == 1
+
+
+class TestCertificateExit:
+    """EE solves that return the least rate-feasible point, certified by the bound B'."""
+
+    @pytest.mark.parametrize("name", ["two_node_1m", "uniform_16", "uniform_32"])
+    def test_exits_on_the_certificate(self, name, monkeypatch):
+        if name == "two_node_1m":
+            net = load_scenario(str(SCENARIOS / "two_node_1m.ini")).network()
+        else:
+            n = int(name.split("_")[1])
+            net = build_network([1.0] * n, [1e6 / n] * n)
+
+        def no_ascent(*args):
+            raise AssertionError("the coordinate ascent ran")
+
+        monkeypatch.setattr(solver, "_maximize_scalar", no_ascent)
+        sol = eecap(net, SolverConfig(objective=VARIANT_EE))
+        assert sol.variant_used == VARIANT_EE and sol.feasible and sol.converged
+        assert sol.iterations == 1 and sol.trace == (sol.objective_value,)
+        assert sol.objective_value * (1.0 - 1e-12) <= sol.upper_bound
+        assert sol.upper_bound - sol.objective_value <= 1e-9 * sol.upper_bound
+        for r, nm in zip(sol.rates, net.nodes):
+            assert r >= nm.r_min * (1.0 - 1e-12)
+
+    def test_only_ee_solves_carry_a_bound(self, two_node_net):
+        assert eecap(two_node_net, SolverConfig(objective=VARIANT_LOGEE)).upper_bound is None
+        fallback = eecap(build_network([1.0, 1.0], [1e9, 1e9]), SolverConfig(objective=VARIANT_EE))
+        assert fallback.variant_used == VARIANT_LOGTHR and fallback.upper_bound is None
+
+    def test_an_open_gap_runs_the_ascent(self):
+        # A 9 m link: the bound stays about 10 % above the best point found,
+        # so the solve runs the ascent, which moves that node's payload.
+        net = build_network([5.6, 9.0], [2e5, 1.2e5])
+        sol = eecap(net, SolverConfig(objective=VARIANT_EE))
+        assert sol.variant_used == VARIANT_EE and sol.converged and sol.iterations > 1
+        assert sol.upper_bound > sol.objective_value * 1.05
 
 
 class TestSingleNode:
