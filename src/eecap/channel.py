@@ -14,6 +14,10 @@ from dataclasses import dataclass, field
 from .phy import ALLOWED_NCPB, LinkBudget, PhyConfig
 
 
+class ChannelOverflowError(ValueError):
+    """Channel parameters whose burst SNR at some link is beyond the floats."""
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Deterministic log-distance path loss model."""
@@ -88,11 +92,16 @@ def link_budget(d: float, ch: ChannelParams, tbl: NcpbTable, phy: PhyConfig) -> 
     The channel coefficient follows the log-distance law, normalized so the
     received burst SNR at d0 equals tx_eb_over_n0_at_d0 under the table's
     reference n_cpb; farther links gain burst energy in proportion to their
-    n_cpb because the per-pulse energy budget is fixed.
+    n_cpb because the per-pulse energy budget is fixed.  Raises
+    ChannelOverflowError when that burst SNR overflows to infinity.
     """
     n_cpb = tbl.lookup(d)
     n_cpb_ref = tbl.lookup(ch.d0)
     gain = 10.0 ** (-ch.pl0_db / 10.0)
     h = gain * (ch.d0 / d) ** ch.exponent
     eb_over_n0 = ch.tx_eb_over_n0_at_d0 / gain * (n_cpb / n_cpb_ref)
+    if eb_over_n0 == math.inf:
+        raise ChannelOverflowError(
+            f"tx_eb_over_n0_at_d0 = {ch.tx_eb_over_n0_at_d0} over the path gain of "
+            f"pl0_db = {ch.pl0_db} dB overflows the burst SNR eb_over_n0 at d = {d} m")
     return LinkBudget(h=h, eb_over_n0=eb_over_n0, n_cpb=n_cpb, t_int=n_cpb * phy.t_p)

@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .channel import ChannelParams, NcpbTable
+from .channel import ChannelOverflowError, ChannelParams, NcpbTable
 from .costs import EnergyParams, TimingParams
 from .network import NetworkModel, build_network
 from .phy import PhyConfig
@@ -59,6 +59,8 @@ class Scenario:
         try:
             return build_network(self.distances, self.r_mins, self.phy, self.channel,
                                  self.table, self.timing, self.energy)
+        except ChannelOverflowError as exc:
+            raise ScenarioError(f"[channel] {exc}") from exc
         except ValueError as exc:
             raise ScenarioError(f"[nodes] {exc}") from exc
 

@@ -13,22 +13,26 @@ counts, so memory is O(chunk) whatever ``num_slots`` is.  The random
 stream is that of one ``PCG64(seed)`` generator drawing all slots x nodes
 transmit uniforms in slot-major order and then one delivery uniform per
 slot; the chunks replay it exactly, so a seed gives the same report
-however the slots are chunked.
+however the slots are chunked, and however the chunks are shared among
+the worker threads that count them (see ``simulate``).
 
 A chunk's counts are integer arithmetic on its boolean transmit matrix.
 One product of the matrix's bytes with a ones vector, of a dtype wide
 enough to hold n, gives each slot's transmitter count.  In a success slot
-the lone transmitter's column is the sender, and bincounts of the senders
-give the per-node successes and, where the slot's delivery uniform falls
-below the sender's frame success probability, the deliveries.  The
-collision rows are selected once, for the per-node transmissions and the
-longest transmitter.  Counting only reads the draws, so the stream and
-every report field stay those of the seed.
+the lone transmitter's column is the sender, and one bincount of the
+sender plus n where the slot's delivery uniform falls below the sender's
+frame success probability gives the per-node undelivered successes and
+deliveries.  The collision rows are selected once, for the per-node
+transmissions and the longest transmitter.  Counting only reads the
+draws, so the stream and every report field stay those of the seed.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,65 +101,162 @@ class SimReport:
         ])
 
 
-# Transmit draws per chunk of slots, 512 KiB of float64.
+# Transmit draws in flight per simulate call, 512 KiB of float64, shared
+# among its worker threads.
 _CHUNK_DRAWS = 1 << 16
+# Most threads one simulate call counts slots on, the caller's included;
+# two is the only count measured (on a 2-vCPU host).
+_MAX_WORKERS = 2
+# Least transmit draws per row of a chunk's comparison with the access
+# probabilities.  numpy runs a comparison of rows this long without a
+# buffer, where rows of n draws would be copied through a 64 KiB one.
+_COMPARE_DRAWS = 1 << 13
 
 
-def _chunk_slots(n: int) -> int:
-    """Slots per chunk for a network of n nodes."""
-    return max(1, _CHUNK_DRAWS // n)
+def _compare_slots(n: int) -> int:
+    """Slots per comparison row for a network of n nodes."""
+    return -(-_COMPARE_DRAWS // n)
+
+
+def _chunk_slots(n: int, workers: int = 1) -> int:
+    """Slots per chunk, whole comparison rows, for n nodes split among the workers."""
+    slots = _CHUNK_DRAWS // (workers * n)
+    return max(_compare_slots(n), slots - slots % _compare_slots(n))
+
+
+def _worker_count(chunks: int) -> int:
+    """Threads for a run of the given number of one-worker chunks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, chunks, _MAX_WORKERS))
+
+
+def _count_slots(seed: int, m: int, tau_rows: np.ndarray, p_frames: np.ndarray,
+                 by_t_coll: np.ndarray, lo: int, hi: int, draws: np.ndarray,
+                 tx_buf: np.ndarray) -> np.ndarray:
+    """Counts of slots [lo, hi) of the seed's stream, a chunk of len(draws) slots at a time.
+
+    Rows of the result: per node, its success slots not delivered, its
+    deliveries, the collision slots it transmitted in, and those it was
+    the longest transmitter of.  draws and tx_buf are the chunk buffers of
+    transmit uniforms and transmit flags, and tau_rows is the access
+    probabilities tiled to one comparison row.  Calls nothing but numpy, so
+    it may run on any thread.
+    """
+    step, n = draws.shape
+    # Each float64 takes one 64-bit step: the transmit draws of slot s start
+    # at step s * n, and the delivery uniforms follow all m * n of them.
+    tx_bits = np.random.PCG64(seed)
+    tx_bits.advance(lo * n)
+    tx_rng = np.random.Generator(tx_bits)
+    delivery_bits = np.random.PCG64(seed)
+    delivery_bits.advance(m * n + lo)
+    delivery_rng = np.random.Generator(delivery_bits)
+
+    counts = np.zeros((4, n), dtype=np.int64)
+    # Wide enough for a slot where all n nodes transmit.
+    ones = np.ones(n, dtype=np.min_scalar_type(n))
+    width = len(tau_rows)
+    for start in range(lo, hi, step):
+        rows = min(step, hi - start)
+        tx = tx_buf[:rows]
+        tx_rng.random(out=draws[:rows])
+        # A short last chunk also compares the stale draws past its rows,
+        # whose flags are never read.
+        np.less(draws.reshape(-1, width), tau_rows, out=tx_buf.reshape(-1, width))
+        # The transmit draws are spent, so the delivery uniforms reuse them.
+        u = draws.reshape(-1)[:rows]
+        delivery_rng.random(out=u)
+        ntx = tx.view(np.uint8) @ ones
+        succ = np.flatnonzero(ntx == 1)
+        who = tx[succ].argmax(axis=1)
+        counts[:2] += np.bincount(who + n * (u[succ] < p_frames[who]), minlength=2 * n).reshape(2, n)
+        coll_rows = tx[ntx >= 2]
+        counts[2] += coll_rows.sum(axis=0)
+        longest = by_t_coll[coll_rows[:, by_t_coll].argmax(axis=1)]
+        counts[3] += np.bincount(longest, minlength=n)
+    return counts
+
+
+def _run_all(tasks: list) -> list:
+    """Results of the tasks, the first run on the caller's thread and one thread per other.
+
+    An exception of any task is raised here once every thread has ended.
+    """
+    results: list = [None] * len(tasks)
+
+    def run(i: int) -> None:
+        try:
+            results[i] = tasks[i]()
+        except BaseException as exc:   # re-raised on the caller's thread
+            results[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(1, len(tasks))]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    for r in results:
+        if isinstance(r, BaseException):
+            raise r
+    return results
 
 
 def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
              cfg: SimConfig) -> SimReport:
-    """Run one seeded simulation; identical inputs give identical reports."""
+    """Run one seeded simulation; identical inputs give identical reports.
+
+    The slots are split into contiguous slices of whole chunks, one per
+    worker thread, and each worker replays its own slice of the seed's
+    stream: two generators advanced to the slice's first transmit draw and
+    its first delivery uniform.  The workers only add to integer counts,
+    which are summed once all have ended, so every report field is the
+    same whatever the worker count.  The count is the number of available
+    CPUs, capped by the chunk count and by _MAX_WORKERS (2, the only count
+    measured); the caller's thread counts the first slice and re-raises
+    any worker's exception.  The workers share _CHUNK_DRAWS transmit draws
+    in flight, so memory does not grow with the worker count.
+    """
     n = net.n_nodes
     if len(tau) != n or len(nts) != n:
         raise ValueError("tau and nts must have one entry per node")
     for t in tau:
         if not 0.0 <= t <= 1.0:
             raise ValueError("access probabilities must lie in [0, 1]")
+    for k, n_t in enumerate(nts):
+        if isinstance(n_t, bool) or not isinstance(n_t, (int, np.integer)):
+            raise ValueError(f"nts[{k}] must be an integer, not {n_t!r}")
     costs = [net.cost(k, nts[k]) for k in range(n)]
     p_frames = np.array([frame_success(net, k, nts[k]) for k in range(n)])
     t_succ = np.array([c.t_success for c in costs])
     t_coll = np.array([c.t_collision for c in costs])
     t_idle = costs[0].t_idle
-    tau_row = np.asarray(tau, dtype=float)
     # In a collision slot the first transmitter in this order has the
     # longest collision duration, which is the slot's length.
     by_t_coll = np.argsort(-t_coll, kind="stable")
 
     m = cfg.num_slots
-    tx_rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    # Each float64 takes one 64-bit step, so a second generator advanced
-    # past the m * n transmit draws yields the delivery uniforms.
-    delivery_bits = np.random.PCG64(cfg.seed)
-    delivery_bits.advance(m * n)
-    delivery_rng = np.random.Generator(delivery_bits)
-
-    n_collision = 0
-    per_node_success = np.zeros(n, dtype=np.int64)
-    delivered = np.zeros(n, dtype=np.int64)
-    coll_tx = np.zeros(n, dtype=np.int64)
-    coll_longest = np.zeros(n, dtype=np.int64)
-    # Wide enough for a slot where all n nodes transmit.
-    ones = np.ones(n, dtype=np.min_scalar_type(n))
-    step = _chunk_slots(n)
-    for start in range(0, m, step):
-        rows = min(step, m - start)
-        tx = tx_rng.random((rows, n)) < tau_row
-        u = delivery_rng.random(rows)
-        ntx = tx.view(np.uint8) @ ones
-        succ = np.flatnonzero(ntx == 1)
-        who = tx[succ].argmax(axis=1)
-        per_node_success += np.bincount(who, minlength=n)
-        delivered += np.bincount(who[u[succ] < p_frames[who]], minlength=n)
-        coll_rows = tx[ntx >= 2]
-        n_collision += len(coll_rows)
-        coll_tx += coll_rows.sum(axis=0)
-        longest = by_t_coll[coll_rows[:, by_t_coll].argmax(axis=1)]
-        coll_longest += np.bincount(longest, minlength=n)
+    workers = _worker_count(-(-m // _chunk_slots(n)))
+    step = _chunk_slots(n, workers)
+    chunks = -(-m // step)
+    bounds = [step * (chunks * i // workers) for i in range(workers)] + [m]
+    tau_rows = np.tile(np.asarray(tau, dtype=float), _compare_slots(n))
+    count = functools.partial(_count_slots, cfg.seed, m, tau_rows, p_frames, by_t_coll)
+    # The buffers come from the caller's thread, whose heap is already paged
+    # in; zeroed, so stale draws are never NaN.
+    counts = sum(_run_all([functools.partial(count, lo, hi, np.zeros((step, n)),
+                                             np.empty((step, n), dtype=bool))
+                           for lo, hi in zip(bounds, bounds[1:])]))
+    delivered = counts[1]
+    per_node_success = counts[0] + delivered
+    coll_tx, coll_longest = counts[2], counts[3]
     n_success = int(per_node_success.sum())
+    n_collision = int(coll_longest.sum())
     n_idle = m - n_success - n_collision
 
     elapsed = float(per_node_success @ t_succ) + n_idle * t_idle
@@ -179,7 +280,7 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
         se_idle=math.sqrt(n_idle / m * (1.0 - n_idle / m) / m),
         per_node_success=tuple(int(v) for v in per_node_success),
         per_node_delivered=tuple(int(v) for v in delivered),
-        per_node_bits=tuple(int(v) * nts[k] for k, v in enumerate(delivered)),
+        per_node_bits=tuple(int(v) * int(nts[k]) for k, v in enumerate(delivered)),
         per_node_energy=tuple(float(v) for v in energy),
         elapsed_time=elapsed,
     )

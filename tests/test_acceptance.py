@@ -230,7 +230,7 @@ def grid_search_ee(net, step: float = 1e-3) -> float:
 
 
 def test_c6_solver_vs_brute_force():
-    """Ten random feasible two-node scenarios within 2% of the grid optimum."""
+    """Ten random feasible two-node scenarios within 2% of the grid optimum, which B' bounds."""
     t0 = time.perf_counter()
     rng = random.Random(123)
     worst = 0.0
@@ -247,10 +247,11 @@ def test_c6_solver_vs_brute_force():
         rel = abs(sol.objective_value - reference) / reference
         worst = max(worst, rel)
         assert rel <= 0.02, f"case {case}: solver {sol.objective_value} vs grid {reference}"
+        assert sol.upper_bound >= reference, f"case {case}: bound {sol.upper_bound} below the grid"
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     print(f"\n[PASS] criterion 6: solver within 2% of dense grid search on 10 "
-          f"scenarios (max rel gap {worst:.2e}, {elapsed:.1f} s < 60 s)")
+          f"scenarios, under its bound (max rel gap {worst:.2e}, {elapsed:.1f} s < 60 s)")
 
 
 def test_c7_monte_carlo_gate(capsys):

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from eecap import ChannelParams, NcpbTable, PhyConfig
+from eecap import ChannelParams, NcpbTable, PhyConfig, build_network
 from eecap.channel import link_budget
 
 PHY = PhyConfig()
@@ -98,6 +98,17 @@ class TestPathLoss:
         for pl0_db in (3000.0, -3000.0, 0.0):
             lb = link_budget(1.0, ChannelParams(pl0_db=pl0_db), NcpbTable(), PHY)
             assert 0.0 < lb.h < math.inf and 0.0 < lb.eb_over_n0 < math.inf
+
+    @pytest.mark.parametrize("channel", [ChannelParams(tx_eb_over_n0_at_d0=1e308),
+                                         ChannelParams(pl0_db=3070.0)],
+                             ids=["tx_eb_over_n0_at_d0", "pl0_db"])
+    def test_burst_snr_overflow_names_the_channel(self, channel):
+        # Both give a normal path gain, but the burst SNR over it overflows,
+        # which would make the bit error probability NaN.
+        with pytest.raises(ValueError, match=r"tx_eb_over_n0_at_d0 = .* pl0_db = .* overflows"):
+            link_budget(1.0, channel, NcpbTable(), PHY)
+        with pytest.raises(ValueError, match="eb_over_n0"):
+            build_network([1.0, 2.0], [1e5, 1e5], channel=channel)
 
 
 class TestBurstTable:

@@ -108,6 +108,10 @@ r_min = 1e5, 1e5 ; bits per second
         ("[channel]\npl0_db = 3300\n" + MINIMAL, "[channel] pl0_db = 3300.0 dB"),
         ("[channel]\npl0_db = -4000\n" + MINIMAL, "[channel] pl0_db = -4000.0 dB"),
         ("[channel]\nexponent = inf\n" + MINIMAL, "[channel] exponent must be finite"),
+        ("[channel]\npl0_db = 3070\n" + MINIMAL,
+         "[channel] tx_eb_over_n0_at_d0 = 5530.0 over the path gain of pl0_db = 3070.0 dB"),
+        ("[channel]\ntx_eb_over_n0_at_d0 = 1e308\n" + MINIMAL,
+         "[channel] tx_eb_over_n0_at_d0 = 1e+308 over the path gain of pl0_db = 40.0 dB"),
     ])
     def test_rejects_malformed_scenarios(self, tmp_path, body, fragment):
         with pytest.raises(ScenarioError) as err:

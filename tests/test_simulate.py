@@ -2,14 +2,17 @@
 
 Determinism is checked field by field, the time and energy accounting
 against an independent pure-Python replay of the same random draws, the
-chunked stream against the one-shot algorithm it replaced, and the
+chunked stream against the one-shot algorithm it replaced, the reports of
+every worker-thread count against the one-thread report, and the
 estimators against the analytic models through standardized differences.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,7 +28,10 @@ from eecap import (
     simulate,
 )
 from eecap.network import frame_success
-from eecap.simulate import _chunk_slots, z_score
+from eecap.simulate import _MAX_WORKERS, _chunk_slots, z_score
+
+# The package re-exports the function simulate under the submodule's name.
+SIM = importlib.import_module("eecap.simulate")
 
 
 def _one_shot_simulate(net, tau, nts, cfg):
@@ -128,6 +134,13 @@ class TestDegenerateInputs:
                 SimConfig(**bad)
         cfg = SimConfig(num_slots=np.int64(10), seed=np.uint64(3))
         assert type(cfg.num_slots) is int and type(cfg.seed) is int
+        # Payload sizes are integers too; numpy integers count as such.
+        for nts in ((2646.0, 2646), (2646, True), (2646, "2646")):
+            with pytest.raises(ValueError, match=r"nts\[[01]\] must be an integer"):
+                simulate(two_node_net, (0.3, 0.2), nts, SimConfig(num_slots=10))
+        rep = simulate(two_node_net, (0.3, 0.2), (np.int64(2646), np.int32(1260)),
+                       SimConfig(num_slots=1_000))
+        assert all(type(bits) is int for bits in rep.per_node_bits)
         with pytest.raises(ValueError):
             SimReport(num_slots=10, seed=0, n_success=3, n_collision=3, n_idle=3,
                       p_success=0.3, p_collision=0.3, p_idle=0.3,
@@ -180,6 +193,26 @@ class TestAgainstReplay:
         assert rep.elapsed_time == pytest.approx(elapsed, rel=1e-12)
 
 
+def _random_case(n, m, edges):
+    """Network, access probabilities, payloads and config of a seeded random run.
+
+    With edges, node 0 always transmits and node 1 never does.
+    """
+    rng = np.random.default_rng(n * 1_000 + m)
+    # Unequal payloads give unequal collision durations, so which
+    # transmitter is the longest decides each collision slot's length;
+    # past the grid's 41 payloads some must repeat.
+    grid = list(range(126, 2647, 63))
+    nts = [int(v) for v in rng.choice(grid, n, replace=n > len(grid))]
+    net = build_network(list(rng.uniform(1.0, 9.5, n)), [0.0] * n)
+    tau = [float(t) for t in rng.uniform(0.05, 0.6, n)]
+    if edges:
+        tau[0] = 1.0
+        if n > 1:
+            tau[1] = 0.0
+    return net, tau, nts, SimConfig(num_slots=m, seed=int(rng.integers(2 ** 63)))
+
+
 class TestChunkedStream:
     """The chunked simulator replays the one-shot algorithm's random stream."""
 
@@ -188,25 +221,62 @@ class TestChunkedStream:
                              ids=("1", "c-1", "c", "c+1", "3c+5"))
     @pytest.mark.parametrize("edges", (False, True), ids=("inner", "edges"))
     def test_matches_one_shot_at_chunk_boundaries(self, n, chunks, extra, edges):
-        m = chunks * _chunk_slots(n) + extra
-        rng = np.random.default_rng(n * 1_000 + m)
-        # Unequal payloads give unequal collision durations, so which
-        # transmitter is the longest decides each collision slot's length;
-        # past the grid's 41 payloads some must repeat.
-        grid = list(range(126, 2647, 63))
-        nts = [int(v) for v in rng.choice(grid, n, replace=n > len(grid))]
-        net = build_network(list(rng.uniform(1.0, 9.5, n)), [0.0] * n)
-        tau = [float(t) for t in rng.uniform(0.05, 0.6, n)]
-        if edges:
-            tau[0] = 1.0
-            if n > 1:
-                tau[1] = 0.0
-        cfg = SimConfig(num_slots=m, seed=int(rng.integers(2 ** 63)))
+        net, tau, nts, cfg = _random_case(n, chunks * _chunk_slots(n) + extra, edges)
         rep = simulate(net, tau, nts, cfg)
         want = _one_shot_simulate(net, tau, nts, cfg)
         got = {k: getattr(rep, k) for k in want}
         assert got.pop("elapsed_time") == pytest.approx(want.pop("elapsed_time"), rel=1e-12)
         assert got == want
+
+
+class TestWorkerSplit:
+    """Each worker thread replays its own slice of the one seeded stream."""
+
+    # n = 256 is where a slot's transmitter count needs more than a uint8.
+    @pytest.mark.parametrize("n", (1, 2, 16, 256))
+    @pytest.mark.parametrize("chunks, extra", ((0, 1), (1, -1), (1, 0), (1, 1), (3, 5)),
+                             ids=("1", "c-1", "c", "c+1", "3c+5"))
+    @pytest.mark.parametrize("edges", (False, True), ids=("inner", "edges"))
+    def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch, n, chunks, extra,
+                                                       edges):
+        net, tau, nts, cfg = _random_case(n, chunks * _chunk_slots(n) + extra, edges)
+        reports = {}
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(SIM, "_worker_count", lambda chunks, w=workers: w)
+            reports[workers] = repr(simulate(net, tau, nts, cfg))
+        assert reports[2] == reports[1]
+        assert reports[3] == reports[1]
+        assert reports[4] == reports[1]
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch, two_node_net):
+        count = SIM._count_slots
+
+        def failing(seed, m, tau_rows, p_frames, by_t_coll, lo, *rest):
+            if lo > 0:
+                raise FloatingPointError("worker failed")
+            return count(seed, m, tau_rows, p_frames, by_t_coll, lo, *rest)
+
+        monkeypatch.setattr(SIM, "_worker_count", lambda chunks: 2)
+        monkeypatch.setattr(SIM, "_count_slots", failing)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker failed"):
+            simulate(two_node_net, (0.3, 0.2), (126, 126), SimConfig(num_slots=100_000))
+        assert threading.active_count() == before
+
+    def test_threads_stay_within_the_cap(self, monkeypatch, two_node_net):
+        count = SIM._count_slots
+        seen = []
+
+        def counting(*args):
+            seen.append(threading.active_count())
+            return count(*args)
+
+        monkeypatch.setattr(SIM, "_count_slots", counting)
+        before = threading.active_count()
+        for m in (1, 100_000, 1_000_000):
+            simulate(two_node_net, (0.3, 0.2), (126, 126), SimConfig(num_slots=m))
+        assert seen and max(seen) <= before + _MAX_WORKERS - 1
+        assert threading.active_count() == before
 
 
 class TestBoundedMemory:
