@@ -107,6 +107,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _sweep_values(args: argparse.Namespace) -> list[float]:
+    for flag, bound in (("--from", args.start), ("--to", args.stop)):
+        if not math.isfinite(bound):
+            raise ScenarioError(f"sweep {flag} must be finite, got {bound}")
     if args.axis == "nodes":
         lo, hi = int(args.start), int(args.stop)
         if lo != args.start or hi != args.stop:

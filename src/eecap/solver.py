@@ -2,35 +2,45 @@
 
 The solver has one model of the rate targets.  In the access odds
 x = tau / (1 - tau) and the slot aggregates u = sum(x) and
-v = prod(1 + x) - 1 - u, node k's rate is c_k x_k / (u t_s + v t_c + t_idle),
-so its target reads x_k >= a_k (u t_s + v t_c + t_idle), a_k = r_min / c_k.
-The solver first runs a feasibility stage, a node-by-node pass that moves
-each node to the least odds meeting its target, the others held, and then
-to its throughput-optimal payload size.  If the rate targets are jointly
-reachable, constrained coordinate ascent maximizes the chosen efficiency
-objective (sum or sum-of-logs) from that point; otherwise a
-sum-log-throughput fallback drops the rate constraints and keeps only the
-access-budget constraint.  eecap() is the one entry point: SolverConfig
-chooses only the objective, and the round caps, the search tolerance and
-the start point are module constants.
+v = prod(1 + x) - 1 - u, node k's rate is c_k x_k / D_k with
+D_k = u t_s,k + v t_c,k + t_idle,k, so its target reads
+x_k >= a_k D_k, a_k = r_min / c_k.  The solver first runs a feasibility
+stage, a node-by-node pass that moves each node to the least odds meeting
+its target, the others held, and then to its throughput-optimal payload
+size.  If the rate targets are jointly reachable, constrained coordinate
+ascent maximizes the chosen efficiency objective (sum or sum-of-logs) from
+that point; otherwise a sum-log-throughput fallback drops the rate
+constraints and keeps only the access-budget constraint.  eecap() is the
+one entry point: SolverConfig chooses only the objective, and the round
+caps, the tolerances and the start point are module constants.
 
 One round of the ascent runs a 1-D search on the true objective over each
-node's access probability, then a per-node payload scan.  With rate
-targets, every probe is first lifted to the least point above it that
-meets every target (_lift), so the search can travel along an active rate
-constraint; probes score from closed forms in the odds of the lifted
-point, and a move is kept only if evaluate confirms the gain.  In the
-fallback, a probe above the access budget shrinks the other nodes
-proportionally, and each round starts with a search over a common scale
-of all access probabilities, so the search travels along the budget face.
-Once a round settles, a node may switch to a payload that meets its rate
-target only with more access (see _payload_switch).  Only moves that raise
-the objective are kept; the loop stops when no coordinate moves by more
-than _CONVERGENCE_TOL, or after SolverConfig.max_outer_iters rounds.
+node's access probability, then a per-node payload scan.  Every probe is
+first lifted to the least point above it that meets every target (_lift),
+so the search can travel along an active rate constraint; probes score
+from closed forms in the odds of the lifted point, and a move is kept only
+if evaluate confirms the gain.  Once a round settles, a node may switch to
+a payload that meets its rate target only with more access (see
+_payload_switch).  Only moves that raise the objective are kept; the loop
+stops when no coordinate moves by more than _CONVERGENCE_TOL, or after
+SolverConfig.max_outer_iters rounds.
+
+LogTHR fallback.  In the log-odds y = log x the fallback objective,
+sum_k [log c_k + y_k - log D_k], is concave: each D_k is a posynomial in
+x (v sums the products of two or more odds), so log D_k is convex in y
+(Boyd, Kim, Vandenberghe and Hassibi, "A tutorial on geometric
+programming", 2007).  The budget sum tau <= 1 is convex in y too: times
+P = prod(1 + x) it reads sum_{|S|>=2} (|S| - 1) prod_{j in S} x_j <= 1.
+So at fixed payloads the fallback is solved exactly (_logthr_newton):
+damped Newton steps on the unconstrained maximum, and Newton on the KKT
+system of the face sum tau = 1 if that maximum leaves the budget.  The
+Hessian is diagonal plus rank 2 in the basis (x, P tau), so each step is
+a Woodbury solve with a closed-form 2 x 2 system.  The fallback alternates
+this solve with the payload scan from the largest payload until the
+payloads settle (_logthr_fallback).
 
 Batched probes.  The 64-point pre-scan of every 1-D search is scored as
-one (64 x n) numpy array: fallback probes from the closed-form rates
-(_log_rates), rate-constrained probes lifted all at once (_lift_many).
+one (64 x n) numpy array, its probes lifted all at once (_lift_many).
 The payload switch and the payload scan rank payloads as arrays too, from
 a per-payload cost table built once per solve (_PayloadTable).  The
 golden-section probes and the commits come one at a time, where numpy's
@@ -67,9 +77,11 @@ _CERT_GAP (1e-9, relative) is how close to B' an EE solve's x* must come
 to be returned as certified.  The feasibility stage alone accepts its
 fixed point at _STAGE_SLACK: its node-by-node pass can leave the nodes
 updated first a few parts per million short of their targets, and such
-networks then go to the fallback although they are feasible.  Accepting them at _RATE_SLACK removes those
-fallbacks, but the rate-constrained ascent costs far more than the
-fallback on them.
+networks then go to the fallback although they are feasible.  Accepting
+them at _RATE_SLACK removes those fallbacks, but the rate-constrained
+ascent costs far more than the fallback on them.  A fallback point counts
+as converged only if every log-odds derivative of its Lagrangian is within
+_KKT_TOL of zero.
 """
 
 from __future__ import annotations
@@ -102,14 +114,17 @@ _SEARCH_TOL = 1e-5            # bracket width of the 1-D search, and its margin 
 _INIT_TAU = 0.01              # start access probability of every node
 _CERT_GAP = 1e-9              # relative gap to the EE upper bound at which a solve returns at once
 _CERT_ROUNDS = 4              # lift-and-polish rounds of the certificate candidate
+_NEWTON_STEPS = 50            # steps of each Newton iteration of the LogTHR fallback
+_KKT_TOL = 1e-9               # largest log-odds derivative of the Lagrangian at a LogTHR optimum
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """The efficiency objective to maximize: VARIANT_EE or VARIANT_LOGEE.
 
-    max_outer_iters, the round cap of the coordinate ascent, is a class
-    constant; a solve that reaches it returns with converged = False.
+    max_outer_iters, the round cap of the coordinate ascent and of the
+    fallback's payload rounds, is a class constant; a solve that reaches it
+    returns with converged = False.
     """
 
     max_outer_iters: ClassVar[int] = _MAX_OUTER_ITERS
@@ -473,18 +488,159 @@ def _lift_many(table: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndar
     return out, etas, ok
 
 
-def _log_rates(cols: tuple[np.ndarray, ...], taus: np.ndarray) -> np.ndarray:
-    """Sum of log rates, the fallback objective, of every row of taus (entries below 1).
+def _woodbury(diag: np.ndarray, x: np.ndarray, w: np.ndarray, m: tuple[float, float, float],
+              rhs: np.ndarray) -> np.ndarray:
+    """s with (diag(diag) - U M U^T) s = rhs for every row of rhs, U = [x w].
 
-    cols holds (t_s, t_c, t_idle, c) per node, for the odds closed form of
-    the rates (see the module docstring); a zero rate gives -inf.
+    m = (m11, m12, m22) is the symmetric 2 x 2 M.  With z = M U^T s,
+    s = (rhs + U z) / diag and (I - M G) z = M U^T (rhs / diag), where
+    G = U^T diag^-1 U, so the solve needs one 2 x 2 system in closed form.
     """
-    t_s, t_c, t_idle, c = cols
+    m11, m12, m22 = m
+    xd, wd = x / diag, w / diag
+    g11, g12, g22 = (x * xd).sum(), (x * wd).sum(), (w * wd).sum()
+    b1, b2 = (rhs * xd).sum(axis=-1), (rhs * wd).sum(axis=-1)
+    r1, r2 = m11 * b1 + m12 * b2, m12 * b1 + m22 * b2
+    k11, k12 = 1.0 - m11 * g11 - m12 * g12, -(m11 * g12 + m12 * g22)
+    k21, k22 = -(m12 * g11 + m22 * g12), 1.0 - m12 * g12 - m22 * g22
+    det = k11 * k22 - k12 * k21
+    z1, z2 = (k22 * r1 - k12 * r2) / det, (k11 * r2 - k21 * r1) / det
+    return (rhs + np.multiply.outer(z1, x) + np.multiply.outer(z2, w)) / diag
+
+
+def _logthr_parts(cols: tuple[np.ndarray, ...], y: np.ndarray
+                  ) -> tuple[float, np.ndarray, np.ndarray, float, np.ndarray]:
+    """(f, x, tau, P, D) at log-odds y, with f = sum_k (y_k - log D_k).
+
+    cols holds (t_s, t_c, t_idle, c) per node.  f is the LogTHR objective
+    less sum_k log c_k; P = prod(1 + x) and D holds every node's D_k.
+    """
+    t_s, t_c, t_idle, _ = cols
+    x = np.exp(y)
+    p = np.prod(1.0 + x)
+    u = x.sum()
+    d = u * t_s + (p - 1.0 - u) * t_c + t_idle
+    return float((y - np.log(d)).sum()), x, x / (1.0 + x), float(p), d
+
+
+def _logthr_gradient(cols: tuple[np.ndarray, ...], x: np.ndarray, tau: np.ndarray, p: float,
+                     d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float, float]]:
+    """(g, h, w, M): the LogTHR gradient in y and its Hessian, -diag(h) + U M U^T.
+
+    x_j dD_k/dx_j = (t_s,k - t_c,k) x_j + t_c,k w_j with w = P tau, so with
+    al_k = (t_s,k - t_c,k) / D_k, be_k = t_c,k / D_k, A = sum(al) and
+    B = sum(be), g = 1 - A x - B w.  The Hessian is diagonal, with
+    h = A x + B w (1 - tau), plus rank 2 in U = [x w], with
+    M = [[sum al^2, sum al be], [sum al be, sum be^2 - B / P]].
+    """
+    t_s, t_c, _, _ = cols
+    al, be = (t_s - t_c) / d, t_c / d
+    big_a, big_b = al.sum(), be.sum()
+    w = p * tau
+    m = (float((al * al).sum()), float((al * be).sum()), float((be * be).sum() - big_b / p))
+    return 1.0 - big_a * x - big_b * w, big_a * x + big_b * w / (1.0 + x), w, m
+
+
+def _retract(y: np.ndarray) -> np.ndarray:
+    """y shifted by the common log s that puts sum tau on 1.
+
+    psi(s) = sum_k s x_k / (1 + s x_k) is increasing and concave in s, so
+    Newton steps from s = 1 / sum(x), where psi <= 1, rise monotonically to
+    the root and end at or just below it.
+    """
+    x = np.exp(y)
+    s = 1.0 / x.sum()
+    for _ in range(_NEWTON_STEPS):
+        sx = s * x
+        step = (1.0 - (sx / (1.0 + sx)).sum()) / (x / (1.0 + sx) ** 2).sum()
+        if not step > 0.0:
+            break
+        s += step
+    return y + math.log(s)
+
+
+def _logthr_newton(cols: tuple[np.ndarray, ...], y: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
+    """Maximize sum_k log r_k over the access budget at fixed payloads, in log-odds y.
+
+    cols holds (t_s, t_c, t_idle, c) per node and y is the start.  Returns
+    (y, objective, multiplier of the budget, kkt).  Damped Newton steps
+    maximize the unconstrained problem; if its maximizer leaves the
+    budget, Newton on the KKT system of the face sum tau = 1, with one
+    multiplier mu, continues from it shifted onto the face (_retract).
+    Each step keeps its length in y at most 2 and backtracks to an Armijo
+    gain, until the predicted gain g^T s falls below 1e-12; from there the
+    steps are taken whole, and the iteration ends once g^T s falls below
+    1e-24 or stops falling fourfold (roundoff).  kkt is True only if, at
+    the returned point, the Lagrangian's gradient g - mu dtau/dy is within
+    _KKT_TOL of zero, mu >= 0 and sum tau <= 1 + _SUM_SLACK.
+
+    On the face, the Lagrangian adds -mu tau (1 - tau) (1 - 2 tau) to the
+    Hessian's diagonal; where that leaves a diagonal entry non-positive or
+    the step is no ascent, the step uses the objective's Hessian alone.
+
+    A lone node's rate c x / (t_s x + t_idle) rises with x up to c / t_s
+    at tau = 1, where the odds are infinite: it returns y = +inf, the
+    objective log(c / t_s), and mu = t_idle / t_s, the multiplier's limit.
+    """
+    t_s, t_idle, c = cols[0], cols[2], cols[3]
     with np.errstate(divide="ignore"):
-        x = taus / (1.0 - taus)
-        u = x.sum(axis=1, keepdims=True)
-        v = np.prod(1.0 + x, axis=1, keepdims=True) - 1.0 - u
-        return np.log(c * x / (u * t_s + v * t_c + t_idle)).sum(axis=1)
+        log_c = float(np.log(c).sum())
+    if len(y) == 1:
+        return np.array([math.inf]), log_c - math.log(t_s[0]), float(t_idle[0] / t_s[0]), True
+
+    def face_step(g, diag, x, w, m, a, excess):
+        """Newton step on the face's KKT system, its multiplier and predicted gain."""
+        sg, sa = _woodbury(diag, x, w, m, np.array([g, a]))
+        mu = float(((a * sg).sum() + excess) / (a * sa).sum())
+        s = sg - mu * sa
+        return s, mu, float((g * s).sum())
+
+    def ascend(y: np.ndarray, face: bool) -> tuple[np.ndarray, float, float, bool]:
+        if face:
+            y = _retract(y)
+        f, x, tau, p, d = _logthr_parts(cols, y)
+        mu, prev, local = 0.0, math.inf, False
+        for _ in range(_NEWTON_STEPS):
+            g, h, w, m = _logthr_gradient(cols, x, tau, p, d)
+            if face:
+                a = tau / (1.0 + x)   # d tau / dy
+                excess = tau.sum() - 1.0
+                diag = h + mu * a * (1.0 - 2.0 * tau)
+                s, mu, dec = face_step(g, diag if (diag > 0.0).all() else h, x, w, m, a, excess)
+                if not dec > 0.0:
+                    s, mu, dec = face_step(g, h, x, w, m, a, excess)
+                resid = g - mu * a
+            else:
+                s = _woodbury(h, x, w, m, g)
+                dec = float((g * s).sum())
+                resid = g
+            if not dec > 1e-24 or local and not dec < 0.25 * prev:
+                break
+            local = local or dec <= 1e-12
+            prev = dec
+            step = 1.0 if local else min(1.0, 2.0 / float(np.abs(s).max()))
+            while True:
+                y_new = _retract(y + step * s) if face else y + step * s
+                parts = _logthr_parts(cols, y_new)
+                accepted = local or parts[0] >= f + 1e-4 * step * dec
+                if accepted or step < 1e-10:
+                    break
+                step *= 0.5
+            if not accepted:
+                break
+            y = y_new
+            f, x, tau, p, d = parts
+        else:
+            return y, f, mu, False
+        kkt = (float(np.abs(resid).max()) <= _KKT_TOL and mu >= 0.0
+               and math.fsum(tau) <= 1.0 + _SUM_SLACK)
+        return y, f, mu, kkt
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, f, mu, kkt = ascend(np.asarray(y, dtype=float), face=False)
+        if not math.fsum(_logthr_parts(cols, y)[2]) <= 1.0 + _SUM_SLACK:
+            y, f, mu, kkt = ascend(y, face=True)
+    return y, f + log_c, mu, kkt
 
 
 def _repair_rates(net: NetworkModel, tau: Sequence[float], nts: Sequence[int]
@@ -641,15 +797,13 @@ def _solution(net: NetworkModel, variant: str, tau: Sequence[float], nts: Sequen
 
 def _coordinate_solve(net: NetworkModel, variant: str,
                       start_tau: Sequence[float], start_nts: Sequence[int]) -> Solution:
-    """Constrained coordinate ascent on the true objective from a start point.
+    """Rate-constrained coordinate ascent on the EE or LogEE objective from a start point.
 
-    Rate targets are enforced for EE and LogEE and dropped for the LogTHR
-    fallback; see the module docstring for the moves of one round.  An EE
-    solve first tries the certificate exit from start_nts (module
-    docstring) and runs the ascent only if it does not close.
+    See the module docstring for the moves of one round.  An EE solve
+    first tries the certificate exit from start_nts (module docstring) and
+    runs the ascent only if it does not close.
     """
     n = net.n_nodes
-    enforce_rates = variant != VARIANT_LOGTHR
     pay = _PayloadTable.build(net)
     bound = None
     if variant == VARIANT_EE:
@@ -676,14 +830,12 @@ def _coordinate_solve(net: NetworkModel, variant: str,
                 t[k] = seed
 
     def score(probe: list[float]) -> float:
-        """Objective at probe, after lifting every rate onto its target when enforced.
+        """Objective at probe after lifting every rate onto its target.
 
         A lifted probe scores from the odds closed forms, which can differ
         from evaluate in the last bits, so a move is committed only if its
         evaluate value also rises.
         """
-        if not enforce_rates:
-            return _value(net, variant, probe, nts)
         lifted = _lift(table, probe)
         if lifted is None:
             return -math.inf
@@ -691,15 +843,11 @@ def _coordinate_solve(net: NetworkModel, variant: str,
 
     def scan(probes: np.ndarray) -> np.ndarray:
         """score() of every row of probes, from the same closed forms in numpy."""
-        if not enforce_rates:
-            return _log_rates(rate_cols, probes)
         _, etas, ok = _lift_many(odds, probes)
         return np.where(ok, _objective_rows(variant, etas), -math.inf)
 
     def commit(probe: list[float]) -> tuple[float, list[float]]:
-        """The probe, repaired when rates are enforced, and its objective from evaluate."""
-        if not enforce_rates:
-            return _value(net, variant, probe, nts), probe
+        """The repaired probe and its objective from evaluate."""
         rep = _repair_rates(net, probe, nts)
         if rep is None:
             return -math.inf, probe
@@ -708,51 +856,32 @@ def _coordinate_solve(net: NetworkModel, variant: str,
     trace: list[float] = []
     converged = False
     rounds = _MAX_OUTER_ITERS
-    if enforce_rates:
-        start = _repair_rates(net, t, nts)
-        if start is None:
-            rounds = 0  # no rate-feasible start: report the start point as it is
-        else:
-            t = start[0]
-    s = math.fsum(t)
-    if s > 1.0:
-        t = [x / s for x in t]
+    start = _repair_rates(net, t, nts)
+    if start is None:
+        rounds = 0  # no rate-feasible start: report the start point as it is
+    else:
+        t = start[0]
     nts = _polish_payloads(pay, variant, t, nts)
     value = _value(net, variant, t, nts)
 
     for _ in range(rounds):
         prev_t, prev_nts = t[:], nts[:]
-        if enforce_rates:
-            table = _odds_table(net, nts)   # nts holds until the payload scan below
-            odds = np.array(table)
-        else:
-            t_s, t_c, _, _, c = pay.at(nts)
-            rate_cols = (t_s, t_c, pay.t_idle, c)
-            # A common scale of all access probabilities takes the whole
-            # vector onto the budget face, which single-node moves reach
-            # only through many small proportional shrinks.
-            s_hi = min(1.0 / math.fsum(t), (1.0 - tol) / max(t))
-            x, f = _maximize_scalar(lambda c: score([v * c for v in t]),
-                                    lambda cs: scan(np.outer(cs, t)), 0.0, s_hi, tol)
-            if f > value:
-                value, t = commit([v * x for v in t])
+        table = _odds_table(net, nts)   # nts holds until the payload scan below
+        odds = np.array(table)
         for k in range(n):
             rest = math.fsum(t) - t[k]
-            hi = min(1.0 - tol, 1.0 - rest) if enforce_rates else 1.0 - tol
+            hi = min(1.0 - tol, 1.0 - rest)
             if hi <= lo:
                 continue
 
             def probe(x: float) -> list[float]:
-                # Above the access budget the other nodes shrink proportionally.
-                c = (1.0 - x) / rest if x + rest > 1.0 else 1.0
-                p = [v * c for v in t]
+                p = t[:]
                 p[k] = x
                 return p
 
             def probes(xs: np.ndarray) -> np.ndarray:
-                over = xs + rest > 1.0
-                scale = np.where(over, (1.0 - xs) / rest, 1.0) if over.any() else np.ones_like(xs)
-                p = scale[:, None] * np.array(t)
+                p = np.empty((len(xs), n))
+                p[:] = t
                 p[:, k] = xs
                 return p
 
@@ -765,7 +894,7 @@ def _coordinate_solve(net: NetworkModel, variant: str,
         if nts != prev_nts:
             value = _value(net, variant, t, nts)
         settled = nts == prev_nts and max(abs(a - b) for a, b in zip(t, prev_t)) <= _CONVERGENCE_TOL
-        if settled and enforce_rates:
+        if settled:
             switched = _payload_switch(net, pay, variant, t, nts, value)
             if switched is not None:
                 t, nts, value = switched
@@ -779,16 +908,46 @@ def _coordinate_solve(net: NetworkModel, variant: str,
     return _solution(net, variant, t, nts, tuple(trace), converged, rates, etas, bound)
 
 
+def _logthr_fallback(net: NetworkModel) -> Solution:
+    """The LogTHR optimum: exact access solves alternated with the payload scan.
+
+    Every node starts at the largest payload and tau = 1 / (n + 1).  Each
+    round solves the access probabilities exactly at the round's payloads
+    (_logthr_newton, warm-started from the last round), then moves every
+    node to its throughput-optimal payload there (_polish_payloads); the
+    trace holds the objective after each round.  Both moves only raise the
+    objective, and the loop ends once the payloads stay, or after
+    _MAX_OUTER_ITERS rounds.  converged means the payloads settled and the
+    last access solve met its KKT conditions.
+    """
+    n = net.n_nodes
+    pay = _PayloadTable.build(net)
+    nts = [net.phy.n_t_max] * n
+    y = np.full(n, -math.log(n))   # tau = 1 / (n + 1)
+    trace: list[float] = []
+    for _ in range(_MAX_OUTER_ITERS):
+        t_s, t_c, _, _, c = pay.at(nts)
+        y, _, _, kkt = _logthr_newton((t_s, t_c, pay.t_idle, c), y)
+        tau = (1.0 / (1.0 + np.exp(-y))).tolist()
+        polished = _polish_payloads(pay, VARIANT_LOGTHR, tau, nts)
+        settled, nts = polished == nts, polished
+        trace.append(_value(net, VARIANT_LOGTHR, tau, nts))
+        if settled:
+            break
+    _, rates, etas = evaluate(net, tau, nts, guard_zero_energy=True)
+    return _solution(net, VARIANT_LOGTHR, tau, nts, tuple(trace), settled and kkt, rates, etas, None)
+
+
 def eecap(net: NetworkModel, cfg: SolverConfig) -> Solution:
     """Full pipeline: feasibility stage, then the rate-constrained ascent or the fallback.
 
     When the stage finds every rate target reachable, the ascent maximizes
-    cfg.objective from the stage point; otherwise the sum-log-throughput
-    fallback drops the rate targets and starts every node at _INIT_TAU
-    with the largest payload.
+    cfg.objective from the stage point; otherwise the fallback returns the
+    sum-log-throughput optimum over the access budget, with the rate
+    targets dropped (_logthr_fallback).  A lone node's fallback optimum is
+    tau = 1, the whole channel.
     """
     tau0, nts0, ok = feasibility_stage(net)
     if ok:
         return _coordinate_solve(net, cfg.objective, tau0, nts0)
-    n = net.n_nodes
-    return _coordinate_solve(net, VARIANT_LOGTHR, [_INIT_TAU] * n, [net.phy.n_t_max] * n)
+    return _logthr_fallback(net)

@@ -5,7 +5,10 @@ held every slots x nodes draw in memory; the chunked simulator must replay
 the same random stream.
 
 sweep_nodes_2_10.csv was written by the scalar-object implementation (one
-CostModel and Node per probe) and still holds.  solve_two_node_1m.csv was
+CostModel and Node per probe) and still holds.  Every point of it is a
+LogTHR fallback on the access-budget face, tau = 1 / n: the coordinate
+ascent's searches and the exact Newton solve in log-odds that replaced
+them both print the same ten digits there.  solve_two_node_1m.csv was
 rewritten when the solver became a single primal loop (the rate target of
 node 0 met to 1e-9 instead of 2.4e-7, the objective moved in the 9th
 digit), and again when the rate repair became an exact least lift: node 0

@@ -9,15 +9,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eecap import (VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR, SimConfig, SolverConfig,
-                   build_network, eecap, evaluate, simulate)
+from eecap import (VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR, ChannelParams, SimConfig,
+                   SolverConfig, build_network, eecap, evaluate, simulate)
 from eecap.access import _leave_one_out, linear_coeffs, state_probs
 from eecap.network import frame_success
-from eecap.solver import (_PayloadTable, _ee_bound, _lift, _lift_many, _log_rates, _odds_table,
-                          _polish_payloads, _repair_rates, _value)
+from eecap.solver import (_PayloadTable, _ee_bound, _lift, _lift_many, _logthr_gradient,
+                          _logthr_newton, _logthr_parts, _odds_table, _polish_payloads,
+                          _repair_rates, _value)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -200,19 +202,88 @@ def test_batched_lift_matches_the_scalar_lift(case):
             assert np.allclose(got_etas, want[1], rtol=1e-12, atol=0.0)
 
 
-@settings(PROPERTY_SETTINGS, max_examples=150)
-@given(probe_batches())
-def test_batched_log_rates_match_evaluate(case):
-    net, nts, probes = case
+@st.composite
+def fallback_cases(draw):
+    """A network of 2 to 8 nodes at 1 to 9.5 m that the solve sends to LogTHR.
+
+    Every rate target is 1e9 bit/s, out of reach, and the fallback drops
+    the targets.  The channel is the default one or the weak link of
+    nodes_sweep.ini, whose long bursts often put the optimum on the budget
+    face sum tau = 1.  The seed draws the sampled points of the budget.
+    """
+    n = draw(st.integers(2, 8))
+    distances = draw(st.lists(st.floats(1.0, 9.5), min_size=n, max_size=n))
+    channel = ChannelParams(tx_eb_over_n0_at_d0=draw(st.sampled_from((5530.0, 500.0))))
+    return build_network(distances, [1e9] * n, channel=channel), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def budget_samples(rng, tau, count: int) -> list:
+    """Points of the access budget: uniform over the simplex, and near tau.
+
+    A point near tau moves every log-odds by up to 1e-3 and, if it then
+    leaves the budget, is scaled back onto sum tau = 1.
+    """
+    n = len(tau)
+    points = [list(w[:n] / w.sum()) for w in rng.exponential(size=(count, n + 1))]
+    y = np.log(np.array(tau) / (1.0 - np.array(tau)))
+    for step in rng.uniform(-1e-3, 1e-3, size=(count, n)):
+        near = 1.0 / (1.0 + np.exp(-(y + step)))
+        points.append(list(near / max(near.sum(), 1.0)))
+    return points
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(fallback_cases())
+def test_fallback_is_the_logthr_optimum(case):
+    net, seed = case
+    sol = eecap(net, SolverConfig())
+    assert sol.variant_used == VARIANT_LOGTHR and sol.converged
+    tau, nts = list(sol.tau_opt), list(sol.nt_opt)
     pay = _PayloadTable.build(net)
     t_s, t_c, _, _, c = pay.at(nts)
-    got = _log_rates((t_s, t_c, pay.t_idle, c), np.array(probes))
-    for row, value in zip(probes, got):
-        want = _value(net, VARIANT_LOGTHR, row, nts)
-        if want == -math.inf:
-            assert value == -math.inf
-        else:
-            assert abs(value - want) <= 1e-12 * abs(want)
+    cols = (t_s, t_c, pay.t_idle, c)
+    y = np.log(np.array(tau) / (1.0 - np.array(tau)))
+    # Restarted at its own result, the core stays there and its closed-form
+    # objective is evaluate's.
+    y_core, value, mu, kkt = _logthr_newton(cols, y)
+    assert kkt and np.abs(y_core - y).max() <= 1e-12
+    want = _value(net, VARIANT_LOGTHR, tau, nts)
+    assert want == sol.objective_value
+    assert abs(value - want) <= 1e-12 * abs(want)
+    # KKT: the gradient (checked against central differences of evaluate's
+    # objective) is mu d(sum tau)/dy, mu >= 0, and mu > 0 only on the face.
+    _, x, tau_c, p, d = _logthr_parts(cols, y)
+    g = _logthr_gradient(cols, x, tau_c, p, d)[0]
+    h = 1e-5
+    for k in range(net.n_nodes):
+        up, down = y.copy(), y.copy()
+        up[k] += h
+        down[k] -= h
+        fd = (_value(net, VARIANT_LOGTHR, list(1.0 / (1.0 + np.exp(-up))), nts)
+              - _value(net, VARIANT_LOGTHR, list(1.0 / (1.0 + np.exp(-down))), nts)) / (2.0 * h)
+        assert abs(fd - g[k]) <= 1e-6
+    assert np.abs(g - mu * tau_c * (1.0 - tau_c)).max() <= 1e-9
+    assert mu >= 0.0 and math.fsum(tau) <= 1.0 + 1e-9
+    assert mu == 0.0 or abs(math.fsum(tau) - 1.0) <= 1e-9
+    # No point of the access budget scores higher at these payloads.
+    for point in budget_samples(np.random.default_rng(seed), tau, 20):
+        assert _value(net, VARIANT_LOGTHR, point, nts) <= want + 1e-12 * abs(want)
+
+
+def test_a_lone_node_takes_the_whole_channel():
+    # Alone, a node's rate c x / (t_s x + t_idle) rises with its odds x, so
+    # the fallback's optimum is tau = 1 exactly, at the payload of the best c / t_s.
+    for d in (1.0, 4.45, 9.5):
+        net = build_network([d], [1e9])
+        sol = eecap(net, SolverConfig())
+        assert sol.variant_used == VARIANT_LOGTHR and sol.converged
+        assert sol.tau_opt == (1.0,)
+        pay = _PayloadTable.build(net)
+        best = pay.nt * pay.f[0] / pay.t_s[0]
+        assert sol.nt_opt == (int(pay.nt[np.argmax(best)]),)
+        assert sol.objective_value == pytest.approx(math.log(best.max()), rel=1e-14)
+        assert all(_value(net, VARIANT_LOGTHR, [t], sol.nt_opt) < sol.objective_value
+                   for t in (0.5, 0.9, 1.0 - 1e-5))
 
 
 def payload_scan_loop(net, variant, tau, nts):

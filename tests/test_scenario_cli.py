@@ -230,7 +230,6 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("start,fragment", [
         ("-1", "error: [nodes] r_min[0] must be non-negative"),
-        ("nan", "error: [nodes] r_min[0] must be non-negative, got nan"),
     ])
     def test_invalid_scaled_targets_name_their_key(self, start, fragment, capsys):
         # A scaled target is checked where the network is built, and the
@@ -238,6 +237,21 @@ class TestSweepCommand:
         argv = ["sweep", "--scenario", SOLVE_SCN, "--axis", "rate", "--from", start, "--to", "1e5"]
         assert main(argv) == EXIT_INVALID
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis,bounds,flag", [
+        # int(inf) raised OverflowError; 1e400 parses as inf.
+        ("nodes", ["--from", "2", "--to", "1e400"], "--to"),
+        ("rate", ["--from", "nan", "--to", "1e5"], "--from"),
+        # Every point was r_min = nan or d = nan, reported as a bad key.
+        ("rate", ["--from", "2e5", "--to", "inf", "--steps", "3"], "--to"),
+        ("distance", ["--from", "nan", "--to", "10"], "--from"),
+    ])
+    def test_non_finite_bounds_name_their_flag(self, axis, bounds, flag, capsys):
+        argv = ["sweep", "--scenario", SOLVE_SCN, "--axis", axis, *bounds]
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"error: sweep {flag} must be finite" in err
+        assert "Traceback" not in err
 
 
 class TestValidateCommand:

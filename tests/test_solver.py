@@ -225,12 +225,14 @@ class TestSingleNode:
         net = build_network([4.45], [1e9],
                             channel=ChannelParams(tx_eb_over_n0_at_d0=500.0))
         sol = eecap(net, SolverConfig())
-        assert sol.variant_used == VARIANT_LOGTHR
+        assert sol.variant_used == VARIANT_LOGTHR and sol.converged
         # Alone on the channel, throughput grows with tau: the optimum is
         # the upper boundary, and the payload matches its own closed form.
-        assert sol.tau_opt[0] >= 1.0 - 2e-5
+        assert sol.tau_opt == (1.0,)
         cost = net.cost(0, sol.nt_opt[0])
-        terms = aggregate_terms(sol.tau_opt, 0, cost, sol.nt_opt[0], net.nodes[0].t_sym)
+        # aggregate_terms is affine in tau_k and undefined at tau_k = 1, so
+        # read the slot split where one slot in 1e12 is idle.
+        terms = aggregate_terms([1.0 - 1e-12], 0, cost, sol.nt_opt[0], net.nodes[0].t_sym)
         want_nt = nt_opt_for_throughput(net.nodes[0].seg.p_cw, terms, list(net.nt_grid()))
         assert sol.nt_opt[0] == want_nt
 
@@ -276,21 +278,51 @@ class TestVariantSelection:
         assert sol.variant_used == VARIANT_LOGTHR
         assert not sol.feasible
         # Proportional fairness between identical nodes equalizes access.
-        assert abs(sol.tau_opt[0] - sol.tau_opt[1]) <= 1e-3
+        assert abs(sol.tau_opt[0] - sol.tau_opt[1]) <= 1e-12
+
+
+class TestFallbackClosedForm:
+    """Two identical nodes whose LogTHR optimum lies inside the access budget.
+
+    Along the symmetric line, sum log r = 2 log x - 2 log(2 t_s x + t_c x^2
+    + t_idle) is stationary at x = sqrt(t_idle / t_c); by symmetry and
+    concavity in the log-odds that is the optimum, interior when x < 1.
+    """
+
+    @pytest.mark.parametrize("name,axis,value,want", [
+        # The last points of the shipped rate and distance sweeps.
+        ("two_node_1m.ini", "rate", 2.2e6, 0.472145053149),
+        ("distance_sweep.ini", "distance", 10.0, 0.445098274545),
+    ])
+    def test_access_matches_the_closed_form(self, name, axis, value, want):
+        scn = load_scenario(str(SCENARIOS / name))
+        if axis == "rate":
+            point = scn.with_nodes(scn.distances, tuple(r * value / scn.r_mins[0] for r in scn.r_mins))
+        else:
+            point = scn.with_nodes((value, value), scn.r_mins)
+        net = point.network()
+        sol = eecap(net, point.solver)
+        assert sol.variant_used == VARIANT_LOGTHR and sol.converged
+        assert sol.nt_opt[0] == sol.nt_opt[1]
+        row = net.rows[0]
+        x = math.sqrt(row.t_idle / row.costs(sol.nt_opt[0])[1])
+        assert x < 1.0
+        for t in sol.tau_opt:
+            assert abs(t - x / (1.0 + x)) <= 1e-12
+            assert abs(t - want) <= 1e-12
 
 
 class TestPrimalMoves:
     """Moves the coordinate ascent needs beyond one node's access search."""
 
     def test_fallback_splits_the_budget_between_identical_nodes(self):
-        # The optimum lies on the access-budget face, which single-node
-        # moves under a fixed budget cannot travel along.
+        # The optimum lies on the access-budget face sum tau = 1.
         scn = load_scenario(str(SCENARIOS / "nodes_sweep.ini"))
         for n in range(2, 11):
             point = scn.with_nodes((scn.distances[0],) * n, (scn.r_mins[0],) * n)
             sol = eecap(point.network(), point.solver)
             assert sol.variant_used == VARIANT_LOGTHR
-            assert all(abs(t - 1.0 / n) <= 1e-6 for t in sol.tau_opt)
+            assert all(abs(t - 1.0 / n) <= 1e-12 for t in sol.tau_opt)
 
     def test_switches_payload_under_a_binding_rate_target(self):
         # At 9 m the 1386-bit frame beats the 2646-bit one, but meets the
