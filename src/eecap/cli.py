@@ -14,16 +14,15 @@ from dataclasses import replace
 from typing import Optional, Sequence
 
 from .network import NetworkModel, evaluate
-from .scenario import Scenario, ScenarioError, load_scenario
+from .scenario import _OBJECTIVE_NAMES, Scenario, ScenarioError, load_scenario
 from .simulate import SimConfig, efficiency_estimate, rate_estimate, simulate, z_score
-from .solver import VARIANT_EE, VARIANT_LOGEE, Solution, eecap
+from .solver import Solution, eecap
 
 EXIT_OK = 0
 EXIT_MISSING_FILE = 1
 EXIT_INVALID = 2
 EXIT_ZGATE = 3
 
-_OBJECTIVE_FLAGS = {"ee": VARIANT_EE, "logee": VARIANT_LOGEE}
 _Z_LIMIT = 4.0
 
 SOLVE_HEADER = "kind,index,d,r_min,tau,n_t,rate,efficiency"
@@ -52,7 +51,7 @@ def _load(path: str) -> Scenario:
 def _apply_objective(scn: Scenario, flag: Optional[str]) -> Scenario:
     if flag is None:
         return scn
-    return replace(scn, solver=replace(scn.solver, objective=_OBJECTIVE_FLAGS[flag]))
+    return replace(scn, solver=replace(scn.solver, objective=_OBJECTIVE_NAMES[flag]))
 
 
 def _node_rows(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
@@ -226,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="solve one scenario (or evaluate fixed tau)")
     ps.add_argument("--scenario", required=True, help="path to a scenario INI file")
-    ps.add_argument("--objective", choices=sorted(_OBJECTIVE_FLAGS),
+    ps.add_argument("--objective", choices=sorted(_OBJECTIVE_NAMES),
                     help="override the scenario's solver objective")
     ps.set_defaults(func=cmd_solve)
 
@@ -237,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--to", dest="stop", type=float, required=True)
     pw.add_argument("--steps", type=int, default=None,
                     help="number of sweep points (ignored for --axis nodes)")
-    pw.add_argument("--objective", choices=sorted(_OBJECTIVE_FLAGS),
+    pw.add_argument("--objective", choices=sorted(_OBJECTIVE_NAMES),
                     help="override the scenario's solver objective")
     pw.set_defaults(func=cmd_sweep)
 

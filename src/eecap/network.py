@@ -17,7 +17,7 @@ from .access import StateProbs, state_probs
 from .channel import ChannelParams, NcpbTable, link_budget
 from .costs import (SPEED_OF_LIGHT, CostModel, EnergyParams, TimingParams, ack_duration,
                     cost_model)
-from .metrics import _check_payload, frame_success_prob
+from .metrics import frame_success_prob
 from .phy import LinkBudget, PhyConfig, SegmentProbs, bit_error_prob, segment_probs
 
 
@@ -158,6 +158,14 @@ def build_network(distances: Sequence[float], r_mins: Sequence[float],
                         nodes=tuple(nodes))
 
 
+def _check_payloads(phy: PhyConfig, nts: Sequence[int]) -> None:
+    """Raise ValueError unless every payload size lies on phy.nt_grid()."""
+    for k, n_t in enumerate(nts):
+        if not (phy.n_t_min <= n_t <= phy.n_t_max and n_t % phy.n == 0):
+            raise ValueError(f"nts[{k}] = {n_t!r} is off the payload grid: multiples of "
+                             f"{phy.n} in [{phy.n_t_min}, {phy.n_t_max}]")
+
+
 def evaluate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
              guard_zero_energy: bool = False) -> tuple[StateProbs, tuple[float, ...], tuple[float, ...]]:
     """Slot-state probabilities plus per-node throughput and efficiency.
@@ -166,17 +174,17 @@ def evaluate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     efficiency of 0.0 instead of an error; the solver uses this to keep
     objective evaluations total during the search.  Reads the per-node
     rows with the arithmetic of metrics.throughput and energy_efficiency.
+    A payload size off net.phy.nt_grid() raises ValueError.
     """
     if len(tau) != net.n_nodes or len(nts) != net.n_nodes:
         raise ValueError("tau and nts must have one entry per node")
+    _check_payloads(net.phy, nts)
     sp = state_probs(tau)
     p_s, p_c, p_i = sp.p_success, sp.p_collision, sp.p_idle
     n = net.phy.n
     rates = []
     etas = []
     for row, n_t, p_k in zip(net.rows, nts, sp.per_node_success):
-        if n_t <= 0 or n_t % n != 0:
-            _check_payload(n_t, n)  # raises
         t_s, t_c, e_s, e_c = row.costs(n_t)
         num = n_t * p_k * (row.p_hdr * row.p_cw ** (n_t // n))
         rates.append(num / (p_s * t_s + p_c * t_c + p_i * row.t_idle))

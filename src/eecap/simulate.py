@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .costs import CostModel
-from .network import NetworkModel, frame_success
+from .network import NetworkModel, _check_payloads, frame_success
 
 
 @dataclass(frozen=True)
@@ -231,6 +231,7 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     for k, n_t in enumerate(nts):
         if isinstance(n_t, bool) or not isinstance(n_t, (int, np.integer)):
             raise ValueError(f"nts[{k}] must be an integer, not {n_t!r}")
+    _check_payloads(net.phy, nts)
     costs = [net.cost(k, nts[k]) for k in range(n)]
     p_frames = np.array([frame_success(net, k, nts[k]) for k in range(n)])
     t_succ = np.array([c.t_success for c in costs])

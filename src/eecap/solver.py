@@ -25,18 +25,20 @@ _payload_switch).  Only moves that raise the objective are kept; the loop
 stops when no coordinate moves by more than _CONVERGENCE_TOL, or after
 SolverConfig.max_outer_iters rounds.
 
-LogTHR fallback.  In the log-odds y = log x the fallback objective,
-sum_k [log c_k + y_k - log D_k], is concave: each D_k is a posynomial in
-x (v sums the products of two or more odds), so log D_k is convex in y
-(Boyd, Kim, Vandenberghe and Hassibi, "A tutorial on geometric
-programming", 2007).  The budget sum tau <= 1 is convex in y too: times
-P = prod(1 + x) it reads sum_{|S|>=2} (|S| - 1) prod_{j in S} x_j <= 1.
-So at fixed payloads the fallback is solved exactly (_logthr_newton):
-damped Newton steps on the unconstrained maximum, and Newton on the KKT
-system of the face sum tau = 1 if that maximum leaves the budget.  The
-Hessian is diagonal plus rank 2 in the basis (x, P tau), so each step is
-a Woodbury solve with a closed-form 2 x 2 system.  The fallback alternates
-this solve with the payload scan from the largest payload until the
+LogTHR fallback.  At fixed payloads it maximizes, over the log-odds
+y = log x within the access budget, f(y) = sum_k [log c_k + y_k - log D_k].
+f is concave: each D_k is a posynomial in x (v sums the products of two or
+more odds), so log D_k is convex in y (Boyd, Kim, Vandenberghe and
+Hassibi, "A tutorial on geometric programming", 2007).  The budget is
+convex in y too: times P = prod(1 + x), sum tau <= 1 reads
+sum_{|S|>=2} (|S| - 1) prod_{j in S} x_j <= 1.  Both are symmetric under
+any permutation of the nodes: f reads y only through sum(y) and the
+symmetric aggregates (u, v), whatever each node's c_k and slot times, and
+the budget only through sum tau.  So the mean of y's permutations, the
+point whose every entry is mean(y), lies in the budget (convexity) and
+scores at least f(y) (concavity): a common odds for every node is optimal,
+and the fallback is a 1-D concave problem (_logthr_newton).  It alternates
+that solve with the payload scan from the largest payload until the
 payloads settle (_logthr_fallback).
 
 Batched probes.  The 64-point pre-scan of every 1-D search is scored as
@@ -80,8 +82,8 @@ updated first a few parts per million short of their targets, and such
 networks then go to the fallback although they are feasible.  Accepting
 them at _RATE_SLACK removes those fallbacks, but the rate-constrained
 ascent costs far more than the fallback on them.  A fallback point counts
-as converged only if every log-odds derivative of its Lagrangian is within
-_KKT_TOL of zero.
+as converged only on the budget face or where the log-odds derivative of
+its Lagrangian is within _KKT_TOL of zero.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ _SEARCH_TOL = 1e-5            # bracket width of the 1-D search, and its margin 
 _INIT_TAU = 0.01              # start access probability of every node
 _CERT_GAP = 1e-9              # relative gap to the EE upper bound at which a solve returns at once
 _CERT_ROUNDS = 4              # lift-and-polish rounds of the certificate candidate
-_NEWTON_STEPS = 50            # steps of each Newton iteration of the LogTHR fallback
+_NEWTON_STEPS = 50            # Newton steps of one LogTHR access solve
 _KKT_TOL = 1e-9               # largest log-odds derivative of the Lagrangian at a LogTHR optimum
 
 
@@ -488,159 +490,66 @@ def _lift_many(table: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndar
     return out, etas, ok
 
 
-def _woodbury(diag: np.ndarray, x: np.ndarray, w: np.ndarray, m: tuple[float, float, float],
-              rhs: np.ndarray) -> np.ndarray:
-    """s with (diag(diag) - U M U^T) s = rhs for every row of rhs, U = [x w].
+def _logthr_newton(cols: tuple[np.ndarray, ...]) -> tuple[float, float, float, bool]:
+    """Maximize sum_k log r_k over the access budget at fixed payloads.
 
-    m = (m11, m12, m22) is the symmetric 2 x 2 M.  With z = M U^T s,
-    s = (rhs + U z) / diag and (I - M G) z = M U^T (rhs / diag), where
-    G = U^T diag^-1 U, so the solve needs one 2 x 2 system in closed form.
-    """
-    m11, m12, m22 = m
-    xd, wd = x / diag, w / diag
-    g11, g12, g22 = (x * xd).sum(), (x * wd).sum(), (w * wd).sum()
-    b1, b2 = (rhs * xd).sum(axis=-1), (rhs * wd).sum(axis=-1)
-    r1, r2 = m11 * b1 + m12 * b2, m12 * b1 + m22 * b2
-    k11, k12 = 1.0 - m11 * g11 - m12 * g12, -(m11 * g12 + m12 * g22)
-    k21, k22 = -(m12 * g11 + m22 * g12), 1.0 - m12 * g12 - m22 * g22
-    det = k11 * k22 - k12 * k21
-    z1, z2 = (k22 * r1 - k12 * r2) / det, (k11 * r2 - k21 * r1) / det
-    return (rhs + np.multiply.outer(z1, x) + np.multiply.outer(z2, w)) / diag
-
-
-def _logthr_parts(cols: tuple[np.ndarray, ...], y: np.ndarray
-                  ) -> tuple[float, np.ndarray, np.ndarray, float, np.ndarray]:
-    """(f, x, tau, P, D) at log-odds y, with f = sum_k (y_k - log D_k).
-
-    cols holds (t_s, t_c, t_idle, c) per node.  f is the LogTHR objective
-    less sum_k log c_k; P = prod(1 + x) and D holds every node's D_k.
-    """
-    t_s, t_c, t_idle, _ = cols
-    x = np.exp(y)
-    p = np.prod(1.0 + x)
-    u = x.sum()
-    d = u * t_s + (p - 1.0 - u) * t_c + t_idle
-    return float((y - np.log(d)).sum()), x, x / (1.0 + x), float(p), d
-
-
-def _logthr_gradient(cols: tuple[np.ndarray, ...], x: np.ndarray, tau: np.ndarray, p: float,
-                     d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[float, float, float]]:
-    """(g, h, w, M): the LogTHR gradient in y and its Hessian, -diag(h) + U M U^T.
-
-    x_j dD_k/dx_j = (t_s,k - t_c,k) x_j + t_c,k w_j with w = P tau, so with
-    al_k = (t_s,k - t_c,k) / D_k, be_k = t_c,k / D_k, A = sum(al) and
-    B = sum(be), g = 1 - A x - B w.  The Hessian is diagonal, with
-    h = A x + B w (1 - tau), plus rank 2 in U = [x w], with
-    M = [[sum al^2, sum al be], [sum al be, sum be^2 - B / P]].
-    """
-    t_s, t_c, _, _ = cols
-    al, be = (t_s - t_c) / d, t_c / d
-    big_a, big_b = al.sum(), be.sum()
-    w = p * tau
-    m = (float((al * al).sum()), float((al * be).sum()), float((be * be).sum() - big_b / p))
-    return 1.0 - big_a * x - big_b * w, big_a * x + big_b * w / (1.0 + x), w, m
-
-
-def _retract(y: np.ndarray) -> np.ndarray:
-    """y shifted by the common log s that puts sum tau on 1.
-
-    psi(s) = sum_k s x_k / (1 + s x_k) is increasing and concave in s, so
-    Newton steps from s = 1 / sum(x), where psi <= 1, rise monotonically to
-    the root and end at or just below it.
-    """
-    x = np.exp(y)
-    s = 1.0 / x.sum()
-    for _ in range(_NEWTON_STEPS):
-        sx = s * x
-        step = (1.0 - (sx / (1.0 + sx)).sum()) / (x / (1.0 + sx) ** 2).sum()
-        if not step > 0.0:
-            break
-        s += step
-    return y + math.log(s)
-
-
-def _logthr_newton(cols: tuple[np.ndarray, ...], y: np.ndarray) -> tuple[np.ndarray, float, float, bool]:
-    """Maximize sum_k log r_k over the access budget at fixed payloads, in log-odds y.
-
-    cols holds (t_s, t_c, t_idle, c) per node and y is the start.  Returns
-    (y, objective, multiplier of the budget, kkt).  Damped Newton steps
-    maximize the unconstrained problem; if its maximizer leaves the
-    budget, Newton on the KKT system of the face sum tau = 1, with one
-    multiplier mu, continues from it shifted onto the face (_retract).
-    Each step keeps its length in y at most 2 and backtracks to an Armijo
-    gain, until the predicted gain g^T s falls below 1e-12; from there the
-    steps are taken whole, and the iteration ends once g^T s falls below
-    1e-24 or stops falling fourfold (roundoff).  kkt is True only if, at
-    the returned point, the Lagrangian's gradient g - mu dtau/dy is within
-    _KKT_TOL of zero, mu >= 0 and sum tau <= 1 + _SUM_SLACK.
-
-    On the face, the Lagrangian adds -mu tau (1 - tau) (1 - 2 tau) to the
-    Hessian's diagonal; where that leaves a diagonal entry non-positive or
-    the step is no ascent, the step uses the objective's Hessian alone.
+    cols holds (t_s, t_c, t_idle, c) per node.  Returns (tau, objective,
+    multiplier of the budget, kkt), tau common to every node (module
+    docstring).  In its log-odds s = log x, with u = n x and
+    v = (1 + x)^n - 1 - n x, the objective is
+    phi(s) = sum_k log c_k + n s - sum_k log D_k, and
+    phi'(s) = n (1 - sum_k N_k / D_k), N_k = x (t_s,k + ((1 + x)^(n-1) - 1) t_c,k),
+    falls from n to n - n^2.  If phi' >= 0 on the face x = 1 / (n - 1),
+    tau = 1 / n with multiplier phi' / (n tau (1 - tau)); otherwise Newton
+    steps on phi', bisecting where one leaves the bracket of its root, run
+    to roundoff.  At the bracket's lower end, x = 1 / (2 K) with
+    K = sum_k (t_s,k + 2 t_c,k) / t_idle,k, sum_k N_k / D_k < x K = 1/2,
+    since below the face (1 + x)^(n-1) < e and D_k > t_idle,k.  kkt is True
+    on the face, or where the Lagrangian's per-node derivative |phi'| / n
+    is within _KKT_TOL.
 
     A lone node's rate c x / (t_s x + t_idle) rises with x up to c / t_s
-    at tau = 1, where the odds are infinite: it returns y = +inf, the
-    objective log(c / t_s), and mu = t_idle / t_s, the multiplier's limit.
+    at tau = 1: it returns tau = 1, the objective log(c / t_s) and the
+    multiplier's limit t_idle / t_s.
     """
-    t_s, t_idle, c = cols[0], cols[2], cols[3]
+    t_s, t_c, t_idle, c = cols
+    n = len(c)
     with np.errstate(divide="ignore"):
         log_c = float(np.log(c).sum())
-    if len(y) == 1:
-        return np.array([math.inf]), log_c - math.log(t_s[0]), float(t_idle[0] / t_s[0]), True
+    if n == 1:
+        return 1.0, log_c - math.log(t_s[0]), float(t_idle[0] / t_s[0]), True
 
-    def face_step(g, diag, x, w, m, a, excess):
-        """Newton step on the face's KKT system, its multiplier and predicted gain."""
-        sg, sa = _woodbury(diag, x, w, m, np.array([g, a]))
-        mu = float(((a * sg).sum() + excess) / (a * sa).sum())
-        s = sg - mu * sa
-        return s, mu, float((g * s).sum())
+    def slope(s: float) -> tuple[float, float, float]:
+        """(phi'(s), phi''(s), sum_k log D_k)."""
+        x = math.exp(s)
+        q = (1.0 + x) ** (n - 1)
+        d = n * x * t_s + (q * (1.0 + x) - 1.0 - n * x) * t_c + t_idle
+        num = x * (t_s + (q - 1.0) * t_c)
+        dnum = num + (n - 1) * x * x * q / (1.0 + x) * t_c   # dN_k / ds
+        r = num / d
+        return (n * (1.0 - float(r.sum())), -n * float((dnum / d - n * r * r).sum()),
+                float(np.log(d).sum()))
 
-    def ascend(y: np.ndarray, face: bool) -> tuple[np.ndarray, float, float, bool]:
-        if face:
-            y = _retract(y)
-        f, x, tau, p, d = _logthr_parts(cols, y)
-        mu, prev, local = 0.0, math.inf, False
-        for _ in range(_NEWTON_STEPS):
-            g, h, w, m = _logthr_gradient(cols, x, tau, p, d)
-            if face:
-                a = tau / (1.0 + x)   # d tau / dy
-                excess = tau.sum() - 1.0
-                diag = h + mu * a * (1.0 - 2.0 * tau)
-                s, mu, dec = face_step(g, diag if (diag > 0.0).all() else h, x, w, m, a, excess)
-                if not dec > 0.0:
-                    s, mu, dec = face_step(g, h, x, w, m, a, excess)
-                resid = g - mu * a
-            else:
-                s = _woodbury(h, x, w, m, g)
-                dec = float((g * s).sum())
-                resid = g
-            if not dec > 1e-24 or local and not dec < 0.25 * prev:
-                break
-            local = local or dec <= 1e-12
-            prev = dec
-            step = 1.0 if local else min(1.0, 2.0 / float(np.abs(s).max()))
-            while True:
-                y_new = _retract(y + step * s) if face else y + step * s
-                parts = _logthr_parts(cols, y_new)
-                accepted = local or parts[0] >= f + 1e-4 * step * dec
-                if accepted or step < 1e-10:
-                    break
-                step *= 0.5
-            if not accepted:
-                break
-            y = y_new
-            f, x, tau, p, d = parts
+    s = -math.log(n - 1)
+    g, h, log_d = slope(s)
+    if g >= 0.0:
+        tau = 1.0 / n
+        return tau, log_c + n * s - log_d, g / (n * tau * (1.0 - tau)), True
+    lo, hi = -math.log(2.0 * float(((t_s + 2.0 * t_c) / t_idle).sum())), s
+    for _ in range(_NEWTON_STEPS):
+        new = s - g / h
+        if not lo < new < hi:
+            new = 0.5 * (lo + hi)
+        done = abs(new - s) <= 1e-12 * (1.0 + abs(s))   # Newton: this step ends at roundoff
+        s = new
+        g, h, log_d = slope(s)
+        if done or g == 0.0:
+            break
+        if g > 0.0:
+            lo = s
         else:
-            return y, f, mu, False
-        kkt = (float(np.abs(resid).max()) <= _KKT_TOL and mu >= 0.0
-               and math.fsum(tau) <= 1.0 + _SUM_SLACK)
-        return y, f, mu, kkt
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, f, mu, kkt = ascend(np.asarray(y, dtype=float), face=False)
-        if not math.fsum(_logthr_parts(cols, y)[2]) <= 1.0 + _SUM_SLACK:
-            y, f, mu, kkt = ascend(y, face=True)
-    return y, f + log_c, mu, kkt
+            hi = s
+    return 1.0 / (1.0 + math.exp(-s)), log_c + n * s - log_d, 0.0, abs(g) / n <= _KKT_TOL
 
 
 def _repair_rates(net: NetworkModel, tau: Sequence[float], nts: Sequence[int]
@@ -911,24 +820,22 @@ def _coordinate_solve(net: NetworkModel, variant: str,
 def _logthr_fallback(net: NetworkModel) -> Solution:
     """The LogTHR optimum: exact access solves alternated with the payload scan.
 
-    Every node starts at the largest payload and tau = 1 / (n + 1).  Each
-    round solves the access probabilities exactly at the round's payloads
-    (_logthr_newton, warm-started from the last round), then moves every
-    node to its throughput-optimal payload there (_polish_payloads); the
-    trace holds the objective after each round.  Both moves only raise the
-    objective, and the loop ends once the payloads stay, or after
-    _MAX_OUTER_ITERS rounds.  converged means the payloads settled and the
-    last access solve met its KKT conditions.
+    Every node starts at the largest payload.  Each round solves the access
+    probabilities exactly at the round's payloads (_logthr_newton: one
+    common tau for all nodes), then moves every node to its
+    throughput-optimal payload there (_polish_payloads); the trace holds
+    the objective after each round.  Both moves only raise the objective,
+    and the loop ends once the payloads stay, or after _MAX_OUTER_ITERS
+    rounds.  converged means the payloads settled and the last access solve
+    met its KKT conditions.
     """
-    n = net.n_nodes
     pay = _PayloadTable.build(net)
-    nts = [net.phy.n_t_max] * n
-    y = np.full(n, -math.log(n))   # tau = 1 / (n + 1)
+    nts = [net.phy.n_t_max] * net.n_nodes
     trace: list[float] = []
     for _ in range(_MAX_OUTER_ITERS):
         t_s, t_c, _, _, c = pay.at(nts)
-        y, _, _, kkt = _logthr_newton((t_s, t_c, pay.t_idle, c), y)
-        tau = (1.0 / (1.0 + np.exp(-y))).tolist()
+        t, _, _, kkt = _logthr_newton((t_s, t_c, pay.t_idle, c))
+        tau = [t] * net.n_nodes
         polished = _polish_payloads(pay, VARIANT_LOGTHR, tau, nts)
         settled, nts = polished == nts, polished
         trace.append(_value(net, VARIANT_LOGTHR, tau, nts))
@@ -944,8 +851,8 @@ def eecap(net: NetworkModel, cfg: SolverConfig) -> Solution:
     When the stage finds every rate target reachable, the ascent maximizes
     cfg.objective from the stage point; otherwise the fallback returns the
     sum-log-throughput optimum over the access budget, with the rate
-    targets dropped (_logthr_fallback).  A lone node's fallback optimum is
-    tau = 1, the whole channel.
+    targets dropped (_logthr_fallback): one access probability shared by
+    every node, and tau = 1, the whole channel, for a lone node.
     """
     tau0, nts0, ok = feasibility_stage(net)
     if ok:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,9 +18,8 @@ from eecap import (VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR, ChannelParams, Sim
                    SolverConfig, build_network, eecap, evaluate, simulate)
 from eecap.access import _leave_one_out, linear_coeffs, state_probs
 from eecap.network import frame_success
-from eecap.solver import (_PayloadTable, _ee_bound, _lift, _lift_many, _logthr_gradient,
-                          _logthr_newton, _logthr_parts, _odds_table, _polish_payloads,
-                          _repair_rates, _value)
+from eecap.solver import (_PayloadTable, _ee_bound, _lift, _lift_many, _logthr_newton,
+                          _odds_table, _polish_payloads, _repair_rates, _value)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -232,40 +232,81 @@ def budget_samples(rng, tau, count: int) -> list:
     return points
 
 
+def common_phi(cols, s):
+    """The LogTHR objective with every node at log-odds s, for every entry of s.
+
+    u = n x and v = (1 + x)^n - 1 - n x at the common odds x = e^s.
+    """
+    t_s, t_c, t_idle, c = cols
+    n = len(c)
+    s = np.asarray(s, dtype=float)
+    x = np.exp(s)[:, None]
+    d = n * x * t_s + ((1.0 + x) ** n - 1.0 - n * x) * t_c + t_idle
+    return np.log(c).sum() + n * s - np.log(d).sum(axis=1)
+
+
+def common_slope(cols, s):
+    """phi'(s) / n to 30 digits: the LogTHR objective's derivative in one node's log-odds."""
+    t_s, t_c, t_idle, _ = cols
+    n = len(t_s)
+    with mpmath.workdps(30):
+        x = mpmath.exp(s)
+        total = mpmath.mpf(0)
+        for ts, tc, ti in zip(map(float, t_s), map(float, t_c), map(float, t_idle)):
+            d = n * x * ts + ((1 + x) ** n - 1 - n * x) * tc + ti
+            total += x * (ts + ((1 + x) ** (n - 1) - 1) * tc) / d
+        return 1 - total
+
+
 @settings(PROPERTY_SETTINGS, max_examples=40)
 @given(fallback_cases())
 def test_fallback_is_the_logthr_optimum(case):
     net, seed = case
+    n = net.n_nodes
     sol = eecap(net, SolverConfig())
     assert sol.variant_used == VARIANT_LOGTHR and sol.converged
     tau, nts = list(sol.tau_opt), list(sol.nt_opt)
     pay = _PayloadTable.build(net)
     t_s, t_c, _, _, c = pay.at(nts)
     cols = (t_s, t_c, pay.t_idle, c)
-    y = np.log(np.array(tau) / (1.0 - np.array(tau)))
-    # Restarted at its own result, the core stays there and its closed-form
-    # objective is evaluate's.
-    y_core, value, mu, kkt = _logthr_newton(cols, y)
-    assert kkt and np.abs(y_core - y).max() <= 1e-12
+    # The core, run at the returned payloads, gives every node the returned
+    # tau, and its closed-form objective is evaluate's.
+    t, value, mu, kkt = _logthr_newton(cols)
+    assert kkt and tau == [t] * n
     want = _value(net, VARIANT_LOGTHR, tau, nts)
     assert want == sol.objective_value
     assert abs(value - want) <= 1e-12 * abs(want)
-    # KKT: the gradient (checked against central differences of evaluate's
-    # objective) is mu d(sum tau)/dy, mu >= 0, and mu > 0 only on the face.
-    _, x, tau_c, p, d = _logthr_parts(cols, y)
-    g = _logthr_gradient(cols, x, tau_c, p, d)[0]
+    s = math.log(t / (1.0 - t))
+    assert abs(common_phi(cols, [s])[0] - want) <= 1e-12 * abs(want)
+    # KKT: each node's log-odds derivative g (checked against central
+    # differences of evaluate's objective) is mu d tau / dy, mu >= 0, and
+    # mu > 0 only on the face.
+    g = float(common_slope(cols, s))
+    y = np.full(n, s)
     h = 1e-5
-    for k in range(net.n_nodes):
+    for k in range(n):
         up, down = y.copy(), y.copy()
         up[k] += h
         down[k] -= h
         fd = (_value(net, VARIANT_LOGTHR, list(1.0 / (1.0 + np.exp(-up))), nts)
               - _value(net, VARIANT_LOGTHR, list(1.0 / (1.0 + np.exp(-down))), nts)) / (2.0 * h)
-        assert abs(fd - g[k]) <= 1e-6
-    assert np.abs(g - mu * tau_c * (1.0 - tau_c)).max() <= 1e-9
+        assert abs(fd - g) <= 1e-6
+    assert abs(g - mu * t * (1.0 - t)) <= 1e-9
     assert mu >= 0.0 and math.fsum(tau) <= 1.0 + 1e-9
     assert mu == 0.0 or abs(math.fsum(tau) - 1.0) <= 1e-9
-    # No point of the access budget scores higher at these payloads.
+    # Off the face, tau is the root of phi' to roundoff.
+    if mu == 0.0:
+        root = mpmath.findroot(lambda z: common_slope(cols, z), s)
+        assert abs(t - float(1 / (1 + mpmath.exp(-root)))) <= 1e-13 * t
+    # A dense scan of phi up to the face finds nothing higher, and its best
+    # point is the solve's.
+    s_face = -math.log(n - 1)
+    scan = np.linspace(s_face - 20.0, s_face, 40_001)
+    phi = common_phi(cols, scan)
+    assert phi.max() <= want + 1e-12 * abs(want)
+    assert scan[0] < s and abs(scan[np.argmax(phi)] - s) <= scan[1] - scan[0]
+    # No point of the access budget, equal taus or not, scores higher at
+    # these payloads.
     for point in budget_samples(np.random.default_rng(seed), tau, 20):
         assert _value(net, VARIANT_LOGTHR, point, nts) <= want + 1e-12 * abs(want)
 

@@ -138,6 +138,10 @@ class TestDegenerateInputs:
         for nts in ((2646.0, 2646), (2646, True), (2646, "2646")):
             with pytest.raises(ValueError, match=r"nts\[[01]\] must be an integer"):
                 simulate(two_node_net, (0.3, 0.2), nts, SimConfig(num_slots=10))
+        # And they lie on the payload grid, multiples of 63 in [126, 2646].
+        for nts in ((63, 2646), (2646, 2709), (2646, np.int64(6300))):
+            with pytest.raises(ValueError, match=r"nts\[[01]\] = .* off the payload grid"):
+                simulate(two_node_net, (0.3, 0.2), nts, SimConfig(num_slots=10))
         rep = simulate(two_node_net, (0.3, 0.2), (np.int64(2646), np.int32(1260)),
                        SimConfig(num_slots=1_000))
         assert all(type(bits) is int for bits in rep.per_node_bits)

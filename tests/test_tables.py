@@ -124,7 +124,7 @@ def test_rejects_tau_outside_unit_interval(tau):
         evaluate(net, tau, [126, 126, 126])
 
 
-@pytest.mark.parametrize("n_t", [0, -63, 100, 2647, 127.5])
+@pytest.mark.parametrize("n_t", [0, -63, 63, 100, 2647, 2709, 127.5])
 def test_rejects_off_grid_payload(n_t):
     net = build_network([1.0, 2.0], [1e5, 0.0])
     with pytest.raises(ValueError):
