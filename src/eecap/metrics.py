@@ -6,6 +6,12 @@ slot costs, throughput by its average duration.  Holding the other nodes
 fixed, numerator and denominator are affine in the node's own access
 probability, which yields closed forms for the smallest tau meeting a rate
 target and for the payload size maximizing throughput.
+
+These scalar functions are the reference oracles of the paper's formulas,
+which hold for any positive multiple of the codeword length n: they take
+such a payload size even off the admissible grid [n_t_min, n_t_max] of a
+PhyConfig.  That grid is a PHY policy, enforced where a network is
+evaluated (evaluate, simulate, the solver and the scenario loader).
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ class AggregateTerms:
 
 
 def _check_payload(n_t: int, n: int) -> None:
+    """Raise ValueError unless n_t is a positive multiple of n; the grid bounds are not checked."""
     if n_t <= 0 or n_t % n != 0:
         raise ValueError(f"n_t must be a positive multiple of n={n}, got {n_t}")
 

@@ -5,6 +5,14 @@ into one immutable network description the solver, the simulator and the
 CLI all consume.  Each node gets its own link budget, segment decode
 probabilities, payload symbol period (scaled by its pulses-per-burst
 count) and propagation delay.
+
+EECAP chooses an access probability and a payload size per node, so every
+layer reads one thing: a node's slot costs and frame success at a payload.
+A NetworkModel builds them once, as its PayloadTable of numpy arrays over
+the nodes and every admissible payload size; evaluate, the solver and the
+simulator read them only there.  cost_model, NetworkModel.cost and the
+metrics formulas stay the scalar reference oracles, and the table repeats
+their arithmetic, so both agree bitwise.
 """
 
 from __future__ import annotations
@@ -13,11 +21,12 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .access import StateProbs, state_probs
 from .channel import ChannelParams, NcpbTable, link_budget
 from .costs import (SPEED_OF_LIGHT, CostModel, EnergyParams, TimingParams, ack_duration,
                     cost_model)
-from .metrics import frame_success_prob
 from .phy import LinkBudget, PhyConfig, SegmentProbs, bit_error_prob, segment_probs
 
 
@@ -35,46 +44,85 @@ class NodeModel:
     timing: TimingParams      # shared header/guard times with this node's t_sym
 
 
-class NodeCoeffs(NamedTuple):
-    """One node's payload-independent cost and decode coefficients.
+class PayloadTable(NamedTuple):
+    """Every node's slot costs, frame success and target odds at every grid payload.
 
-    A NetworkModel derives one row per node when it is built, so the hot
-    paths (evaluate and the solver) compute a slot cost from a few floats
-    instead of building CostModel objects.  costs() repeats the arithmetic
-    of cost_model step for step, so both paths agree bitwise.
+    nt holds the G payloads of phy.nt_grid().  t_s and t_c (success and
+    collision slot times), f (the probability that a success slot delivers
+    its frame), c = nt f (payload bits per success slot) and a = r_min / c
+    (the access odds the node's rate target needs per second of its
+    average slot) are (n, G) arrays over the nodes and payloads; a is zero
+    without a target and infinite for a payload that delivers nothing.  The
+    slot energies e_s and e_c are (G,), since EnergyParams is network-wide,
+    and t_idle and r_min are (n,).  The entries repeat the arithmetic of
+    cost_model and metrics.frame_success_prob step for step, so they agree
+    with those oracles bitwise.
     """
 
-    hdr: float          # t_shr + t_phr, seconds
-    ack: float          # ACK frame duration, seconds
-    t_sym: float        # payload symbol period, seconds
-    psifs: float        # short interframe space, seconds
-    sigma: float        # one-way propagation delay, seconds
-    t_idle: float       # idle slot duration, seconds
-    p_hdr: float        # header decode probability, p_shr * p_phr
-    p_cw: float
-    r_min: float
-    eps_b: float
-    eps_oh: float
-    eps_st: float
-    eps_b_tx: float
-    eps_oh_tx: float
-    eps_st_tx: float
+    nt: np.ndarray
+    t_s: np.ndarray
+    t_c: np.ndarray
+    e_s: np.ndarray
+    e_c: np.ndarray
+    f: np.ndarray
+    c: np.ndarray
+    a: np.ndarray
+    t_idle: np.ndarray
+    r_min: np.ndarray
 
-    def costs(self, n_t: int) -> tuple[float, float, float, float]:
-        """(t_success, t_collision, e_success, e_collision) at payload n_t."""
-        hdr, ack, t_sym, psifs, sigma, _, _, _, _, eb, eoh, est, ebt, eoht, estt = self
-        t_frame = hdr + n_t * t_sym
-        return (t_frame + ack + 2.0 * psifs + 2.0 * sigma,
-                t_frame + psifs + sigma,
-                eb * n_t + eoh + est,
-                ebt * n_t + eoht + estt)
+    @classmethod
+    def build(cls, phy: PhyConfig, ep: EnergyParams, nodes: Sequence[NodeModel]) -> PayloadTable:
+        def times(nm: NodeModel) -> tuple[float, ...]:
+            tp = nm.timing
+            return tp.t_shr + tp.t_phr, ack_duration(tp), tp.t_sym, tp.t_psifs, tp.sigma[nm.index]
+
+        n, grid = phy.n, phy.nt_grid()
+        nt = np.array(grid)
+        # Header, ACK, symbol, interframe and propagation times, (n, 1) each.
+        hdr, ack, t_sym, psifs, sigma = np.array([times(nm) for nm in nodes]).T[:, :, None]
+        t_frame = hdr + nt * t_sym
+        # Python's float ** int, as in frame_success_prob: numpy's power can
+        # differ from it in the last bit.  Nearby nodes share one p_cw.
+        p_cw = [nm.seg.p_cw for nm in nodes]
+        distinct = sorted(set(p_cw))
+        powers = np.array([[p ** (n_t // n) for n_t in grid] for p in distinct])
+        p_hdr = np.array([nm.seg.p_shr * nm.seg.p_phr for nm in nodes])[:, None]
+        f = p_hdr * powers[np.searchsorted(distinct, p_cw)]
+        c = nt * f
+        r_min = np.array([nm.r_min for nm in nodes])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            a = np.where(r_min[:, None] > 0.0, r_min[:, None] / c, 0.0)
+        return cls(nt=nt,
+                   t_s=t_frame + ack + 2.0 * psifs + 2.0 * sigma,
+                   t_c=t_frame + psifs + sigma,
+                   e_s=ep.eps_b * nt + ep.eps_oh + ep.eps_st,
+                   e_c=ep.eps_b_tx * nt + ep.eps_oh_tx + ep.eps_st_tx,
+                   f=f, c=c, a=a,
+                   t_idle=np.array([nm.timing.t_idle_slot for nm in nodes]),
+                   r_min=r_min)
+
+    def at(self, nts: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """(t_s, t_c, e_s, e_c, f, c, a) of every node at payloads nts, each (n,)."""
+        k, j = np.arange(len(nts)), np.searchsorted(self.nt, nts)
+        return (self.t_s[k, j], self.t_c[k, j], self.e_s[j], self.e_c[j],
+                self.f[k, j], self.c[k, j], self.a[k, j])
+
+    def odds(self, nts: Sequence[int]) -> np.ndarray:
+        """(n, 6) rows (a t_s, a t_c, a t_idle, c, e_s, e_c) at payloads nts.
+
+        In odds, node k's rate target reads x_k >= a (u t_s + v t_c + t_idle)
+        (see eecap.solver); the lifts read the targets and the
+        efficiencies from these rows.
+        """
+        t_s, t_c, e_s, e_c, _, c, a = self.at(nts)
+        return np.stack((a * t_s, a * t_c, a * self.t_idle, c, e_s, e_c), axis=1)
 
 
 @dataclass(frozen=True)
 class NetworkModel:
     """Immutable bundle of everything needed to evaluate one scenario.
 
-    rows holds one NodeCoeffs per node, derived from the other fields.
+    payloads is the network's PayloadTable, derived from the other fields.
     """
 
     phy: PhyConfig
@@ -82,25 +130,10 @@ class NetworkModel:
     table: NcpbTable
     energy: EnergyParams
     nodes: tuple[NodeModel, ...]
-    rows: tuple[NodeCoeffs, ...] = field(init=False, repr=False, compare=False)
+    payloads: PayloadTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        ep = self.energy
-        frames = {}   # (hdr, ack) per distinct TimingParams, shared by its nodes
-        rows = []
-        for nm in self.nodes:
-            tp, seg = nm.timing, nm.seg
-            if id(tp) not in frames:
-                frames[id(tp)] = (tp.t_shr + tp.t_phr, ack_duration(tp))
-            hdr, ack = frames[id(tp)]
-            rows.append(NodeCoeffs(
-                hdr=hdr, ack=ack, t_sym=tp.t_sym,
-                psifs=tp.t_psifs, sigma=tp.sigma[nm.index], t_idle=tp.t_idle_slot,
-                p_hdr=seg.p_shr * seg.p_phr,
-                p_cw=seg.p_cw, r_min=nm.r_min,
-                eps_b=ep.eps_b, eps_oh=ep.eps_oh, eps_st=ep.eps_st,
-                eps_b_tx=ep.eps_b_tx, eps_oh_tx=ep.eps_oh_tx, eps_st_tx=ep.eps_st_tx))
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "payloads", PayloadTable.build(self.phy, self.energy, self.nodes))
 
     @property
     def n_nodes(self) -> int:
@@ -159,10 +192,16 @@ def build_network(distances: Sequence[float], r_mins: Sequence[float],
 
 
 def _check_payloads(phy: PhyConfig, nts: Sequence[int]) -> None:
-    """Raise ValueError unless every payload size lies on phy.nt_grid()."""
+    """Raise ValueError unless every payload size is an integer on phy.nt_grid().
+
+    numpy integers count as integers; floats and bools do not, even where
+    their value lies on the grid.
+    """
     for k, n_t in enumerate(nts):
+        if isinstance(n_t, bool) or not isinstance(n_t, (int, np.integer)):
+            raise ValueError(f"nts[{k}] must be an integer, not {n_t!r}")
         if not (phy.n_t_min <= n_t <= phy.n_t_max and n_t % phy.n == 0):
-            raise ValueError(f"nts[{k}] = {n_t!r} is off the payload grid: multiples of "
+            raise ValueError(f"nts[{k}] = {n_t!r} is off the payload grid: a multiple of "
                              f"{phy.n} in [{phy.n_t_min}, {phy.n_t_max}]")
 
 
@@ -172,22 +211,23 @@ def evaluate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
 
     With guard_zero_energy, a zero average-energy denominator yields an
     efficiency of 0.0 instead of an error; the solver uses this to keep
-    objective evaluations total during the search.  Reads the per-node
-    rows with the arithmetic of metrics.throughput and energy_efficiency.
-    A payload size off net.phy.nt_grid() raises ValueError.
+    objective evaluations total during the search.  Reads net.payloads
+    with the arithmetic of metrics.throughput and energy_efficiency.  A
+    payload size off net.phy.nt_grid() raises ValueError.
     """
     if len(tau) != net.n_nodes or len(nts) != net.n_nodes:
         raise ValueError("tau and nts must have one entry per node")
     _check_payloads(net.phy, nts)
     sp = state_probs(tau)
     p_s, p_c, p_i = sp.p_success, sp.p_collision, sp.p_idle
-    n = net.phy.n
+    pay = net.payloads
+    cols = [col.tolist() for col in pay.at(nts)[:5]]
     rates = []
     etas = []
-    for row, n_t, p_k in zip(net.rows, nts, sp.per_node_success):
-        t_s, t_c, e_s, e_c = row.costs(n_t)
-        num = n_t * p_k * (row.p_hdr * row.p_cw ** (n_t // n))
-        rates.append(num / (p_s * t_s + p_c * t_c + p_i * row.t_idle))
+    for n_t, p_k, t_s, t_c, e_s, e_c, f, t_idle in zip(nts, sp.per_node_success, *cols,
+                                                       pay.t_idle.tolist()):
+        num = int(n_t) * p_k * f   # int: a numpy integer would make every result a numpy float
+        rates.append(num / (p_s * t_s + p_c * t_c + p_i * t_idle))
         e_den = p_s * e_s + p_c * e_c
         if e_den > 0.0:
             etas.append(num / e_den)
@@ -196,8 +236,3 @@ def evaluate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
         else:
             raise ValueError("efficiency undefined at zero activity")
     return sp, tuple(rates), tuple(etas)
-
-
-def frame_success(net: NetworkModel, node_index: int, n_t: int) -> float:
-    """Whole-frame decode probability for one node at one payload size."""
-    return frame_success_prob(net.nodes[node_index].seg, n_t, net.phy.n)

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .channel import ChannelOverflowError, ChannelParams, NcpbTable
 from .costs import EnergyParams, TimingParams
-from .network import NetworkModel, build_network
+from .network import NetworkModel, _check_payloads, build_network
 from .phy import PhyConfig
 from .solver import VARIANT_EE, VARIANT_LOGEE, SolverConfig
 
@@ -194,11 +194,10 @@ def load_scenario(path: str) -> Scenario:
         if len(nts) != len(distances):
             raise ScenarioError(
                 f"[nodes] n_t: expected {len(distances)} values to match d, got {len(nts)}")
-        for k, n_t in enumerate(nts):
-            if n_t % phy.n != 0 or not phy.n_t_min <= n_t <= phy.n_t_max:
-                raise ScenarioError(
-                    f"[nodes] n_t: entry {k} must be a multiple of {phy.n} in "
-                    f"[{phy.n_t_min}, {phy.n_t_max}], got {n_t}")
+        try:
+            _check_payloads(phy, nts)
+        except ValueError as exc:
+            raise ScenarioError(f"[nodes] n_t: {exc}") from exc
 
     scn = Scenario(phy=phy, channel=channel, table=table, timing=timing, energy=energy,
                    solver=solver, distances=distances, r_mins=r_mins, tau=tau, nts=nts)

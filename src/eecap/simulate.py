@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .costs import CostModel
-from .network import NetworkModel, _check_payloads, frame_success
+from .network import NetworkModel, _check_payloads
 
 
 @dataclass(frozen=True)
@@ -228,15 +228,9 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     for t in tau:
         if not 0.0 <= t <= 1.0:
             raise ValueError("access probabilities must lie in [0, 1]")
-    for k, n_t in enumerate(nts):
-        if isinstance(n_t, bool) or not isinstance(n_t, (int, np.integer)):
-            raise ValueError(f"nts[{k}] must be an integer, not {n_t!r}")
     _check_payloads(net.phy, nts)
-    costs = [net.cost(k, nts[k]) for k in range(n)]
-    p_frames = np.array([frame_success(net, k, nts[k]) for k in range(n)])
-    t_succ = np.array([c.t_success for c in costs])
-    t_coll = np.array([c.t_collision for c in costs])
-    t_idle = costs[0].t_idle
+    t_succ, t_coll, e_succ, e_coll, p_frames, _, _ = net.payloads.at(nts)
+    t_idle = float(net.payloads.t_idle[0])
     # In a collision slot the first transmitter in this order has the
     # longest collision duration, which is the slot's length.
     by_t_coll = np.argsort(-t_coll, kind="stable")
@@ -263,8 +257,6 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     elapsed = float(per_node_success @ t_succ) + n_idle * t_idle
     elapsed += float(coll_longest @ t_coll)
 
-    e_succ = np.array([c.e_success for c in costs])
-    e_coll = np.array([c.e_collision for c in costs])
     energy = per_node_success * e_succ + coll_tx * e_coll
 
     return SimReport(

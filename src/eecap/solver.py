@@ -43,8 +43,10 @@ payloads settle (_logthr_fallback).
 
 Batched probes.  The 64-point pre-scan of every 1-D search is scored as
 one (64 x n) numpy array, its probes lifted all at once (_lift_many).
-The payload switch and the payload scan rank payloads as arrays too, from
-a per-payload cost table built once per solve (_PayloadTable).  The
+The payload switch and the payload scan rank payloads as arrays too.
+Every stage reads its slot costs, frame success and target odds from the
+network's one per-payload table (NetworkModel.payloads, built once per
+network), the lifts through its odds rows (PayloadTable.odds).  The
 golden-section probes and the commits come one at a time, where numpy's
 call overhead exceeds the arithmetic, so they use the scalar _lift and
 evaluate.  Both lifts run one iteration, guarded Newton steps on the odds
@@ -90,13 +92,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, NamedTuple, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .access import state_probs
 from .metrics import _nt_opt
-from .network import NetworkModel, NodeCoeffs, evaluate
+from .network import NetworkModel, evaluate
 
 VARIANT_EE = "EE"
 VARIANT_LOGEE = "LogEE"
@@ -226,24 +228,10 @@ def _maximize_scalar(f: Callable[[float], float], scan: Callable[[np.ndarray], n
     return best_x, best_f
 
 
-def _odds_row(row: NodeCoeffs, n_t: int, n: int) -> tuple[float, float, float, float, float, float]:
-    """One node's (a t_s, a t_c, a t_idle, c, e_s, e_c) at payload n_t.
-
-    c is the node's payload bits per success slot, as in evaluate, and
-    a = r_min / c the access odds its rate target needs per second of the
-    node's average slot: zero without a target, infinite for a link that
-    delivers nothing.
-    """
-    t_s, t_c, e_s, e_c = row.costs(n_t)
-    c = n_t * (row.p_hdr * row.p_cw ** (n_t // n))
-    a = row.r_min / c if c > 0.0 else (math.inf if row.r_min > 0.0 else 0.0)
-    return a * t_s, a * t_c, a * row.t_idle, c, e_s, e_c
-
-
 def _least_odds(odds: Sequence[float], uo: float, q: float) -> float:
     """Least odds x_k meeting a node's rate target, the other nodes held.
 
-    With odds row (a_s, a_c, a_i, ...), the target reads
+    With odds row (a_s, a_c, a_i, ...) (PayloadTable.odds), the target reads
     x_k >= a_s u + a_c v + a_i, where u = uo + x_k and v = q (1 + x_k) - 1 - u
     for the other nodes' odds sum uo and product q of their 1 + x.  Returns
     inf when no odds reach it (1 - a_s - (q - 1) a_c <= 0).
@@ -267,73 +255,40 @@ def feasibility_stage(net: NetworkModel) -> tuple[tuple[float, ...], tuple[int, 
     """
     n = net.phy.n
     grid = list(net.nt_grid())
+    pay = net.payloads
+    t_s, t_c, a = (col.tolist() for col in (pay.t_s, pay.t_c, pay.a))
+    t_idle = pay.t_idle.tolist()
     tau = [_INIT_TAU] * net.n_nodes
     x = [_INIT_TAU / (1.0 - _INIT_TAU)] * net.n_nodes
     nts = [net.phy.n_t_max] * net.n_nodes
     for _ in range(_MAX_FEASIBILITY_ITERS):
         prev_tau, prev_nts = tau[:], nts[:]
-        for k, row in enumerate(net.rows):
+        for k, nm in enumerate(net.nodes):
             others = x[:k] + x[k + 1:]
             uo, q = sum(others), math.prod([1.0 + xi for xi in others])
-            y = _least_odds(_odds_row(row, nts[k], n), uo, q)
+            j = (nts[k] - grid[0]) // n
+            t_sk, t_ck, a_k = t_s[k][j], t_c[k][j], a[k][j]
+            y = _least_odds((a_k * t_sk, a_k * t_ck, a_k * t_idle[k]), uo, q)
             t = y / (1.0 + y)
             if not t < 1.0:
                 return tuple(tau), tuple(nts), False
             tau[k], x[k] = t, y
             u = uo + y
             v = q * (1.0 + y) - 1.0 - u
-            t_s, t_c, _, _ = row.costs(nts[k])
-            bits_time = nts[k] * row.t_sym
-            to = u * (t_s - bits_time) + v * (t_c - bits_time) + row.t_idle
-            nts[k] = _nt_opt(row.p_cw, to, (u + v) * row.t_sym, grid, n)
-        delta = max(max(abs(a - b) for a, b in zip(tau, prev_tau)),
-                    max(abs(a - b) for a, b in zip(nts, prev_nts)) / net.phy.n_t_max)
+            bits_time = nts[k] * nm.t_sym
+            to = u * (t_sk - bits_time) + v * (t_ck - bits_time) + t_idle[k]
+            nts[k] = _nt_opt(nm.seg.p_cw, to, (u + v) * nm.t_sym, grid, n)
+        delta = max(max(abs(new - old) for new, old in zip(tau, prev_tau)),
+                    max(abs(new - old) for new, old in zip(nts, prev_nts)) / net.phy.n_t_max)
         if delta < _CONVERGENCE_TOL:
             break
     _, rates, _ = evaluate(net, tau, nts, guard_zero_energy=True)
-    feasible = (all(r >= row.r_min * (1.0 - _STAGE_SLACK) for r, row in zip(rates, net.rows))
+    feasible = (all(r >= nm.r_min * (1.0 - _STAGE_SLACK) for r, nm in zip(rates, net.nodes))
                 and math.fsum(tau) <= 1.0 + _SUM_SLACK)
     return tuple(tau), tuple(nts), feasible
 
 
-class _PayloadTable(NamedTuple):
-    """Every node's slot costs at every payload of the grid, built once per solve.
-
-    t_s, t_c, e_s, e_c (success and collision times and energies) and f
-    (the probability that a success slot delivers its frame) are (n, G)
-    arrays over the nodes and the G grid payloads nt; t_idle and r_min
-    are (n,).  The entries repeat the arithmetic of NodeCoeffs.costs and
-    evaluate, so slot costs read from the table agree with them bitwise.
-    """
-
-    nt: np.ndarray
-    t_s: np.ndarray
-    t_c: np.ndarray
-    e_s: np.ndarray
-    e_c: np.ndarray
-    f: np.ndarray
-    t_idle: np.ndarray
-    r_min: np.ndarray
-
-    @classmethod
-    def build(cls, net: NetworkModel) -> _PayloadTable:
-        n = net.phy.n
-        grid = net.nt_grid()
-        costs = np.array([[row.costs(n_t) for n_t in grid] for row in net.rows]).transpose(2, 0, 1)
-        f = np.array([[row.p_hdr * row.p_cw ** (n_t // n) for n_t in grid] for row in net.rows])
-        return cls(np.array(grid), *costs, f,
-                   np.array([row.t_idle for row in net.rows]),
-                   np.array([row.r_min for row in net.rows]))
-
-    def at(self, nts: Sequence[int]) -> tuple[np.ndarray, ...]:
-        """(t_s, t_c, e_s, e_c, c) of every node at payloads nts, with c = n_t f."""
-        rows = np.arange(len(nts))
-        j = np.searchsorted(self.nt, nts)
-        return (self.t_s[rows, j], self.t_c[rows, j], self.e_s[rows, j], self.e_c[rows, j],
-                self.nt[j] * self.f[rows, j])
-
-
-def _polish_payloads(pay: _PayloadTable, variant: str, tau: Sequence[float],
+def _polish_payloads(net: NetworkModel, variant: str, tau: Sequence[float],
                      nts: Sequence[int]) -> list[int]:
     """Per-node payload re-optimization that preserves rate feasibility.
 
@@ -343,6 +298,7 @@ def _polish_payloads(pay: _PayloadTable, variant: str, tau: Sequence[float],
     The scan runs on every node and payload at once, with the arithmetic
     of evaluate; ties go to the smallest payload.
     """
+    pay = net.payloads
     sp = state_probs(tau)
     p_s, p_c, p_i = sp.p_success, sp.p_collision, sp.p_idle
     num = pay.nt * np.array(sp.per_node_success)[:, None] * pay.f
@@ -356,11 +312,6 @@ def _polish_payloads(pay: _PayloadTable, variant: str, tau: Sequence[float],
     best = np.argmax(val, axis=1)
     keep = val[np.arange(len(nts)), best] == -math.inf   # no payload meets the target
     return [n_t if k else int(pay.nt[j]) for n_t, k, j in zip(nts, keep, best)]
-
-
-def _odds_table(net: NetworkModel, nts: Sequence[int]) -> list[tuple[float, ...]]:
-    """_odds_row of every node at payloads nts."""
-    return [_odds_row(row, n_t, net.phy.n) for row, n_t in zip(net.rows, nts)]
 
 
 def _lift(table: Sequence[tuple[float, ...]], tau: Sequence[float]
@@ -445,7 +396,7 @@ def _lift(table: Sequence[tuple[float, ...]], tau: Sequence[float]
 def _lift_many(table: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_lift of every row of taus at once: (lifted taus, efficiencies, ok).
 
-    table is _odds_table as an (n, 6) array.  Every row runs _lift's
+    table is PayloadTable.odds at the probes' payloads.  Every row runs _lift's
     guarded Newton iteration on its own aggregates, with the same end and
     drop rules; a dropped row has ok False and NaN entries.
     """
@@ -559,7 +510,7 @@ def _repair_rates(net: NetworkModel, tau: Sequence[float], nts: Sequence[int]
     Returns the lifted access vector (see _lift) with its rates and
     efficiencies from evaluate, or None.
     """
-    lifted = _lift(_odds_table(net, nts), tau)
+    lifted = _lift(net.payloads.odds(nts).tolist(), tau)
     if lifted is None:
         return None
     _, rates, etas = evaluate(net, lifted[0], nts, guard_zero_energy=True)
@@ -571,7 +522,7 @@ def _value(net: NetworkModel, variant: str, tau: Sequence[float], nts: Sequence[
     return _objective_value(variant, rates, etas)
 
 
-def _payload_switch(net: NetworkModel, pay: _PayloadTable, variant: str, tau: list[float],
+def _payload_switch(net: NetworkModel, variant: str, tau: list[float],
                     nts: list[int], value: float) -> Optional[tuple[list[float], list[int], float]]:
     """Move nodes to payloads that meet their rate target only with more access.
 
@@ -582,15 +533,15 @@ def _payload_switch(net: NetworkModel, pay: _PayloadTable, variant: str, tau: li
     closed forms (see _lift); the best one is repaired once and kept if the
     objective rises.  Returns the improved point, or None if no node moved.
     """
+    pay = net.payloads
     moved = False
     for k in range(net.n_nodes):
-        _, _, e_s, e_c, c = pay.at(nts)
+        _, _, e_s, e_c, _, c, _ = pay.at(nts)
         x = np.array(tau) / (1.0 - np.array(tau))
         q = np.prod(1.0 + x) / (1.0 + x[k])   # prod(1 + x) and sum(x) over the other nodes
         uo = x.sum() - x[k]
-        c_k = pay.nt * pay.f[k]
+        c_k, a = pay.c[k], pay.a[k]
         with np.errstate(all="ignore"):
-            a = pay.r_min[k] / c_k if pay.r_min[k] > 0.0 else np.zeros_like(c_k)
             a_s, a_c = a * pay.t_s[k], a * pay.t_c[k]
             den = 1.0 - a_s - (q - 1.0) * a_c
             y = (uo * a_s + (q - 1.0 - uo) * a_c + a * pay.t_idle[k]) / den
@@ -601,7 +552,7 @@ def _payload_switch(net: NetworkModel, pay: _PayloadTable, variant: str, tau: li
             u = uo + y
             v = q * (1.0 + y) - 1.0 - u
             cols = [np.tile(col, (len(y), 1)) for col in (x, c, e_s, e_c)]
-            for col, own in zip(cols, (y, c_k, pay.e_s[k], pay.e_c[k])):
+            for col, own in zip(cols, (y, c_k, pay.e_s, pay.e_c)):
                 col[:, k] = own
             xs, cs, es, ec = cols
             e_den = u[:, None] * es + v[:, None] * ec
@@ -622,7 +573,7 @@ def _payload_switch(net: NetworkModel, pay: _PayloadTable, variant: str, tau: li
     return (tau, nts, value) if moved else None
 
 
-def _ee_bound(pay: _PayloadTable) -> float:
+def _ee_bound(net: NetworkModel) -> float:
     """B', an upper bound on the EE objective of every rate-feasible point.
 
     rho_lo = v / u at the least fixed point of the lower map, lifted from
@@ -631,11 +582,9 @@ def _ee_bound(pay: _PayloadTable) -> float:
     "Certificate exit").  rho_lo = 0 when no node has a target, and also
     if that lift fails, since rho >= 0 everywhere.
     """
-    c = pay.nt * pay.f
-    r_min = pay.r_min[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.where(r_min > 0.0, r_min / c, 0.0)   # inf for a payload that delivers nothing
-        lower = [(a * col).min(axis=1).tolist() for col in (pay.t_s, pay.t_c, pay.t_idle[:, None])]
+    pay = net.payloads
+    c = pay.c
+    lower = [(pay.a * col).min(axis=1).tolist() for col in (pay.t_s, pay.t_c, pay.t_idle[:, None])]
     low = _lift([(s, cc, i, 0.0, 0.0, 0.0) for s, cc, i in zip(*lower)], [0.0] * len(c))
     rho = 0.0
     if low is not None:
@@ -651,7 +600,7 @@ def _ee_bound(pay: _PayloadTable) -> float:
         return float(np.divide(c, pay.e_s + rho * pay.e_c, out=np.zeros_like(c), where=c > 0.0).max())
 
 
-def _certified_point(net: NetworkModel, pay: _PayloadTable, nts: Sequence[int]
+def _certified_point(net: NetworkModel, nts: Sequence[int]
                      ) -> Optional[tuple[list[float], list[int]]]:
     """The certificate candidate x* with its payloads, or None.
 
@@ -662,10 +611,10 @@ def _certified_point(net: NetworkModel, pay: _PayloadTable, nts: Sequence[int]
     """
     nts = list(nts)
     for _ in range(_CERT_ROUNDS):
-        lifted = _lift(_odds_table(net, nts), [0.0] * len(nts))
+        lifted = _lift(net.payloads.odds(nts).tolist(), [0.0] * len(nts))
         if lifted is None:
             return None
-        polished = _polish_payloads(pay, VARIANT_EE, lifted[0], nts)
+        polished = _polish_payloads(net, VARIANT_EE, lifted[0], nts)
         if polished == nts:
             return lifted[0], nts
         nts = polished
@@ -689,7 +638,7 @@ def _solution(net: NetworkModel, variant: str, tau: Sequence[float], nts: Sequen
               trace: tuple[float, ...], converged: bool, rates: tuple[float, ...],
               etas: tuple[float, ...], bound: Optional[float]) -> Solution:
     """The checked Solution at (tau, nts), whose rates and etas come from evaluate."""
-    feasible = all(r >= row.r_min * (1.0 - _RATE_SLACK) for r, row in zip(rates, net.rows))
+    feasible = all(r >= nm.r_min * (1.0 - _RATE_SLACK) for r, nm in zip(rates, net.nodes))
     return _check_solution(net, Solution(
         tau_opt=tuple(tau),
         nt_opt=tuple(nts),
@@ -713,11 +662,10 @@ def _coordinate_solve(net: NetworkModel, variant: str,
     runs the ascent only if it does not close.
     """
     n = net.n_nodes
-    pay = _PayloadTable.build(net)
     bound = None
     if variant == VARIANT_EE:
-        bound = _ee_bound(pay)
-        cand = _certified_point(net, pay, start_nts)
+        bound = _ee_bound(net)
+        cand = _certified_point(net, start_nts)
         if cand is not None:
             _, rates, etas = evaluate(net, cand[0], cand[1], guard_zero_energy=True)
             value = math.fsum(etas)
@@ -770,13 +718,13 @@ def _coordinate_solve(net: NetworkModel, variant: str,
         rounds = 0  # no rate-feasible start: report the start point as it is
     else:
         t = start[0]
-    nts = _polish_payloads(pay, variant, t, nts)
+    nts = _polish_payloads(net, variant, t, nts)
     value = _value(net, variant, t, nts)
 
     for _ in range(rounds):
         prev_t, prev_nts = t[:], nts[:]
-        table = _odds_table(net, nts)   # nts holds until the payload scan below
-        odds = np.array(table)
+        odds = net.payloads.odds(nts)   # nts holds until the payload scan below
+        table = odds.tolist()
         for k in range(n):
             rest = math.fsum(t) - t[k]
             hi = min(1.0 - tol, 1.0 - rest)
@@ -799,12 +747,12 @@ def _coordinate_solve(net: NetworkModel, variant: str,
                 f, p = commit(probe(x))
                 if f > value:
                     value, t = f, p
-        nts = _polish_payloads(pay, variant, t, nts)
+        nts = _polish_payloads(net, variant, t, nts)
         if nts != prev_nts:
             value = _value(net, variant, t, nts)
         settled = nts == prev_nts and max(abs(a - b) for a, b in zip(t, prev_t)) <= _CONVERGENCE_TOL
         if settled:
-            switched = _payload_switch(net, pay, variant, t, nts, value)
+            switched = _payload_switch(net, variant, t, nts, value)
             if switched is not None:
                 t, nts, value = switched
                 settled = False
@@ -829,14 +777,14 @@ def _logthr_fallback(net: NetworkModel) -> Solution:
     rounds.  converged means the payloads settled and the last access solve
     met its KKT conditions.
     """
-    pay = _PayloadTable.build(net)
+    pay = net.payloads
     nts = [net.phy.n_t_max] * net.n_nodes
     trace: list[float] = []
     for _ in range(_MAX_OUTER_ITERS):
-        t_s, t_c, _, _, c = pay.at(nts)
+        t_s, t_c, _, _, _, c, _ = pay.at(nts)
         t, _, _, kkt = _logthr_newton((t_s, t_c, pay.t_idle, c))
         tau = [t] * net.n_nodes
-        polished = _polish_payloads(pay, VARIANT_LOGTHR, tau, nts)
+        polished = _polish_payloads(net, VARIANT_LOGTHR, tau, nts)
         settled, nts = polished == nts, polished
         trace.append(_value(net, VARIANT_LOGTHR, tau, nts))
         if settled:

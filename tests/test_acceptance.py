@@ -37,12 +37,12 @@ from eecap.cli import main
 from eecap.costs import cost_model
 from eecap.metrics import (
     aggregate_terms,
+    frame_success_prob,
     nt_opt_for_throughput,
     tau_min_for_rate,
     throughput,
     throughput_derivative_tau,
 )
-from eecap.network import frame_success
 from eecap.phy import SegmentProbs, _binomial_tail
 
 PHY = PhyConfig()
@@ -215,7 +215,7 @@ def grid_search_ee(net, step: float = 1e-3) -> float:
         ok = np.zeros(p1s.shape, dtype=bool)
         for n_t in GRID:
             cost = net.cost(k, n_t)
-            num = n_t * pks * frame_success(net, k, n_t)
+            num = n_t * pks * frame_success_prob(net.nodes[k].seg, n_t, net.phy.n)
             dur = p_succ * cost.t_success + p_coll * cost.t_collision + p_idle * cost.t_idle
             energy = p_succ * cost.e_success + p_coll * cost.e_collision
             rate = num / dur

@@ -15,6 +15,14 @@ digit), and again when the rate repair became an exact least lift: node 0
 now meets its target to roundoff (rate 999999.9996 -> 1000000), and
 sum_eta moves in the 10th digit (437020742.3 -> 437020742.2), with node
 1's tau and efficiency and sum_tau in their last printed digit.
+
+solve_two_node_1m_logee.csv pins the LogEE coordinate ascent,
+sweep_rate_2e5_2p4e6.csv the EE certificate exit and two interior LogTHR
+fallback points, and sweep_distance_1_10.csv an EE solve whose certificate
+does not close (distance 9 m, four rounds of the ascent) and the fallback
+at 10 m.  All three are two-node networks, so no sum depends on the
+reduction order of numpy.
+
 Regenerate a file only for a deliberate change of results, and say so in
 the change log:
 
@@ -24,6 +32,12 @@ the change log:
         --axis nodes --from 2 --to 10 > tests/golden/sweep_nodes_2_10.csv
     PYTHONPATH=src python -m eecap.cli validate --scenario scenarios/two_node_1m_fixed.ini \
         --slots 100000 --seed 42 > tests/golden/validate_two_node_1m_fixed.csv
+    PYTHONPATH=src python -m eecap.cli solve --scenario scenarios/two_node_1m.ini \
+        --objective logee > tests/golden/solve_two_node_1m_logee.csv
+    PYTHONPATH=src python -m eecap.cli sweep --scenario scenarios/two_node_1m.ini \
+        --axis rate --from 2e5 --to 2.4e6 --steps 12 > tests/golden/sweep_rate_2e5_2p4e6.csv
+    PYTHONPATH=src python -m eecap.cli sweep --scenario scenarios/distance_sweep.ini \
+        --axis distance --from 1 --to 10 --steps 10 > tests/golden/sweep_distance_1_10.csv
 """
 
 from __future__ import annotations
@@ -43,6 +57,13 @@ CASES = (
                               "--axis", "nodes", "--from", "2", "--to", "10"]),
     ("validate_two_node_1m_fixed.csv", ["validate", "--scenario", "two_node_1m_fixed.ini",
                                         "--slots", "100000", "--seed", "42"]),
+    ("solve_two_node_1m_logee.csv", ["solve", "--scenario", "two_node_1m.ini",
+                                     "--objective", "logee"]),
+    ("sweep_rate_2e5_2p4e6.csv", ["sweep", "--scenario", "two_node_1m.ini", "--axis", "rate",
+                                  "--from", "2e5", "--to", "2.4e6", "--steps", "12"]),
+    ("sweep_distance_1_10.csv", ["sweep", "--scenario", "distance_sweep.ini",
+                                 "--axis", "distance", "--from", "1", "--to", "10",
+                                 "--steps", "10"]),
 )
 
 

@@ -74,6 +74,12 @@ class TestFrameSuccess:
         with pytest.raises(ValueError):
             frame_success_prob(PERFECT, 0)
 
+    def test_takes_any_positive_multiple_of_n(self):
+        # The oracle evaluates the paper's formula one codeword below the
+        # admissible grid; evaluate and simulate reject that payload.
+        seg = SegmentProbs(p_shr=0.9, p_phr=0.8, p_cw=0.5)
+        assert frame_success_prob(seg, 63) == 0.9 * 0.8 * 0.5
+
 
 class TestMetricValues:
     def test_single_node_hand_computed(self):

@@ -15,11 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eecap import (VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR, ChannelParams, SimConfig,
-                   SolverConfig, build_network, eecap, evaluate, simulate)
+                   SolverConfig, build_network, eecap, evaluate, frame_success_prob, simulate)
 from eecap.access import _leave_one_out, linear_coeffs, state_probs
-from eecap.network import frame_success
-from eecap.solver import (_PayloadTable, _ee_bound, _lift, _lift_many, _logthr_newton,
-                          _odds_table, _polish_payloads, _repair_rates, _value)
+from eecap.solver import (_ee_bound, _lift, _lift_many, _logthr_newton, _polish_payloads,
+                          _repair_rates, _value)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -89,12 +88,13 @@ def jacobi_leaves_budget(net, tau, nts) -> bool:
     needs tau_k = 1), which the iteration, only rising, never returns from.
     """
     nodes = []
-    for k, (row, n_t) in enumerate(zip(net.rows, nts)):
-        t_s, t_c, _, _ = row.costs(n_t)
-        c = n_t * frame_success(net, k, n_t)
-        if row.r_min > 0.0 and c == 0.0:
+    for k, (nm, n_t) in enumerate(zip(net.nodes, nts)):
+        cost = net.cost(k, n_t)
+        c = n_t * frame_success_prob(nm.seg, n_t, net.phy.n)
+        if nm.r_min > 0.0 and c == 0.0:
             return True
-        nodes.append((row.r_min / c if row.r_min > 0.0 else 0.0, t_s, t_c, row.t_idle))
+        nodes.append((nm.r_min / c if nm.r_min > 0.0 else 0.0, cost.t_success, cost.t_collision,
+                      cost.t_idle))
     x = [t / (1.0 - t) for t in tau]
     while True:
         taus = [xk / (1.0 + xk) for xk in x]
@@ -156,15 +156,15 @@ def test_rate_repair_is_the_least_feasible_lift(case):
         return
     lifted, rates, _ = rep
     assert math.fsum(lifted) <= 1.0 + 1e-9
-    for k, row in enumerate(net.rows):
+    for k, nm in enumerate(net.nodes):
         assert lifted[k] >= tau[k]
-        assert rates[k] >= row.r_min * (1.0 - 1e-12)
+        assert rates[k] >= nm.r_min * (1.0 - 1e-12)
         if lifted[k] > tau[k]:
             # Least: a little less access and the node misses its own target.
             lower = list(lifted)
             lower[k] *= 1.0 - 1e-9
             _, lower_rates, _ = evaluate(net, lower, nts)
-            assert lower_rates[k] < row.r_min
+            assert lower_rates[k] < nm.r_min
 
 
 @st.composite
@@ -192,10 +192,10 @@ def probe_batches(draw):
 @example((FOLD[0], FOLD[2], [FOLD[1], [0.05] * 8]))
 def test_batched_lift_matches_the_scalar_lift(case):
     net, nts, probes = case
-    table = _odds_table(net, nts)
-    out, etas, ok = _lift_many(np.array(table), np.array(probes))
+    odds = net.payloads.odds(nts)
+    out, etas, ok = _lift_many(odds, np.array(probes))
     for row, got, got_etas, got_ok in zip(probes, out, etas, ok):
-        want = _lift(table, row)
+        want = _lift(odds.tolist(), row)
         assert got_ok == (want is not None)
         if want is not None:
             assert np.abs(got - want[0]).max() <= 1e-12
@@ -266,8 +266,8 @@ def test_fallback_is_the_logthr_optimum(case):
     sol = eecap(net, SolverConfig())
     assert sol.variant_used == VARIANT_LOGTHR and sol.converged
     tau, nts = list(sol.tau_opt), list(sol.nt_opt)
-    pay = _PayloadTable.build(net)
-    t_s, t_c, _, _, c = pay.at(nts)
+    pay = net.payloads
+    t_s, t_c, _, _, _, c, _ = pay.at(nts)
     cols = (t_s, t_c, pay.t_idle, c)
     # The core, run at the returned payloads, gives every node the returned
     # tau, and its closed-form objective is evaluate's.
@@ -319,8 +319,8 @@ def test_a_lone_node_takes_the_whole_channel():
         sol = eecap(net, SolverConfig())
         assert sol.variant_used == VARIANT_LOGTHR and sol.converged
         assert sol.tau_opt == (1.0,)
-        pay = _PayloadTable.build(net)
-        best = pay.nt * pay.f[0] / pay.t_s[0]
+        pay = net.payloads
+        best = pay.c[0] / pay.t_s[0]
         assert sol.nt_opt == (int(pay.nt[np.argmax(best)]),)
         assert sol.objective_value == pytest.approx(math.log(best.max()), rel=1e-14)
         assert all(_value(net, VARIANT_LOGTHR, [t], sol.nt_opt) < sol.objective_value
@@ -335,20 +335,20 @@ def payload_scan_loop(net, variant, tau, nts):
     node's rate target; the current payload if none is.
     """
     sp = state_probs(tau)
-    n_cw = net.phy.n
     out = list(nts)
-    for k, row in enumerate(net.rows):
+    for k, nm in enumerate(net.nodes):
         best_val = -math.inf
         for n_t in net.nt_grid():
-            t_s, t_c, e_s, e_c = row.costs(n_t)
-            num = n_t * sp.per_node_success[k] * (row.p_hdr * row.p_cw ** (n_t // n_cw))
-            r = num / (sp.p_success * t_s + sp.p_collision * t_c + sp.p_idle * row.t_idle)
+            cost = net.cost(k, n_t)
+            num = n_t * sp.per_node_success[k] * frame_success_prob(nm.seg, n_t, net.phy.n)
+            r = num / (sp.p_success * cost.t_success + sp.p_collision * cost.t_collision
+                       + sp.p_idle * cost.t_idle)
             if variant == VARIANT_LOGTHR:
                 val = r
-            elif r < row.r_min * (1.0 - 1e-9):
+            elif r < nm.r_min * (1.0 - 1e-9):
                 continue
             else:
-                den_e = sp.p_success * e_s + sp.p_collision * e_c
+                den_e = sp.p_success * cost.e_success + sp.p_collision * cost.e_collision
                 val = num / den_e if den_e > 0.0 else 0.0
             if val > best_val:
                 best_val, out[k] = val, n_t
@@ -359,9 +359,8 @@ def payload_scan_loop(net, variant, tau, nts):
 @given(probe_batches(), st.sampled_from((VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR)))
 def test_payload_scan_matches_the_loop(case, variant):
     net, nts, probes = case
-    pay = _PayloadTable.build(net)
     for tau in probes:
-        assert _polish_payloads(pay, variant, tau, nts) == payload_scan_loop(net, variant, tau, nts)
+        assert _polish_payloads(net, variant, tau, nts) == payload_scan_loop(net, variant, tau, nts)
 
 
 @st.composite
@@ -401,18 +400,17 @@ def test_the_ee_bound_holds_everywhere(case):
     # least rho = v / u of all those points, so it also covers the bound at
     # each probe's own rho.
     net, probes = case
-    pay = _PayloadTable.build(net)
     sol = eecap(net, SolverConfig(objective=VARIANT_EE))
     if sol.variant_used == VARIANT_EE:
         bound = sol.upper_bound
         assert bound >= sol.objective_value * (1.0 - 1e-12)
     else:   # the bound still holds wherever a rate-feasible point exists
         assert sol.upper_bound is None
-        bound = _ee_bound(pay)
+        bound = _ee_bound(net)
     # Also the least rate-feasible point at the payloads the solve returned.
     for nts, tau in probes + [(sol.nt_opt, [0.0] * net.n_nodes)]:
-        lifted = _lift(_odds_table(net, nts), tau)
+        lifted = _lift(net.payloads.odds(nts).tolist(), tau)
         if lifted is not None:
             _, _, etas = evaluate(net, lifted[0], nts, guard_zero_energy=True)
             assert math.fsum(etas) <= bound * (1.0 + 1e-12)
-            assert ratio_bound(pay, lifted[0]) <= bound * (1.0 + 1e-12)
+            assert ratio_bound(net.payloads, lifted[0]) <= bound * (1.0 + 1e-12)

@@ -24,10 +24,10 @@ from eecap import (
     build_network,
     efficiency_estimate,
     evaluate,
+    frame_success_prob,
     rate_estimate,
     simulate,
 )
-from eecap.network import frame_success
 from eecap.simulate import _MAX_WORKERS, _chunk_slots, z_score
 
 # The package re-exports the function simulate under the submodule's name.
@@ -38,7 +38,7 @@ def _one_shot_simulate(net, tau, nts, cfg):
     """Reference: simulate as it was before streaming, every draw held at once."""
     n = net.n_nodes
     costs = [net.cost(k, nts[k]) for k in range(n)]
-    p_frames = np.array([frame_success(net, k, nts[k]) for k in range(n)])
+    p_frames = np.array([frame_success_prob(net.nodes[k].seg, nts[k], net.phy.n) for k in range(n)])
     t_succ = np.array([c.t_success for c in costs])
     t_coll = np.array([c.t_collision for c in costs])
     t_idle = costs[0].t_idle
@@ -164,7 +164,7 @@ class TestAgainstReplay:
         tx_draws = rng.random((2_000, 3))
         u = rng.random(2_000)
         costs = [lossy_net.cost(k, nts[k]) for k in range(3)]
-        p_frames = [frame_success(lossy_net, k, nts[k]) for k in range(3)]
+        p_frames = [frame_success_prob(lossy_net.nodes[k].seg, nts[k]) for k in range(3)]
         n_s = n_c = n_i = 0
         succ = [0, 0, 0]
         deliv = [0, 0, 0]

@@ -34,10 +34,8 @@ from eecap import (
     tau_min_for_rate,
 )
 from eecap import solver
-from eecap.network import frame_success
-from eecap.metrics import aggregate_terms, nt_opt_for_throughput
-from eecap.solver import (_lift, _lift_many, _objective_value, _odds_table, _repair_rates,
-                          feasibility_stage)
+from eecap.metrics import aggregate_terms, frame_success_prob, nt_opt_for_throughput
+from eecap.solver import _lift, _lift_many, _objective_value, _repair_rates, feasibility_stage
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -129,7 +127,7 @@ class TestRateRepair:
     def test_a_link_that_delivers_nothing_cannot_meet_a_target(self):
         ch = ChannelParams(tx_eb_over_n0_at_d0=100.0)
         far = build_network([1.0, 10.0], [1e5, 1e3], channel=ch)
-        assert frame_success(far, 1, 2646) == 0.0
+        assert frame_success_prob(far.nodes[1].seg, 2646) == 0.0
         assert _repair_rates(far, [0.1, 0.1], [2646, 2646]) is None
         # Without a target the dead link only takes its share of the slots.
         idle = build_network([1.0, 10.0], [1e5, 0.0], channel=ch)
@@ -164,10 +162,11 @@ class TestRateRepair:
         # about 1e-13 of the access budget per step, and took tens of seconds.
         net = build_network([1.0] * 8, [2481673.51127322 / 8] * 8)
         nts = [2646] * 8
-        table = _odds_table(net, nts)
+        odds = net.payloads.odds(nts)
+        table = odds.tolist()
 
         def batched():
-            out, _, ok = _lift_many(np.array(table), np.zeros((1, 8)))
+            out, _, ok = _lift_many(odds, np.zeros((1, 8)))
             return (list(out[0]),) if ok[0] else None
 
         verdicts = []
@@ -304,8 +303,8 @@ class TestFallbackClosedForm:
         sol = eecap(net, point.solver)
         assert sol.variant_used == VARIANT_LOGTHR and sol.converged
         assert sol.nt_opt[0] == sol.nt_opt[1]
-        row = net.rows[0]
-        x = math.sqrt(row.t_idle / row.costs(sol.nt_opt[0])[1])
+        cost = net.cost(0, sol.nt_opt[0])
+        x = math.sqrt(cost.t_idle / cost.t_collision)
         assert x < 1.0
         for t in sol.tau_opt:
             assert abs(t - x / (1.0 + x)) <= 1e-12

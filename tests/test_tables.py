@@ -1,11 +1,13 @@
-"""The per-node coefficient rows against the scalar oracles.
+"""The per-payload table against the scalar oracles.
 
-evaluate and the feasibility stage's per-node update read the rows
-build_network derives once per network; metrics.throughput,
-energy_efficiency and tau_min_for_rate build Node and CostModel objects
-per call.  Both paths must agree on seeded random networks of 1 to 16
-nodes, at access probabilities of exactly 0, exactly 1 (evaluate only) and
-within 1e-10 of 1, for every admissible payload size.
+evaluate, the feasibility stage's per-node update, the solver and the
+simulator read the PayloadTable that a NetworkModel builds once;
+cost_model, metrics.frame_success_prob, throughput, energy_efficiency and
+tau_min_for_rate build Node and CostModel objects per call.  The table
+must equal the oracles bitwise on random networks, and both paths must
+agree on seeded random networks of 1 to 16 nodes, at access probabilities
+of exactly 0, exactly 1 (evaluate only) and within 1e-10 of 1, for every
+admissible payload size.
 """
 
 from __future__ import annotations
@@ -13,20 +15,25 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eecap import (
     ChannelParams,
     Node,
     PhyConfig,
     build_network,
+    cost_model,
     energy_efficiency,
     evaluate,
+    frame_success_prob,
     state_probs,
     tau_min_for_rate,
     throughput,
 )
-from eecap.solver import _least_odds, _odds_row
+from eecap.solver import _least_odds
 
 GRID = list(PhyConfig().nt_grid())
 REL = 1e-12
@@ -95,7 +102,7 @@ def test_stage_update_matches_scalar_oracle():
             for n_t in GRID:
                 node = Node(index=k, d=nm.d, tau=tau[k], n_t=n_t, r_min=nm.r_min)
                 want = tau_min_for_rate(node, tau, net.cost(k, n_t), nm.seg, net.phy.n)
-                y = _least_odds(_odds_row(net.rows[k], n_t, net.phy.n), uo, q)
+                y = _least_odds(net.payloads.odds([n_t] * n)[k].tolist(), uo, q)
                 got = y / (1.0 + y)
                 got = got if got < 1.0 else None
                 assert close(got, want), (n, k, n_t)
@@ -129,3 +136,90 @@ def test_rejects_off_grid_payload(n_t):
     net = build_network([1.0, 2.0], [1e5, 0.0])
     with pytest.raises(ValueError):
         evaluate(net, (0.1, 0.2), (126, n_t))
+
+
+def test_rejects_float_payloads_as_simulate_does():
+    # 126.0 lies on the grid in value, but evaluate and simulate share one
+    # payload rule, and simulate counts bits in integers.
+    net = build_network([1.0, 2.0], [1e5, 0.0])
+    for nts in ((126.0, 126.0), (126, True), (126, "126")):
+        with pytest.raises(ValueError, match=r"nts\[[01]\] must be an integer"):
+            evaluate(net, (0.1, 0.2), nts)
+
+
+def test_numpy_integer_payloads_give_python_floats():
+    net = build_network([1.0, 2.0], [1e5, 0.0])
+    _, rates, etas = evaluate(net, (0.1, 0.2), (np.int64(2646), np.int32(1260)))
+    assert all(type(v) is float for v in rates + etas)
+    assert (rates, etas) == evaluate(net, (0.1, 0.2), (2646, 1260))[1:]
+
+
+# A link at 7.5 m runs n_cpb > 1 pulses per burst; on the weak channel a
+# link at 10 m delivers no frame at its larger payloads (c = 0), with a
+# target and without.
+EDGES = ([1.0, 7.5, 10.0, 10.0], [1e5, 0.0, 1e3, 0.0], 100.0)
+
+
+@st.composite
+def table_networks(draw):
+    """Up to 6 nodes at 1 to 10 m, with or without rate targets, on three channels.
+
+    A target is zero, from 1e-3 to 1e7 bit/s, or infinite; the weakest
+    channel leaves the farthest links with no frame success at all.
+    """
+    n = draw(st.integers(1, 6))
+    distances = draw(st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n))
+    target = st.one_of(st.just(0.0), st.floats(1e-3, 1e7), st.just(math.inf))
+    r_mins = draw(st.lists(target, min_size=n, max_size=n))
+    return distances, r_mins, draw(st.sampled_from((5530.0, 500.0, 100.0)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(table_networks())
+@example(EDGES)
+def test_payload_table_matches_the_oracles_bitwise(case):
+    distances, r_mins, tx = case
+    net = build_network(distances, r_mins, channel=ChannelParams(tx_eb_over_n0_at_d0=tx))
+    pay = net.payloads
+    grid = list(net.nt_grid())
+    assert pay.nt.tolist() == grid
+    assert pay.r_min.tolist() == list(r_mins)
+    for k, nm in enumerate(net.nodes):
+        for j, n_t in enumerate(grid):
+            cost = cost_model(k, n_t, nm.timing, net.energy)
+            assert (pay.t_s[k, j], pay.t_c[k, j], pay.t_idle[k]) == (
+                cost.t_success, cost.t_collision, cost.t_idle)
+            assert (pay.e_s[j], pay.e_c[j]) == (cost.e_success, cost.e_collision)
+            f = frame_success_prob(nm.seg, n_t, net.phy.n)
+            c = n_t * f
+            assert (pay.f[k, j], pay.c[k, j]) == (f, c)
+            # The target odds: zero without a target, infinite where no frame
+            # gets through, and r_min / c otherwise.
+            a = pay.a[k, j]
+            if nm.r_min == 0.0:
+                assert a == 0.0
+            elif c == 0.0:
+                assert a == math.inf
+            else:
+                assert a == nm.r_min / c
+    # at() and odds() read the same cells.
+    nts = [grid[(7 * k) % len(grid)] for k in range(net.n_nodes)]
+    t_s, t_c, e_s, e_c, f, c, a = pay.at(nts)
+    js = [grid.index(n_t) for n_t in nts]
+    for k, j in enumerate(js):
+        assert (t_s[k], t_c[k], f[k], c[k], a[k]) == (
+            pay.t_s[k, j], pay.t_c[k, j], pay.f[k, j], pay.c[k, j], pay.a[k, j])
+        assert (e_s[k], e_c[k]) == (pay.e_s[j], pay.e_c[j])
+        assert pay.odds(nts)[k].tolist() == [a[k] * t_s[k], a[k] * t_c[k], a[k] * pay.t_idle[k],
+                                             c[k], e_s[k], e_c[k]]
+
+
+def test_the_edge_network_covers_every_convention():
+    net = build_network(EDGES[0], EDGES[1], channel=ChannelParams(tx_eb_over_n0_at_d0=EDGES[2]))
+    pay = net.payloads
+    assert net.nodes[1].link.n_cpb > 1
+    dead = pay.c[2] == 0.0
+    assert dead.any() and (pay.c[3][dead] == 0.0).all()
+    assert (pay.a[2][dead] == math.inf).all() and (pay.a[2][~dead] > 0.0).all()
+    assert (pay.a[3] == 0.0).all()
+    assert (pay.a[1] == 0.0).all() and (pay.a[0] > 0.0).all() and np.isfinite(pay.a[0]).all()
