@@ -583,9 +583,8 @@ def _ee_bound(net: NetworkModel) -> float:
     if that lift fails, since rho >= 0 everywhere.
     """
     pay = net.payloads
-    c = pay.c
     lower = [(pay.a * col).min(axis=1).tolist() for col in (pay.t_s, pay.t_c, pay.t_idle[:, None])]
-    low = _lift([(s, cc, i, 0.0, 0.0, 0.0) for s, cc, i in zip(*lower)], [0.0] * len(c))
+    low = _lift([(s, cc, i, 0.0, 0.0, 0.0) for s, cc, i in zip(*lower)], [0.0] * net.n_nodes)
     rho = 0.0
     if low is not None:
         u = v = q = 0.0   # v as sum_k x_k (prod_{j<k} (1 + x_j) - 1), free of cancellation
@@ -597,7 +596,8 @@ def _ee_bound(net: NetworkModel) -> float:
         if u > 0.0:
             rho = v / u
     with np.errstate(divide="ignore"):   # zero energies give an infinite bound
-        return float(np.divide(c, pay.e_s + rho * pay.e_c, out=np.zeros_like(c), where=c > 0.0).max())
+        return float(np.divide(pay.c, pay.e_s + rho * pay.e_c, out=np.zeros_like(pay.c),
+                               where=pay.c > 0.0).max())
 
 
 def _certified_point(net: NetworkModel, nts: Sequence[int]
