@@ -82,9 +82,6 @@ class NcpbTable:
                 return n_cpb
         raise ValueError(f"link out of supported range: d={d} exceeds {self.entries[-1][0]}")
 
-    def max_distance(self) -> float:
-        return self.entries[-1][0]
-
 
 def link_budget(d: float, ch: ChannelParams, tbl: NcpbTable, phy: PhyConfig) -> LinkBudget:
     """Link budget of a node at distance d.

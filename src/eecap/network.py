@@ -139,9 +139,6 @@ class NetworkModel:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def nt_grid(self) -> range:
-        return self.phy.nt_grid()
-
     def cost(self, node_index: int, n_t: int) -> CostModel:
         """Per-state costs for one node at one payload size."""
         return cost_model(node_index, n_t, self.nodes[node_index].timing, self.energy)
@@ -156,15 +153,23 @@ def build_network(distances: Sequence[float], r_mins: Sequence[float],
     """Derive every per-node model from the node distances and rate targets.
 
     The payload symbol period of a node is the configured base period times
-    its pulses-per-burst count, and its propagation delay is d / c.  A rate
-    target is zero or at least the smallest normal float (infinity is an
-    unreachable target, NaN is rejected): the solver's products of a
-    subnormal target with slot durations underflow to zero.
+    its pulses-per-burst count, and its propagation delay is d / c.  Every
+    distance is positive (NaN is rejected).  A rate target is zero or at
+    least the smallest normal float (infinity is an unreachable target, NaN
+    is rejected): the solver's products of a subnormal target with slot
+    durations underflow to zero.  A bad entry raises ValueError naming its
+    list and index.
     """
     if len(distances) == 0:
         raise ValueError("at least one node required")
     if len(r_mins) != len(distances):
         raise ValueError("r_mins and distances must have the same length")
+    for k, d in enumerate(distances):
+        if not d > 0.0:   # NaN too
+            raise ValueError(f"d: entry {k} must be positive, got {d}")
+    for k, r in enumerate(r_mins):
+        if not r >= 0.0 or 0.0 < r < sys.float_info.min:   # NaN too
+            raise ValueError(f"r_min: entry {k} must be non-negative and not subnormal, got {r}")
     phy = phy if phy is not None else PhyConfig()
     channel = channel if channel is not None else ChannelParams()
     table = table if table is not None else NcpbTable()
@@ -174,10 +179,6 @@ def build_network(distances: Sequence[float], r_mins: Sequence[float],
     timings: dict[float, TimingParams] = {}   # nodes with equal burst length share one
     nodes = []
     for k, (d, r_min) in enumerate(zip(distances, r_mins)):
-        if not r_min >= 0.0:   # NaN too
-            raise ValueError(f"r_min[{k}] must be non-negative, got {r_min}")
-        if 0.0 < r_min < sys.float_info.min:
-            raise ValueError(f"r_min[{k}] = {r_min} is subnormal; use 0 or at least {sys.float_info.min}")
         lb = link_budget(d, channel, table, phy)
         p_b = bit_error_prob(lb, phy)
         seg = segment_probs(p_b, phy)

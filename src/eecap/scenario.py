@@ -9,7 +9,6 @@ Every parse or validation error names the offending section and key.
 from __future__ import annotations
 
 import configparser
-import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -168,12 +167,6 @@ def load_scenario(path: str) -> Scenario:
     if len(r_mins) != len(distances):
         raise ScenarioError(
             f"[nodes] r_min: expected {len(distances)} values to match d, got {len(r_mins)}")
-    for k, d in enumerate(distances):
-        if d <= 0.0:
-            raise ScenarioError(f"[nodes] d: entry {k} must be positive, got {d}")
-    for k, r in enumerate(r_mins):
-        if not r >= 0.0 or 0.0 < r < sys.float_info.min:   # NaN too
-            raise ScenarioError(f"[nodes] r_min: entry {k} must be non-negative and not subnormal, got {r}")
 
     tau: Optional[tuple[float, ...]] = None
     nts: Optional[tuple[int, ...]] = None
@@ -201,5 +194,5 @@ def load_scenario(path: str) -> Scenario:
 
     scn = Scenario(phy=phy, channel=channel, table=table, timing=timing, energy=energy,
                    solver=solver, distances=distances, r_mins=r_mins, tau=tau, nts=nts)
-    scn.network()  # surface link/range errors at load time
+    scn.network()  # surface node, link and range errors at load time
     return scn

@@ -32,7 +32,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -86,19 +85,6 @@ class SimReport:
         for p in (self.p_success, self.p_collision, self.p_idle):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("empirical probabilities must lie in [0, 1]")
-
-    @staticmethod
-    def csv_header() -> str:
-        return ("num_slots,seed,n_success,n_collision,n_idle,"
-                "p_success,p_collision,p_idle,elapsed_time")
-
-    def csv_row(self) -> str:
-        return ",".join([
-            str(self.num_slots), str(self.seed),
-            str(self.n_success), str(self.n_collision), str(self.n_idle),
-            f"{self.p_success:.10g}", f"{self.p_collision:.10g}", f"{self.p_idle:.10g}",
-            f"{self.elapsed_time:.10g}",
-        ])
 
 
 # Transmit draws in flight per simulate call, 512 KiB of float64, shared
@@ -180,33 +166,6 @@ def _count_slots(seed: int, m: int, tau_rows: np.ndarray, p_frames: np.ndarray,
     return counts
 
 
-def _run_all(tasks: list) -> list:
-    """Results of the tasks, the first run on the caller's thread and one thread per other.
-
-    An exception of any task is raised here once every thread has ended.
-    """
-    results: list = [None] * len(tasks)
-
-    def run(i: int) -> None:
-        try:
-            results[i] = tasks[i]()
-        except BaseException as exc:   # re-raised on the caller's thread
-            results[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(1, len(tasks))]
-    for t in threads:
-        t.start()
-    try:
-        run(0)
-    finally:
-        for t in threads:
-            t.join()
-    for r in results:
-        if isinstance(r, BaseException):
-            raise r
-    return results
-
-
 def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
              cfg: SimConfig) -> SimReport:
     """Run one seeded simulation; identical inputs give identical reports.
@@ -215,12 +174,14 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     worker thread, and each worker replays its own slice of the seed's
     stream: two generators advanced to the slice's first transmit draw and
     its first delivery uniform.  The workers only add to integer counts,
-    which are summed once all have ended, so every report field is the
-    same whatever the worker count.  The count is the number of available
-    CPUs, capped by the chunk count and by _MAX_WORKERS (2, the only count
-    measured); the caller's thread counts the first slice and re-raises
-    any worker's exception.  The workers share _CHUNK_DRAWS transmit draws
-    in flight, so memory does not grow with the worker count.
+    which the caller sums, so every report field is the same whatever the
+    worker count.  The count is the number of available CPUs, capped by
+    the chunk count and by _MAX_WORKERS (2, the only count measured); the
+    caller's thread counts the first slice, a thread pool made for the
+    call counts the others, and any worker's exception reaches the caller
+    once the pool has joined its threads.  The workers share _CHUNK_DRAWS
+    transmit draws in flight, so memory does not grow with the worker
+    count.
     """
     n = net.n_nodes
     if len(tau) != n or len(nts) != n:
@@ -244,9 +205,17 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     count = functools.partial(_count_slots, cfg.seed, m, tau_rows, p_frames, by_t_coll)
     # The buffers come from the caller's thread, whose heap is already paged
     # in; zeroed, so stale draws are never NaN.
-    counts = sum(_run_all([functools.partial(count, lo, hi, np.zeros((step, n)),
-                                             np.empty((step, n), dtype=bool))
-                           for lo, hi in zip(bounds, bounds[1:])]))
+    slices = [(lo, hi, np.zeros((step, n)), np.empty((step, n), dtype=bool))
+              for lo, hi in zip(bounds, bounds[1:])]
+    # Imported here, so only a simulation pays for concurrent.futures and
+    # the logging and queue modules it loads (about 10 ms and 0.4 MB).
+    from concurrent.futures import ThreadPoolExecutor
+    # A pool with no task starts no thread; leaving it joins every worker.
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
+        futures = [pool.submit(count, *args) for args in slices[1:]]
+        counts = count(*slices[0])
+        for f in futures:
+            counts = counts + f.result()
     delivered = counts[1]
     per_node_success = counts[0] + delivered
     coll_tx, coll_longest = counts[2], counts[3]

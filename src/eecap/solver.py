@@ -254,7 +254,7 @@ def feasibility_stage(net: NetworkModel) -> tuple[tuple[float, ...], tuple[int, 
     node that cannot meet its target ends the stage with feasible = False.
     """
     n = net.phy.n
-    grid = list(net.nt_grid())
+    grid = list(net.phy.nt_grid())
     pay = net.payloads
     t_s, t_c, a = (col.tolist() for col in (pay.t_s, pay.t_c, pay.a))
     t_idle = pay.t_idle.tolist()

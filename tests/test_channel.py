@@ -122,7 +122,6 @@ class TestBurstTable:
         tbl = NcpbTable()
         assert tbl.lookup(2.0) == 1
         assert tbl.lookup(2.0000001) == 2
-        assert tbl.max_distance() == 10.0
 
     def test_out_of_range_raises(self):
         tbl = NcpbTable()
@@ -142,3 +141,13 @@ class TestBurstTable:
             NcpbTable(entries=((2.0, 3),))
         with pytest.raises(ValueError):
             NcpbTable(entries=((2.0, 4), (4.0, 2)))
+
+
+class TestNodeDistances:
+    # Unchecked, a negative distance would reach the timing as a negative
+    # propagation delay, and NaN would pass every comparison up to the
+    # burst table.
+    @pytest.mark.parametrize("d", (-1.0, math.nan), ids=("negative", "nan"))
+    def test_build_network_names_the_bad_entry(self, d):
+        with pytest.raises(ValueError, match=rf"^d: entry 1 must be positive, got {d}$"):
+            build_network([1.0, d], [0.0, 0.0])

@@ -14,17 +14,12 @@ import random
 
 import pytest
 
-from eecap import (
-    AggregateTerms,
-    CostModel,
-    EnergyParams,
-    Node,
-    PhyConfig,
-    TimingParams,
-)
+from eecap import EnergyParams, PhyConfig, TimingParams
 from eecap.access import state_probs
-from eecap.costs import cost_model
+from eecap.costs import CostModel, cost_model
 from eecap.metrics import (
+    AggregateTerms,
+    Node,
     aggregate_terms,
     energy_efficiency,
     frame_success_prob,

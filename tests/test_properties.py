@@ -15,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eecap import (VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR, ChannelParams, SimConfig,
-                   SolverConfig, build_network, eecap, evaluate, frame_success_prob, simulate)
+                   SolverConfig, build_network, eecap, evaluate, simulate)
 from eecap.access import _leave_one_out, linear_coeffs, state_probs
+from eecap.metrics import frame_success_prob
 from eecap.solver import (_ee_bound, _lift, _lift_many, _logthr_newton, _polish_payloads,
                           _repair_rates, _value)
 
@@ -338,7 +339,7 @@ def payload_scan_loop(net, variant, tau, nts):
     out = list(nts)
     for k, nm in enumerate(net.nodes):
         best_val = -math.inf
-        for n_t in net.nt_grid():
+        for n_t in net.phy.nt_grid():
             cost = net.cost(k, n_t)
             num = n_t * sp.per_node_success[k] * frame_success_prob(nm.seg, n_t, net.phy.n)
             r = num / (sp.p_success * cost.t_success + sp.p_collision * cost.t_collision

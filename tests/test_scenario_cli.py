@@ -12,6 +12,7 @@ import math
 import pytest
 
 from eecap import (
+    NcpbTable,
     ScenarioError,
     VARIANT_EE,
     evaluate,
@@ -66,7 +67,7 @@ class TestLoadScenario:
         scn = load_scenario(write_ini(tmp_path, MINIMAL))
         assert scn.phy.n == 63
         assert scn.energy.eps_b == 2e-9
-        assert scn.table.max_distance() == 10.0
+        assert scn.table == NcpbTable()
 
     def test_inline_comments_are_stripped(self, tmp_path):
         scn = load_scenario(write_ini(tmp_path, """
@@ -229,7 +230,7 @@ class TestSweepCommand:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("start,fragment", [
-        ("-1", "error: [nodes] r_min[0] must be non-negative"),
+        ("-1", "error: [nodes] r_min: entry 0 must be non-negative"),
     ])
     def test_invalid_scaled_targets_name_their_key(self, start, fragment, capsys):
         # A scaled target is checked where the network is built, and the

@@ -20,19 +20,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eecap import (
-    ChannelParams,
-    Node,
-    PhyConfig,
-    build_network,
-    cost_model,
-    energy_efficiency,
-    evaluate,
-    frame_success_prob,
-    state_probs,
-    tau_min_for_rate,
-    throughput,
-)
+from eecap import ChannelParams, PhyConfig, build_network, evaluate
+from eecap.access import state_probs
+from eecap.costs import cost_model
+from eecap.metrics import (Node, energy_efficiency, frame_success_prob, tau_min_for_rate,
+                           throughput)
 from eecap.solver import _least_odds
 
 GRID = list(PhyConfig().nt_grid())
@@ -181,7 +173,7 @@ def test_payload_table_matches_the_oracles_bitwise(case):
     distances, r_mins, tx = case
     net = build_network(distances, r_mins, channel=ChannelParams(tx_eb_over_n0_at_d0=tx))
     pay = net.payloads
-    grid = list(net.nt_grid())
+    grid = list(net.phy.nt_grid())
     assert pay.nt.tolist() == grid
     assert pay.r_min.tolist() == list(r_mins)
     for k, nm in enumerate(net.nodes):
