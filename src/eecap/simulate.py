@@ -8,15 +8,20 @@ physical accounting (energy charged to transmitters, elapsed time from
 the involved nodes' durations) it exposes per-node ratio estimators that
 mirror the analytic definitions, with delta-method standard errors.
 
-The slots are streamed in fixed-size chunks that only add to integer
-counts, so memory is O(chunk) whatever ``num_slots`` is.  The random
-stream is that of one ``PCG64(seed)`` generator drawing all slots x nodes
-transmit uniforms in slot-major order and then one delivery uniform per
-slot; the chunks replay it exactly, so a seed gives the same report
-however the slots are chunked, and however the chunks are shared among
-the worker threads that count them (see ``simulate``).
+The slots are streamed in two loops that only add to integer counts.
+The inner loop draws a fixed-size chunk of transmit uniforms at a time
+and compares it with the access probabilities into a counting block of
+transmit flags, whole chunks long; the outer loop draws the block's
+delivery uniforms and counts the block in one pass.  A block is the most
+whole chunks within 1 << 14 slots and 1 << 18 flags, and at least one
+chunk, so memory is O(chunk + block) whatever ``num_slots`` is.  The
+random stream is that of one ``PCG64(seed)`` generator drawing all
+slots x nodes transmit uniforms in slot-major order and then one delivery
+uniform per slot; the loops replay it exactly, so a seed gives the same
+report however the slots are chunked and blocked, and however they are
+shared among the worker threads that count them (see ``simulate``).
 
-A chunk's counts are integer arithmetic on its boolean transmit matrix.
+A block's counts are integer arithmetic on its boolean transmit matrix.
 One product of the matrix's bytes with a ones vector, of a dtype wide
 enough to hold n, gives each slot's transmitter count.  In a success slot
 the lone transmitter's column is the sender, and one bincount of the
@@ -32,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -90,6 +96,15 @@ class SimReport:
 # Transmit draws in flight per simulate call, 512 KiB of float64, shared
 # among its worker threads.
 _CHUNK_DRAWS = 1 << 16
+# Most slots and most transmit flags (a byte each) in a counting block,
+# whose length is rounded down to whole chunks (at least one).  Counting a
+# block takes about fifteen numpy calls whatever its length; counted chunk
+# by chunk, a few thousand slots at a time, those calls kept two workers
+# from running faster than one.  The slot bound caps the per-slot
+# temporaries at small n, the flag bound the flags and the per-flag
+# temporaries at large n.
+_COUNT_SLOTS = 1 << 14
+_COUNT_FLAGS = 1 << 18
 # Most threads one simulate call counts slots on, the caller's included;
 # two is the only count measured (on a 2-vCPU host).
 _MAX_WORKERS = 2
@@ -119,19 +134,27 @@ def _worker_count(chunks: int) -> int:
     return max(1, min(cpus, chunks, _MAX_WORKERS))
 
 
+def _block_slots(n: int, workers: int = 1) -> int:
+    """Slots per counting block: the most whole chunks within both bounds, at least one."""
+    step = _chunk_slots(n, workers)
+    return step * max(1, min(_COUNT_SLOTS, _COUNT_FLAGS // n) // step)
+
+
 def _count_slots(seed: int, m: int, tau_rows: np.ndarray, p_frames: np.ndarray,
                  by_t_coll: np.ndarray, lo: int, hi: int, draws: np.ndarray,
-                 tx_buf: np.ndarray) -> np.ndarray:
-    """Counts of slots [lo, hi) of the seed's stream, a chunk of len(draws) slots at a time.
+                 tx_block: np.ndarray, u_block: np.ndarray) -> np.ndarray:
+    """Counts of slots [lo, hi) of the seed's stream, a block of len(tx_block) slots at a time.
 
     Rows of the result: per node, its success slots not delivered, its
     deliveries, the collision slots it transmitted in, and those it was
-    the longest transmitter of.  draws and tx_buf are the chunk buffers of
-    transmit uniforms and transmit flags, and tau_rows is the access
-    probabilities tiled to one comparison row.  Calls nothing but numpy, so
-    it may run on any thread.
+    the longest transmitter of.  draws is the chunk buffer of transmit
+    uniforms, tx_block the block's transmit flags (whole chunks) and
+    u_block its delivery uniforms, and tau_rows is the access probabilities
+    tiled to one comparison row.  Calls nothing but numpy, so it may run on
+    any thread.
     """
     step, n = draws.shape
+    block = len(tx_block)
     # Each float64 takes one 64-bit step: the transmit draws of slot s start
     # at step s * n, and the delivery uniforms follow all m * n of them.
     tx_bits = np.random.PCG64(seed)
@@ -145,15 +168,16 @@ def _count_slots(seed: int, m: int, tau_rows: np.ndarray, p_frames: np.ndarray,
     # Wide enough for a slot where all n nodes transmit.
     ones = np.ones(n, dtype=np.min_scalar_type(n))
     width = len(tau_rows)
-    for start in range(lo, hi, step):
-        rows = min(step, hi - start)
-        tx = tx_buf[:rows]
-        tx_rng.random(out=draws[:rows])
-        # A short last chunk also compares the stale draws past its rows,
-        # whose flags are never read.
-        np.less(draws.reshape(-1, width), tau_rows, out=tx_buf.reshape(-1, width))
-        # The transmit draws are spent, so the delivery uniforms reuse them.
-        u = draws.reshape(-1)[:rows]
+    for start in range(lo, hi, block):
+        rows = min(block, hi - start)
+        for first in range(0, rows, step):
+            tx_rng.random(out=draws[:min(step, rows - first)])
+            # A short last chunk also compares the stale draws past its
+            # rows, whose flags are never read.
+            np.less(draws.reshape(-1, width), tau_rows,
+                    out=tx_block[first:first + step].reshape(-1, width))
+        tx = tx_block[:rows]
+        u = u_block[:rows]
         delivery_rng.random(out=u)
         ntx = tx.view(np.uint8) @ ones
         succ = np.flatnonzero(ntx == 1)
@@ -173,15 +197,23 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     The slots are split into contiguous slices of whole chunks, one per
     worker thread, and each worker replays its own slice of the seed's
     stream: two generators advanced to the slice's first transmit draw and
-    its first delivery uniform.  The workers only add to integer counts,
-    which the caller sums, so every report field is the same whatever the
-    worker count.  The count is the number of available CPUs, capped by
-    the chunk count and by _MAX_WORKERS (2, the only count measured); the
-    caller's thread counts the first slice, a thread pool made for the
-    call counts the others, and any worker's exception reaches the caller
-    once the pool has joined its threads.  The workers share _CHUNK_DRAWS
-    transmit draws in flight, so memory does not grow with the worker
-    count.
+    its first delivery uniform.  A worker counts its slice a block of
+    slots at a time.  Its inner loop draws one chunk of transmit uniforms
+    at a time into its share of the _CHUNK_DRAWS draws in flight and
+    compares them into the block's transmit flags; its outer loop draws
+    the block's delivery uniforms and counts the whole block at once.  A
+    block is the most whole chunks within _COUNT_SLOTS slots and
+    _COUNT_FLAGS flags, and at least one chunk.  The workers only add to
+    integer counts, which the caller sums, so every report field is the
+    same whatever the worker count.  The count is the number of available
+    CPUs, capped by the chunk count and by _MAX_WORKERS (2, the only count
+    measured).  The caller's thread counts the first slice and one thread
+    per other slice counts the rest; all are joined before the call
+    returns, and a worker's exception is raised again in the caller.
+    Memory per worker is its share of the draws in flight plus its block
+    (a byte of flag per slot and node, 8 bytes of delivery uniform per
+    slot) and temporaries of at most the block's order, whatever
+    num_slots is.
     """
     n = net.n_nodes
     if len(tau) != n or len(nts) != n:
@@ -199,23 +231,35 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     m = cfg.num_slots
     workers = _worker_count(-(-m // _chunk_slots(n)))
     step = _chunk_slots(n, workers)
+    block = _block_slots(n, workers)
     chunks = -(-m // step)
     bounds = [step * (chunks * i // workers) for i in range(workers)] + [m]
     tau_rows = np.tile(np.asarray(tau, dtype=float), _compare_slots(n))
     count = functools.partial(_count_slots, cfg.seed, m, tau_rows, p_frames, by_t_coll)
     # The buffers come from the caller's thread, whose heap is already paged
     # in; zeroed, so stale draws are never NaN.
-    slices = [(lo, hi, np.zeros((step, n)), np.empty((step, n), dtype=bool))
+    slices = [(lo, hi, np.zeros((step, n)), np.empty((block, n), dtype=bool), np.empty(block))
               for lo, hi in zip(bounds, bounds[1:])]
-    # Imported here, so only a simulation pays for concurrent.futures and
-    # the logging and queue modules it loads (about 10 ms and 0.4 MB).
-    from concurrent.futures import ThreadPoolExecutor
-    # A pool with no task starts no thread; leaving it joins every worker.
-    with ThreadPoolExecutor(max(1, workers - 1)) as pool:
-        futures = [pool.submit(count, *args) for args in slices[1:]]
-        counts = count(*slices[0])
-        for f in futures:
-            counts = counts + f.result()
+    results: list = [None] * workers
+
+    def work(i: int) -> None:
+        try:
+            results[i] = count(*slices[i])
+        except BaseException as exc:   # raised again on the caller's thread
+            results[i] = exc
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        results[0] = count(*slices[0])
+    finally:
+        for t in threads:
+            t.join()
+    for r in results[1:]:
+        if isinstance(r, BaseException):
+            raise r
+    counts = sum(results)
     delivered = counts[1]
     per_node_success = counts[0] + delivered
     coll_tx, coll_longest = counts[2], counts[3]

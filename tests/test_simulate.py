@@ -2,9 +2,10 @@
 
 Determinism is checked field by field, the time and energy accounting
 against an independent pure-Python replay of the same random draws, the
-chunked stream against the one-shot algorithm it replaced, the reports of
-every worker-thread count against the one-thread report, and the
-estimators against the analytic models through standardized differences.
+chunked stream against the one-shot algorithm it replaced at the edges of
+its draw chunks and counting blocks, the reports of every worker-thread
+count against the one-thread report, and the estimators against the
+analytic models through standardized differences.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -28,10 +32,19 @@ from eecap import (
     simulate,
 )
 from eecap.metrics import frame_success_prob
-from eecap.simulate import _MAX_WORKERS, _chunk_slots, z_score
+from eecap.simulate import _MAX_WORKERS, _block_slots, _chunk_slots, z_score
 
 # The package re-exports the function simulate under the submodule's name.
 SIM = importlib.import_module("eecap.simulate")
+
+# Slot counts at the edges of one worker's draw chunks (c slots each) and
+# counting blocks (b slots each), as units * unit(n) + extra.
+SLOT_EDGES = pytest.mark.parametrize(
+    "unit, units, extra",
+    ((_chunk_slots, 0, 1), (_chunk_slots, 1, -1), (_chunk_slots, 1, 0), (_chunk_slots, 1, 1),
+     (_chunk_slots, 3, 5), (_block_slots, 1, -1), (_block_slots, 1, 0), (_block_slots, 1, 1),
+     (_block_slots, 3, 5)),
+    ids=("1", "c-1", "c", "c+1", "3c+5", "b-1", "b", "b+1", "3b+5"))
 
 
 def _one_shot_simulate(net, tau, nts, cfg):
@@ -221,11 +234,10 @@ class TestChunkedStream:
     """The chunked simulator replays the one-shot algorithm's random stream."""
 
     @pytest.mark.parametrize("n", (1, 2, 7, 16, 300))
-    @pytest.mark.parametrize("chunks, extra", ((0, 1), (1, -1), (1, 0), (1, 1), (3, 5)),
-                             ids=("1", "c-1", "c", "c+1", "3c+5"))
+    @SLOT_EDGES
     @pytest.mark.parametrize("edges", (False, True), ids=("inner", "edges"))
-    def test_matches_one_shot_at_chunk_boundaries(self, n, chunks, extra, edges):
-        net, tau, nts, cfg = _random_case(n, chunks * _chunk_slots(n) + extra, edges)
+    def test_matches_one_shot_at_chunk_boundaries(self, n, unit, units, extra, edges):
+        net, tau, nts, cfg = _random_case(n, units * unit(n) + extra, edges)
         rep = simulate(net, tau, nts, cfg)
         want = _one_shot_simulate(net, tau, nts, cfg)
         got = {k: getattr(rep, k) for k in want}
@@ -238,12 +250,11 @@ class TestWorkerSplit:
 
     # n = 256 is where a slot's transmitter count needs more than a uint8.
     @pytest.mark.parametrize("n", (1, 2, 16, 256))
-    @pytest.mark.parametrize("chunks, extra", ((0, 1), (1, -1), (1, 0), (1, 1), (3, 5)),
-                             ids=("1", "c-1", "c", "c+1", "3c+5"))
+    @SLOT_EDGES
     @pytest.mark.parametrize("edges", (False, True), ids=("inner", "edges"))
-    def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch, n, chunks, extra,
+    def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch, n, unit, units, extra,
                                                        edges):
-        net, tau, nts, cfg = _random_case(n, chunks * _chunk_slots(n) + extra, edges)
+        net, tau, nts, cfg = _random_case(n, units * unit(n) + extra, edges)
         reports = {}
         for workers in (1, 2, 3, 4):
             monkeypatch.setattr(SIM, "_worker_count", lambda chunks, w=workers: w)
@@ -282,23 +293,42 @@ class TestWorkerSplit:
         assert seen and max(seen) <= before + _MAX_WORKERS - 1
         assert threading.active_count() == before
 
+    def test_workers_load_no_thread_pool_module(self):
+        """concurrent.futures, with the logging and queue modules it loads, costs ~0.4 MB."""
+        src = os.path.dirname(os.path.dirname(SIM.__file__))
+        code = ("import importlib, sys\n"
+                "from eecap import SimConfig, build_network, simulate\n"
+                "SIM = importlib.import_module('eecap.simulate')\n"
+                "SIM._worker_count = lambda chunks: 2\n"
+                "simulate(build_network([1.0, 1.0], [0.0, 0.0]), (0.3, 0.2), (126, 126),\n"
+                "         SimConfig(num_slots=100_000))\n"
+                "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
+
 
 class TestBoundedMemory:
     def test_traced_peak_is_flat_in_slots(self):
-        n = 16
-        net = build_network([1.0 + 0.5 * k for k in range(n)], [0.0] * n)
-        tau = [0.5 / n] * n
-        nts = [126 + 63 * k for k in range(n)]
-        peaks = {}
-        for m in (200_000, 2_000_000):
-            tracemalloc.start()
-            try:
-                simulate(net, tau, nts, SimConfig(num_slots=m, seed=1))
-                peaks[m] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[2_000_000] < 16 * 2 ** 20
-        assert peaks[2_000_000] <= 1.5 * peaks[200_000]
+        # A counting block holds the most slots at n = 1 and 2; at n = 256
+        # its bound on transmit flags, not on slots, sets its length.
+        for n, slots in ((1, 2_000_000), (2, 2_000_000), (16, 2_000_000), (256, 200_000)):
+            net = build_network([1.0 + 0.5 * (k % 16) for k in range(n)], [0.0] * n)
+            tau = [0.5 / n] * n
+            nts = [126 + 63 * (k % 41) for k in range(n)]
+            peaks = {}
+            for m in (slots // 10, slots):
+                tracemalloc.start()
+                try:
+                    simulate(net, tau, nts, SimConfig(num_slots=m, seed=1))
+                    peaks[m] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peaks[slots] < 16 * 2 ** 20
+            assert peaks[slots] < 4 * 2 ** 20, n
+            assert peaks[slots] <= 1.5 * peaks[slots // 10], n
 
 
 class TestEstimators:
