@@ -14,13 +14,12 @@ from typing import Sequence
 
 @dataclass(frozen=True)
 class StateProbs:
-    """Network-wide slot-state probabilities at one access vector."""
+    """Each node's success and the network's slot-state probabilities at one access vector."""
 
     per_node_success: tuple[float, ...]   # P_k^S, node k alone transmits
     p_success: float                      # P^S, exactly one transmitter
     p_collision: float                    # P^C, two or more transmitters
     p_idle: float                         # P^I, no transmitter
-    busy: tuple[float, ...]               # p_k, anyone but k transmits
 
 
 @dataclass(frozen=True)
@@ -72,13 +71,11 @@ def state_probs(tau: Sequence[float]) -> StateProbs:
     p_collision = 1.0 - p_success - p_idle
     if p_collision < 0.0:  # roundoff guard, the exact value is non-negative
         p_collision = 0.0
-    busy = tuple([1.0 - o for o in others])
     return StateProbs(
         per_node_success=per_node,
         p_success=p_success,
         p_collision=p_collision,
         p_idle=p_idle,
-        busy=busy,
     )
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .network import NetworkModel, evaluate
 from .scenario import _OBJECTIVE_NAMES, Scenario, ScenarioError, load_scenario
 from .simulate import SimConfig, efficiency_estimate, rate_estimate, simulate, z_score
-from .solver import Solution, eecap
+from .solver import eecap
 
 EXIT_OK = 0
 EXIT_MISSING_FILE = 1
@@ -35,17 +35,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.10g}"
     return str(value)
-
-
-def _load(path: str) -> Scenario:
-    try:
-        return load_scenario(path)
-    except FileNotFoundError:
-        print(f"error: scenario file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_MISSING_FILE)
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
 
 
 def _apply_objective(scn: Scenario, flag: Optional[str]) -> Scenario:
@@ -80,27 +69,23 @@ def _summary_row(variant: str, feasible: bool, iterations: int, converged: bool,
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    scn = _apply_objective(_load(args.scenario), args.objective)
-    try:
-        net = scn.network()
-        if scn.tau is not None:
-            assert scn.nts is not None
-            _, rates, etas = evaluate(net, scn.tau, scn.nts)
-            lines = [SOLVE_HEADER]
-            lines += _node_rows(net, scn.tau, scn.nts, rates, etas)
-            lines.append(_summary_row("eval", True, 0, True, scn.tau, rates, etas))
-            print("evaluated fixed access probabilities; no solve", file=sys.stderr)
-        else:
-            sol = eecap(net, scn.solver)
-            lines = [SOLVE_HEADER]
-            lines += _node_rows(net, sol.tau_opt, sol.nt_opt, sol.rates, sol.efficiencies)
-            lines.append(_summary_row(sol.variant_used, sol.feasible, sol.iterations,
-                                      sol.converged, sol.tau_opt, sol.rates, sol.efficiencies))
-            print(f"variant={sol.variant_used} iterations={sol.iterations} "
-                  f"converged={sol.converged}", file=sys.stderr)
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    scn = _apply_objective(load_scenario(args.scenario), args.objective)
+    net = scn.network()
+    if scn.tau is not None:
+        assert scn.nts is not None
+        _, rates, etas = evaluate(net, scn.tau, scn.nts)
+        lines = [SOLVE_HEADER]
+        lines += _node_rows(net, scn.tau, scn.nts, rates, etas)
+        lines.append(_summary_row("eval", True, 0, True, scn.tau, rates, etas))
+        print("evaluated fixed access probabilities; no solve", file=sys.stderr)
+    else:
+        sol = eecap(net, scn.solver)
+        lines = [SOLVE_HEADER]
+        lines += _node_rows(net, sol.tau_opt, sol.nt_opt, sol.rates, sol.efficiencies)
+        lines.append(_summary_row(sol.variant_used, sol.feasible, sol.iterations,
+                                  sol.converged, sol.tau_opt, sol.rates, sol.efficiencies))
+        print(f"variant={sol.variant_used} iterations={sol.iterations} "
+              f"converged={sol.converged}", file=sys.stderr)
     print("\n".join(lines))
     return EXIT_OK
 
@@ -142,28 +127,23 @@ def _sweep_point(scn: Scenario, axis: str, value: float) -> Scenario:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scn = _apply_objective(_load(args.scenario), args.objective)
-    try:
-        values = _sweep_values(args)
-        lines = [SWEEP_HEADER]
-        for value in values:
-            point = _sweep_point(scn, args.axis, value)
-            net = point.network()
-            sol = eecap(net, point.solver)
-            lines.append(",".join([
-                args.axis, _fmt(value), str(net.n_nodes), sol.variant_used,
-                str(int(sol.feasible)), str(net.nodes[0].link.n_cpb),
-                _fmt(math.fsum(sol.tau_opt)), _fmt(math.fsum(sol.rates)),
-                _fmt(math.fsum(sol.efficiencies)),
-                _fmt(min(sol.tau_opt)), _fmt(max(sol.tau_opt)), _fmt(sol.tau_opt[0]),
-                str(min(sol.nt_opt)), str(max(sol.nt_opt)), str(sol.nt_opt[0]),
-                _fmt(sol.rates[0]), _fmt(sol.efficiencies[0]),
-            ]))
-            print(f"sweep {args.axis}={_fmt(value)}: variant={sol.variant_used} "
-                  f"iterations={sol.iterations} converged={sol.converged}", file=sys.stderr)
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    scn = _apply_objective(load_scenario(args.scenario), args.objective)
+    lines = [SWEEP_HEADER]
+    for value in _sweep_values(args):
+        point = _sweep_point(scn, args.axis, value)
+        net = point.network()
+        sol = eecap(net, point.solver)
+        lines.append(",".join([
+            args.axis, _fmt(value), str(net.n_nodes), sol.variant_used,
+            str(int(sol.feasible)), str(net.nodes[0].link.n_cpb),
+            _fmt(math.fsum(sol.tau_opt)), _fmt(math.fsum(sol.rates)),
+            _fmt(math.fsum(sol.efficiencies)),
+            _fmt(min(sol.tau_opt)), _fmt(max(sol.tau_opt)), _fmt(sol.tau_opt[0]),
+            str(min(sol.nt_opt)), str(max(sol.nt_opt)), str(sol.nt_opt[0]),
+            _fmt(sol.rates[0]), _fmt(sol.efficiencies[0]),
+        ]))
+        print(f"sweep {args.axis}={_fmt(value)}: variant={sol.variant_used} "
+              f"iterations={sol.iterations} converged={sol.converged}", file=sys.stderr)
     print("\n".join(lines))
     return EXIT_OK
 
@@ -175,18 +155,14 @@ def _state_z(p_hat: float, p: float, m: int) -> tuple[float, float]:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    scn = _load(args.scenario)
-    try:
-        if scn.tau is None:
-            raise ScenarioError("[nodes] tau: required for validate (fixed access probabilities)")
-        assert scn.nts is not None
-        sim_cfg = SimConfig(num_slots=args.slots, seed=args.seed)
-        net = scn.network()
-        sp, rates, etas = evaluate(net, scn.tau, scn.nts)
-        report = simulate(net, scn.tau, scn.nts, sim_cfg)
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    scn = load_scenario(args.scenario)
+    if scn.tau is None:
+        raise ScenarioError("[nodes] tau: required for validate (fixed access probabilities)")
+    assert scn.nts is not None
+    sim_cfg = SimConfig(num_slots=args.slots, seed=args.seed)
+    net = scn.network()
+    sp, rates, etas = evaluate(net, scn.tau, scn.nts)
+    report = simulate(net, scn.tau, scn.nts, sim_cfg)
 
     tail = f"{args.slots},{args.seed}"
     lines = [VALIDATE_HEADER]
@@ -249,13 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_INVALID
-        return code
+    except FileNotFoundError:
+        print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
+        return EXIT_MISSING_FILE
+    except ValueError as exc:   # ScenarioError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

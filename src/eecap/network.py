@@ -32,16 +32,14 @@ from .phy import LinkBudget, PhyConfig, SegmentProbs, bit_error_prob, segment_pr
 
 @dataclass(frozen=True, slots=True)
 class NodeModel:
-    """One node's link, error probabilities and timing, all distance-derived."""
+    """One node's link, segment decode probabilities and timing, all distance-derived."""
 
     index: int
     d: float
     r_min: float
     link: LinkBudget
-    p_b: float
     seg: SegmentProbs
-    t_sym: float              # payload symbol period at this node's burst length
-    timing: TimingParams      # shared header/guard times with this node's t_sym
+    timing: TimingParams      # shared header/guard times; t_sym at this node's burst length
 
 
 class PayloadTable(NamedTuple):
@@ -122,12 +120,12 @@ class PayloadTable(NamedTuple):
 class NetworkModel:
     """Immutable bundle of everything needed to evaluate one scenario.
 
-    payloads is the network's PayloadTable, derived from the other fields.
+    The channel and the pulses-per-burst table enter only through each
+    node's link budget.  payloads is the network's PayloadTable, derived
+    from the other fields.
     """
 
     phy: PhyConfig
-    channel: ChannelParams
-    table: NcpbTable
     energy: EnergyParams
     nodes: tuple[NodeModel, ...]
     payloads: PayloadTable = field(init=False, repr=False, compare=False)
@@ -180,16 +178,13 @@ def build_network(distances: Sequence[float], r_mins: Sequence[float],
     nodes = []
     for k, (d, r_min) in enumerate(zip(distances, r_mins)):
         lb = link_budget(d, channel, table, phy)
-        p_b = bit_error_prob(lb, phy)
-        seg = segment_probs(p_b, phy)
+        seg = segment_probs(bit_error_prob(lb, phy), phy)
         t_sym = phy.t_sym * lb.n_cpb
         node_timing = timings.get(t_sym)
         if node_timing is None:
             node_timing = timings[t_sym] = replace(timing, t_sym=t_sym, sigma=sigma)
-        nodes.append(NodeModel(index=k, d=d, r_min=r_min, link=lb, p_b=p_b,
-                               seg=seg, t_sym=t_sym, timing=node_timing))
-    return NetworkModel(phy=phy, channel=channel, table=table, energy=energy,
-                        nodes=tuple(nodes))
+        nodes.append(NodeModel(index=k, d=d, r_min=r_min, link=lb, seg=seg, timing=node_timing))
+    return NetworkModel(phy=phy, energy=energy, nodes=tuple(nodes))
 
 
 def _check_payloads(phy: PhyConfig, nts: Sequence[int]) -> None:

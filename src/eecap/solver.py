@@ -189,15 +189,13 @@ def _objective_rows(variant: str, etas: np.ndarray) -> np.ndarray:
 
 def _maximize_scalar(f: Callable[[float], float], scan: Callable[[np.ndarray], np.ndarray],
                      lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Bracketed 1-D maximization: coarse pre-scan, then golden-section.
+    """Bracketed 1-D maximization on [lo, hi], lo < hi: coarse pre-scan, then golden-section.
 
     scan(xs) returns f at every point of xs at once; it scores the
     pre-scan, and f the golden-section probes.  Returns the best point
     evaluated anywhere, which makes the search robust when the function is
     not unimodal on [lo, hi].
     """
-    if hi <= lo:
-        return lo, f(lo)
     step = (hi - lo) / (_PRESCAN - 1)
     xs = lo + np.arange(_PRESCAN) * step
     values = scan(xs)
@@ -275,9 +273,9 @@ def feasibility_stage(net: NetworkModel) -> tuple[tuple[float, ...], tuple[int, 
             tau[k], x[k] = t, y
             u = uo + y
             v = q * (1.0 + y) - 1.0 - u
-            bits_time = nts[k] * nm.t_sym
+            bits_time = nts[k] * nm.timing.t_sym
             to = u * (t_sk - bits_time) + v * (t_ck - bits_time) + t_idle[k]
-            nts[k] = _nt_opt(nm.seg.p_cw, to, (u + v) * nm.t_sym, grid, n)
+            nts[k] = _nt_opt(nm.seg.p_cw, to, (u + v) * nm.timing.t_sym, grid, n)
         delta = max(max(abs(new - old) for new, old in zip(tau, prev_tau)),
                     max(abs(new - old) for new, old in zip(nts, prev_nts)) / net.phy.n_t_max)
         if delta < _CONVERGENCE_TOL:
@@ -441,51 +439,44 @@ def _lift_many(table: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndar
     return out, etas, ok
 
 
-def _logthr_newton(cols: tuple[np.ndarray, ...]) -> tuple[float, float, float, bool]:
+def _logthr_newton(cols: tuple[np.ndarray, ...]) -> tuple[float, bool]:
     """Maximize sum_k log r_k over the access budget at fixed payloads.
 
-    cols holds (t_s, t_c, t_idle, c) per node.  Returns (tau, objective,
-    multiplier of the budget, kkt), tau common to every node (module
-    docstring).  In its log-odds s = log x, with u = n x and
-    v = (1 + x)^n - 1 - n x, the objective is
+    cols holds (t_s, t_c, t_idle, c) per node.  Returns (tau, kkt), tau
+    common to every node (module docstring).  In its log-odds s = log x,
+    with u = n x and v = (1 + x)^n - 1 - n x, the objective is
     phi(s) = sum_k log c_k + n s - sum_k log D_k, and
     phi'(s) = n (1 - sum_k N_k / D_k), N_k = x (t_s,k + ((1 + x)^(n-1) - 1) t_c,k),
     falls from n to n - n^2.  If phi' >= 0 on the face x = 1 / (n - 1),
-    tau = 1 / n with multiplier phi' / (n tau (1 - tau)); otherwise Newton
-    steps on phi', bisecting where one leaves the bracket of its root, run
-    to roundoff.  At the bracket's lower end, x = 1 / (2 K) with
-    K = sum_k (t_s,k + 2 t_c,k) / t_idle,k, sum_k N_k / D_k < x K = 1/2,
-    since below the face (1 + x)^(n-1) < e and D_k > t_idle,k.  kkt is True
-    on the face, or where the Lagrangian's per-node derivative |phi'| / n
-    is within _KKT_TOL.
+    tau = 1 / n; otherwise Newton steps on phi', bisecting where one
+    leaves the bracket of its root, run to roundoff.  At the bracket's
+    lower end, x = 1 / (2 K) with K = sum_k (t_s,k + 2 t_c,k) / t_idle,k,
+    sum_k N_k / D_k < x K = 1/2, since below the face (1 + x)^(n-1) < e
+    and D_k > t_idle,k.  kkt is True on the face, or where the Lagrangian's
+    per-node derivative |phi'| / n is within _KKT_TOL.
 
-    A lone node's rate c x / (t_s x + t_idle) rises with x up to c / t_s
-    at tau = 1: it returns tau = 1, the objective log(c / t_s) and the
-    multiplier's limit t_idle / t_s.
+    A lone node's rate c x / (t_s x + t_idle) rises with x up to c / t_s,
+    so it returns tau = 1.
     """
     t_s, t_c, t_idle, c = cols
     n = len(c)
-    with np.errstate(divide="ignore"):
-        log_c = float(np.log(c).sum())
     if n == 1:
-        return 1.0, log_c - math.log(t_s[0]), float(t_idle[0] / t_s[0]), True
+        return 1.0, True
 
-    def slope(s: float) -> tuple[float, float, float]:
-        """(phi'(s), phi''(s), sum_k log D_k)."""
+    def slope(s: float) -> tuple[float, float]:
+        """(phi'(s), phi''(s))."""
         x = math.exp(s)
         q = (1.0 + x) ** (n - 1)
         d = n * x * t_s + (q * (1.0 + x) - 1.0 - n * x) * t_c + t_idle
         num = x * (t_s + (q - 1.0) * t_c)
         dnum = num + (n - 1) * x * x * q / (1.0 + x) * t_c   # dN_k / ds
         r = num / d
-        return (n * (1.0 - float(r.sum())), -n * float((dnum / d - n * r * r).sum()),
-                float(np.log(d).sum()))
+        return n * (1.0 - float(r.sum())), -n * float((dnum / d - n * r * r).sum())
 
     s = -math.log(n - 1)
-    g, h, log_d = slope(s)
+    g, h = slope(s)
     if g >= 0.0:
-        tau = 1.0 / n
-        return tau, log_c + n * s - log_d, g / (n * tau * (1.0 - tau)), True
+        return 1.0 / n, True
     lo, hi = -math.log(2.0 * float(((t_s + 2.0 * t_c) / t_idle).sum())), s
     for _ in range(_NEWTON_STEPS):
         new = s - g / h
@@ -493,14 +484,14 @@ def _logthr_newton(cols: tuple[np.ndarray, ...]) -> tuple[float, float, float, b
             new = 0.5 * (lo + hi)
         done = abs(new - s) <= 1e-12 * (1.0 + abs(s))   # Newton: this step ends at roundoff
         s = new
-        g, h, log_d = slope(s)
+        g, h = slope(s)
         if done or g == 0.0:
             break
         if g > 0.0:
             lo = s
         else:
             hi = s
-    return 1.0 / (1.0 + math.exp(-s)), log_c + n * s - log_d, 0.0, abs(g) / n <= _KKT_TOL
+    return 1.0 / (1.0 + math.exp(-s)), abs(g) / n <= _KKT_TOL
 
 
 def _repair_rates(net: NetworkModel, tau: Sequence[float], nts: Sequence[int]
@@ -782,7 +773,7 @@ def _logthr_fallback(net: NetworkModel) -> Solution:
     trace: list[float] = []
     for _ in range(_MAX_OUTER_ITERS):
         t_s, t_c, _, _, _, c, _ = pay.at(nts)
-        t, _, _, kkt = _logthr_newton((t_s, t_c, pay.t_idle, c))
+        t, kkt = _logthr_newton((t_s, t_c, pay.t_idle, c))
         tau = [t] * net.n_nodes
         polished = _polish_payloads(net, VARIANT_LOGTHR, tau, nts)
         settled, nts = polished == nts, polished

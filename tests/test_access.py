@@ -27,8 +27,6 @@ class TestStateProbs:
         assert sp.p_success == pytest.approx(0.441, abs=1e-15)
         assert sp.p_idle == pytest.approx(0.343, abs=1e-15)
         assert sp.p_collision == pytest.approx(0.216, abs=1e-15)
-        # busy[k]: at least one of the other two nodes transmits
-        assert sp.busy == pytest.approx((0.51, 0.51, 0.51), abs=1e-15)
 
     def test_two_even_transmitters(self):
         sp = state_probs((0.5, 0.5))

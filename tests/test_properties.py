@@ -39,7 +39,7 @@ def test_state_probs_normalise(tau):
     sp = state_probs(tau)
     total = sp.p_success + sp.p_collision + sp.p_idle
     assert abs(total - 1.0) <= 1e-12
-    for p in (sp.p_success, sp.p_collision, sp.p_idle, *sp.per_node_success, *sp.busy):
+    for p in (sp.p_success, sp.p_collision, sp.p_idle, *sp.per_node_success):
         assert 0.0 <= p <= 1.0
     # The affine decomposition in each tau_k rebuilds the same probabilities.
     for k, t in enumerate(tau):
@@ -271,18 +271,18 @@ def test_fallback_is_the_logthr_optimum(case):
     t_s, t_c, _, _, _, c, _ = pay.at(nts)
     cols = (t_s, t_c, pay.t_idle, c)
     # The core, run at the returned payloads, gives every node the returned
-    # tau, and its closed-form objective is evaluate's.
-    t, value, mu, kkt = _logthr_newton(cols)
+    # tau, and the closed-form objective there is evaluate's.
+    t, kkt = _logthr_newton(cols)
     assert kkt and tau == [t] * n
     want = _value(net, VARIANT_LOGTHR, tau, nts)
     assert want == sol.objective_value
-    assert abs(value - want) <= 1e-12 * abs(want)
     s = math.log(t / (1.0 - t))
     assert abs(common_phi(cols, [s])[0] - want) <= 1e-12 * abs(want)
     # KKT: each node's log-odds derivative g (checked against central
     # differences of evaluate's objective) is mu d tau / dy, mu >= 0, and
-    # mu > 0 only on the face.
+    # mu > 0 only on the face tau = 1 / n, where the core returns 1 / n.
     g = float(common_slope(cols, s))
+    mu = g / (t * (1.0 - t)) if t == 1.0 / n else 0.0
     y = np.full(n, s)
     h = 1e-5
     for k in range(n):

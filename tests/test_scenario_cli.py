@@ -154,9 +154,17 @@ class TestSolveCommand:
         out = capsys.readouterr()
         assert "summary,variant=LogEE," in out.out
 
-    def test_missing_file_exit_code(self, capsys):
-        assert main(["solve", "--scenario", "no/such/file.ini"]) == EXIT_MISSING_FILE
-        assert "not found" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["solve"], id="solve"),
+        pytest.param(["sweep", "--axis", "nodes", "--from", "2", "--to", "3"], id="sweep"),
+        pytest.param(["validate"], id="validate"),
+    ])
+    def test_missing_file_exit_code(self, argv, capsys):
+        path = "no/such/file.ini"
+        assert main(argv + ["--scenario", path]) == EXIT_MISSING_FILE
+        out = capsys.readouterr()
+        assert f"error: scenario file not found: {path}" in out.err
+        assert out.out == ""
 
     def test_invalid_scenario_exit_code(self, tmp_path, capsys):
         path = write_ini(tmp_path, "[nodes]\nd = 1.0\nr_min = -5\n")
