@@ -13,6 +13,21 @@ the nodes and every admissible payload size; evaluate, the solver and the
 simulator read them only there.  cost_model, NetworkModel.cost and the
 metrics formulas stay the scalar reference oracles, and the table repeats
 their arithmetic, so both agree bitwise.
+
+The rate model times node k with its own slot durations.  In odds
+x = tau / (1 - tau), with u = sum(x) and v = prod(1 + x) - 1 - u, node k's
+rate is c_k x_k / D_k with D_k = u t_s,k + v t_c,k + t_idle: every
+success and collision slot is priced at node k's t_s,k and t_c,k.  By the
+physical clock, which SimReport.elapsed_time follows, a success slot lasts
+its sender's t_s and a collision slot its longest transmitter's t_c.
+With P = prod(1 + x) and the nodes (1), ..., (n) in the order of falling
+t_c, the mean slot then lasts D~ / P, where
+
+    D~ = sum_j x_j t_s,j + sum_i t_c,(i) x_(i) (prod_{j > i} (1 + x_(j)) - 1) + t_idle,
+
+and node k delivers c_k x_k / D~ bits per second.  The two rates agree
+where all nodes have the same slot durations; these depend on the payload,
+and on the distance through the burst length n_cpb.
 """
 
 from __future__ import annotations

@@ -8,36 +8,33 @@ physical accounting (energy charged to transmitters, elapsed time from
 the involved nodes' durations) it exposes per-node ratio estimators that
 mirror the analytic definitions, with delta-method standard errors.
 
-The slots are streamed in two loops that only add to integer counts.
-The inner loop draws a fixed-size chunk of transmit uniforms at a time
-and compares it with the access probabilities into a counting block of
-transmit flags, whole chunks long; the outer loop draws the block's
-delivery uniforms and counts the block in one pass.  A block is the most
-whole chunks within 1 << 14 slots and 1 << 18 flags, and at least one
-chunk, so memory is O(chunk + block) whatever ``num_slots`` is.  The
-random stream is that of one ``PCG64(seed)`` generator drawing all
-slots x nodes transmit uniforms in slot-major order and then one delivery
-uniform per slot; the loops replay it exactly, so a seed gives the same
-report however the slots are chunked and blocked, and however they are
-shared among the worker threads that count them (see ``simulate``).
+Each node draws the gaps between its transmissions rather than one
+uniform per slot: i.i.d. Bernoulli(tau) slots have i.i.d. geometric
+gaps, and node k next transmits floor(log1p(-U) / log1p(-tau_k)) + 1
+slots after its last transmission, for a fresh uniform U.  A run so draws
+about num_slots * sum(tau) uniforms, plus one per success, instead of
+num_slots * (n + 1).  The random stream is per node: child k of
+``SeedSequence(seed).spawn(n)`` spawns two PCG64 generators, one for
+node k's gaps and one for a delivery uniform per success of node k, in
+slot order, compared with its frame success probability.  Only
+``Generator.random`` is called: numpy may change the algorithms of its
+geometric, binomial and exponential samplers between versions, but not
+its uniform doubles.
 
-A block's counts are integer arithmetic on its boolean transmit matrix.
-One product of the matrix's bytes with a ones vector, of a dtype wide
-enough to hold n, gives each slot's transmitter count.  In a success slot
-the lone transmitter's column is the sender, and one bincount of the
-sender plus n where the slot's delivery uniform falls below the sender's
-frame success probability gives the per-node undelivered successes and
-deliveries.  The collision rows are selected once, for the per-node
-transmissions and the longest transmitter.  Counting only reads the
-draws, so the stream and every report field stay those of the seed.
+The slots are counted on the caller's thread a block at a time, from
+the transmissions in the block.  A node draws its gaps in refills that
+span several blocks and carries the transmissions it has drawn but not
+counted into the next block, so a seed gives the same report whatever
+the block length.  A bincount of the block's transmit slots gives each
+slot's transmitter count.  The nodes write their rank, in the order of
+decreasing collision duration, into the slots they transmit in, the
+longest last; a success slot then holds its sender and a collision slot
+its longest transmitter, whose collision duration is the slot's length.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -93,127 +90,61 @@ class SimReport:
                 raise ValueError("empirical probabilities must lie in [0, 1]")
 
 
-# Transmit draws in flight per simulate call, 512 KiB of float64, shared
-# among its worker threads.
-_CHUNK_DRAWS = 1 << 16
-# Most slots and most transmit flags (a byte each) in a counting block,
-# whose length is rounded down to whole chunks (at least one).  Counting a
-# block takes about fifteen numpy calls whatever its length; counted chunk
-# by chunk, a few thousand slots at a time, those calls kept two workers
-# from running faster than one.  The slot bound caps the per-slot
-# temporaries at small n, the flag bound the flags and the per-flag
-# temporaries at large n.
-_COUNT_SLOTS = 1 << 14
-_COUNT_FLAGS = 1 << 18
-# Most threads one simulate call counts slots on, the caller's included;
-# two is the only count measured (on a 2-vCPU host).
-_MAX_WORKERS = 2
-# Least transmit draws per row of a chunk's comparison with the access
-# probabilities.  numpy runs a comparison of rows this long without a
-# buffer, where rows of n draws would be copied through a 64 KiB one.
-_COMPARE_DRAWS = 1 << 13
+# Most slots in a counting block, most transmissions expected in one
+# where the access probabilities sum past 1, and most delivery uniforms
+# drawn at a time.
+_BLOCK_SLOTS = 1 << 15
+# Gaps drawn per refill by all nodes, shared in proportion to their access
+# probabilities, so that each node refills about once every
+# _REFILL_DRAWS / sum(tau) slots: two blocks at a sum of 0.5.  On the
+# montecarlo benchmark's points, twice as many raised the peak RSS by
+# 0.9 MB, and half as many saved 0.4 MB but took about 20 % longer.
+_REFILL_DRAWS = 1 << 15
 
 
-def _compare_slots(n: int) -> int:
-    """Slots per comparison row for a network of n nodes."""
-    return -(-_COMPARE_DRAWS // n)
+def _block_slots(load: float) -> int:
+    """Slots per counting block for access probabilities summing to load."""
+    return max(1, int(_BLOCK_SLOTS / max(load, 1.0)))
 
 
-def _chunk_slots(n: int, workers: int = 1) -> int:
-    """Slots per chunk, whole comparison rows, for n nodes split among the workers."""
-    slots = _CHUNK_DRAWS // (workers * n)
-    return max(_compare_slots(n), slots - slots % _compare_slots(n))
+def _transmissions(rng: np.random.Generator, tau: float, size: int, m: int):
+    """Yield one node's transmit slots, size at a time, as increasing int64 arrays.
 
-
-def _worker_count(chunks: int) -> int:
-    """Threads for a run of the given number of one-worker chunks."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, chunks, _MAX_WORKERS))
-
-
-def _block_slots(n: int, workers: int = 1) -> int:
-    """Slots per counting block: the most whole chunks within both bounds, at least one."""
-    step = _chunk_slots(n, workers)
-    return step * max(1, min(_COUNT_SLOTS, _COUNT_FLAGS // n) // step)
-
-
-def _count_slots(seed: int, m: int, tau_rows: np.ndarray, p_frames: np.ndarray,
-                 by_t_coll: np.ndarray, lo: int, hi: int, draws: np.ndarray,
-                 tx_block: np.ndarray, u_block: np.ndarray) -> np.ndarray:
-    """Counts of slots [lo, hi) of the seed's stream, a block of len(tx_block) slots at a time.
-
-    Rows of the result: per node, its success slots not delivered, its
-    deliveries, the collision slots it transmitted in, and those it was
-    the longest transmitter of.  draws is the chunk buffer of transmit
-    uniforms, tx_block the block's transmit flags (whole chunks) and
-    u_block its delivery uniforms, and tau_rows is the access probabilities
-    tiled to one comparison row.  Calls nothing but numpy, so it may run on
-    any thread.
+    A gap is clamped to m + 1 slots, past the last slot, so that no access
+    probability, however small, overflows the slot numbers.
     """
-    step, n = draws.shape
-    block = len(tx_block)
-    # Each float64 takes one 64-bit step: the transmit draws of slot s start
-    # at step s * n, and the delivery uniforms follow all m * n of them.
-    tx_bits = np.random.PCG64(seed)
-    tx_bits.advance(lo * n)
-    tx_rng = np.random.Generator(tx_bits)
-    delivery_bits = np.random.PCG64(seed)
-    delivery_bits.advance(m * n + lo)
-    delivery_rng = np.random.Generator(delivery_bits)
-
-    counts = np.zeros((4, n), dtype=np.int64)
-    # Wide enough for a slot where all n nodes transmit.
-    ones = np.ones(n, dtype=np.min_scalar_type(n))
-    width = len(tau_rows)
-    for start in range(lo, hi, block):
-        rows = min(block, hi - start)
-        for first in range(0, rows, step):
-            tx_rng.random(out=draws[:min(step, rows - first)])
-            # A short last chunk also compares the stale draws past its
-            # rows, whose flags are never read.
-            np.less(draws.reshape(-1, width), tau_rows,
-                    out=tx_block[first:first + step].reshape(-1, width))
-        tx = tx_block[:rows]
-        u = u_block[:rows]
-        delivery_rng.random(out=u)
-        ntx = tx.view(np.uint8) @ ones
-        succ = np.flatnonzero(ntx == 1)
-        who = tx[succ].argmax(axis=1)
-        counts[:2] += np.bincount(who + n * (u[succ] < p_frames[who]), minlength=2 * n).reshape(2, n)
-        coll_rows = tx[ntx >= 2]
-        counts[2] += coll_rows.sum(axis=0)
-        longest = by_t_coll[coll_rows[:, by_t_coll].argmax(axis=1)]
-        counts[3] += np.bincount(longest, minlength=n)
-    return counts
+    scale = math.log1p(-tau) if tau < 1.0 else -math.inf
+    last = -1
+    while True:
+        gaps = rng.random(size)
+        np.log1p(np.negative(gaps, out=gaps), out=gaps)
+        with np.errstate(over="ignore"):
+            gaps /= scale
+        np.floor(gaps, out=gaps)
+        gaps += 1.0
+        np.minimum(gaps, m + 1, out=gaps)
+        slots = gaps.astype(np.int64)
+        np.cumsum(slots, out=slots)
+        slots += last
+        last = int(slots[-1])
+        yield slots
 
 
 def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
              cfg: SimConfig) -> SimReport:
     """Run one seeded simulation; identical inputs give identical reports.
 
-    The slots are split into contiguous slices of whole chunks, one per
-    worker thread, and each worker replays its own slice of the seed's
-    stream: two generators advanced to the slice's first transmit draw and
-    its first delivery uniform.  A worker counts its slice a block of
-    slots at a time.  Its inner loop draws one chunk of transmit uniforms
-    at a time into its share of the _CHUNK_DRAWS draws in flight and
-    compares them into the block's transmit flags; its outer loop draws
-    the block's delivery uniforms and counts the whole block at once.  A
-    block is the most whole chunks within _COUNT_SLOTS slots and
-    _COUNT_FLAGS flags, and at least one chunk.  The workers only add to
-    integer counts, which the caller sums, so every report field is the
-    same whatever the worker count.  The count is the number of available
-    CPUs, capped by the chunk count and by _MAX_WORKERS (2, the only count
-    measured).  The caller's thread counts the first slice and one thread
-    per other slice counts the rest; all are joined before the call
-    returns, and a worker's exception is raised again in the caller.
-    Memory per worker is its share of the draws in flight plus its block
-    (a byte of flag per slot and node, 8 bytes of delivery uniform per
-    slot) and temporaries of at most the block's order, whatever
-    num_slots is.
+    Every node with a positive access probability draws its share of
+    _REFILL_DRAWS gaps at a time.  The caller's thread counts the slots in
+    blocks of _block_slots slots: each node hands a block its transmissions
+    before the block's end, refilling as often as the block needs, and
+    keeps the rest for the next block.  A bincount of the block's
+    transmit slots gives each slot's transmitter count, and the ranks the
+    nodes write into their slots give each success slot's sender and each
+    collision slot's longest transmitter.  Once every slot is counted,
+    each node draws one delivery uniform per success, _BLOCK_SLOTS at
+    a time.  Memory is a block's per-slot counts and ranks, its
+    transmissions and the nodes' pending refills, whatever num_slots is.
     """
     n = net.n_nodes
     if len(tau) != n or len(nts) != n:
@@ -224,45 +155,65 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     _check_payloads(net.phy, nts)
     t_succ, t_coll, e_succ, e_coll, p_frames, _, _ = net.payloads.at(nts)
     t_idle = float(net.payloads.t_idle[0])
-    # In a collision slot the first transmitter in this order has the
-    # longest collision duration, which is the slot's length.
+    # Ranks in the order of decreasing collision duration, ties to the
+    # lower index: in a collision slot the transmitter of lowest rank has
+    # the longest duration, which is the slot's length.
     by_t_coll = np.argsort(-t_coll, kind="stable")
+    rank = np.empty(n, dtype=np.min_scalar_type(n - 1))
+    rank[by_t_coll] = np.arange(n)
 
     m = cfg.num_slots
-    workers = _worker_count(-(-m // _chunk_slots(n)))
-    step = _chunk_slots(n, workers)
-    block = _block_slots(n, workers)
-    chunks = -(-m // step)
-    bounds = [step * (chunks * i // workers) for i in range(workers)] + [m]
-    tau_rows = np.tile(np.asarray(tau, dtype=float), _compare_slots(n))
-    count = functools.partial(_count_slots, cfg.seed, m, tau_rows, p_frames, by_t_coll)
-    # The buffers come from the caller's thread, whose heap is already paged
-    # in; zeroed, so stale draws are never NaN.
-    slices = [(lo, hi, np.zeros((step, n)), np.empty((block, n), dtype=bool), np.empty(block))
-              for lo, hi in zip(bounds, bounds[1:])]
-    results: list = [None] * workers
+    load = math.fsum(tau)
+    seeds = [child.spawn(2) for child in np.random.SeedSequence(cfg.seed).spawn(n)]
+    # The transmitting nodes in the order they write their ranks, longest last.
+    nodes = [int(k) for k in by_t_coll[::-1] if tau[k] > 0.0]
+    refills = {k: _transmissions(np.random.Generator(np.random.PCG64(seeds[k][0])), tau[k],
+                                 math.ceil(_REFILL_DRAWS * tau[k] / load), m)
+               for k in nodes}
+    pending = {k: next(refills[k]) for k in nodes}
 
-    def work(i: int) -> None:
-        try:
-            results[i] = count(*slices[i])
-        except BaseException as exc:   # raised again on the caller's thread
-            results[i] = exc
+    block = _block_slots(load)
+    owner = np.zeros(block, dtype=rank.dtype)
+    sent = np.zeros(n, dtype=np.int64)
+    # By rank, row 1: success slots sent; row 2: collision slots the longest
+    # transmitter of.  Row 0 counts the idle slots under stale ranks.
+    states = np.zeros(3 * n, dtype=np.int64)
+    # A silent network's slots are all idle.
+    for start in range(0, m if nodes else 0, block):
+        end = min(start + block, m)
+        parts, sizes = [], []
+        for k in nodes:
+            slots, size = pending[k], 0
+            while slots[-1] < end:
+                parts.append(slots)
+                size += len(slots)
+                slots = next(refills[k])
+            cut = int(slots.searchsorted(end))
+            parts.append(slots[:cut])
+            sizes.append(size + cut)
+            pending[k] = slots[cut:]
+        offsets = np.concatenate(parts)
+        offsets -= start
+        lo = 0
+        for k, size in zip(nodes, sizes):
+            owner[offsets[lo:lo + size]] = rank[k]
+            lo += size
+        sent[nodes] += sizes
+        # Each slot's state (0 idle, 1 success, 2 collision) times n, plus its rank.
+        state = np.bincount(offsets, minlength=end - start)
+        np.minimum(state, 2, out=state)
+        state *= n
+        state += owner[:end - start]
+        states += np.bincount(state, minlength=3 * n)
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, workers)]
-    for t in threads:
-        t.start()
-    try:
-        results[0] = count(*slices[0])
-    finally:
-        for t in threads:
-            t.join()
-    for r in results[1:]:
-        if isinstance(r, BaseException):
-            raise r
-    counts = sum(results)
-    delivered = counts[1]
-    per_node_success = counts[0] + delivered
-    coll_tx, coll_longest = counts[2], counts[3]
+    per_node_success, coll_longest = states.reshape(3, n)[1:, rank]
+    coll_tx = sent - per_node_success
+    delivered = np.zeros(n, dtype=np.int64)
+    for k in nodes:
+        rng = np.random.Generator(np.random.PCG64(seeds[k][1]))
+        for first in range(0, per_node_success[k], _BLOCK_SLOTS):
+            size = min(_BLOCK_SLOTS, per_node_success[k] - first)
+            delivered[k] += np.count_nonzero(rng.random(size) < p_frames[k])
     n_success = int(per_node_success.sum())
     n_collision = int(coll_longest.sum())
     n_idle = m - n_success - n_collision

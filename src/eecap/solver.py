@@ -69,6 +69,8 @@ holds for every rate-feasible point at any payloads:
 So B' = max_{k, n_t} c_k / (e_s,k + rho_lo e_c,k) >= EE(x), and an x*
 within _CERT_GAP of B' is globally optimal to that gap, not only a
 stationary point.  The solve reports B' as Solution.upper_bound either way.
+Otherwise it runs the ascent and returns x* in place of the ascent's
+point if that ends below it.
 
 Tolerances.  _RATE_SLACK (relative shortfall of a rate) and _SUM_SLACK
 (absolute excess of the access budget) decide the feasible flag of the
@@ -649,11 +651,12 @@ def _coordinate_solve(net: NetworkModel, variant: str,
     """Rate-constrained coordinate ascent on the EE or LogEE objective from a start point.
 
     See the module docstring for the moves of one round.  An EE solve
-    first tries the certificate exit from start_nts (module docstring) and
-    runs the ascent only if it does not close.
+    first tries the certificate exit from start_nts (module docstring),
+    runs the ascent only if it does not close, and keeps x* if the ascent
+    ends below it.
     """
     n = net.n_nodes
-    bound = None
+    bound = cert = None
     if variant == VARIANT_EE:
         bound = _ee_bound(net)
         cand = _certified_point(net, start_nts)
@@ -662,6 +665,7 @@ def _coordinate_solve(net: NetworkModel, variant: str,
             value = math.fsum(etas)
             if value >= bound * (1.0 - _CERT_GAP):
                 return _solution(net, variant, cand[0], cand[1], (value,), True, rates, etas, bound)
+            cert = (value, *cand, rates, etas)
     tol = _SEARCH_TOL
     lo = 0.0 if variant == VARIANT_EE else tol
     t = list(start_tau)
@@ -753,6 +757,9 @@ def _coordinate_solve(net: NetworkModel, variant: str,
             break
 
     _, rates, etas = evaluate(net, t, nts, guard_zero_energy=True)
+    if cert is not None and cert[0] > math.fsum(etas):
+        # The ascent ended below x*, which is rate-feasible by construction.
+        _, t, nts, rates, etas = cert
     return _solution(net, variant, t, nts, tuple(trace), converged, rates, etas, bound)
 
 

@@ -1,8 +1,10 @@
 """Golden CLI output: stdout must match the files in tests/golden byte for byte.
 
-validate_two_node_1m_fixed.csv was written by the one-shot simulator that
-held every slots x nodes draw in memory; the chunked simulator must replay
-the same random stream.
+validate_two_node_1m_fixed.csv was rewritten when the simulator began
+drawing each node's gaps between transmissions from its own seeded
+stream (every estimate and z moved; the analytic column did not).  It
+pins that stream, which must not depend on the block length or on
+numpy's version.
 
 sweep_nodes_2_10.csv was written by the scalar-object implementation (one
 CostModel and Node per probe) and still holds.  Every point of it is a

@@ -1,11 +1,13 @@
 """Seeded Monte Carlo simulator and its ratio estimators.
 
 Determinism is checked field by field, the time and energy accounting
-against an independent pure-Python replay of the same random draws, the
-chunked stream against the one-shot algorithm it replaced at the edges of
-its draw chunks and counting blocks, the reports of every worker-thread
-count against the one-thread report, and the estimators against the
-analytic models through standardized differences.
+against an independent slot-by-slot pure-Python replay of the same
+per-node random streams, the streamed simulator against a one-shot
+version of its gap sampler at the edges of its gap refills and counting
+blocks, its reports under other block and refill lengths and from
+concurrent worker threads against the default lone call's, and the
+estimators against the analytic models through standardized
+differences, at fixed seeds and over a sweep of seeds.
 """
 
 from __future__ import annotations
@@ -14,15 +16,19 @@ import dataclasses
 import importlib
 import math
 import os
+import random
+import statistics
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from eecap import (
+    ChannelParams,
     SimConfig,
     SimReport,
     build_network,
@@ -31,24 +37,43 @@ from eecap import (
     rate_estimate,
     simulate,
 )
+from eecap.access import state_probs
 from eecap.metrics import frame_success_prob
-from eecap.simulate import _MAX_WORKERS, _block_slots, _chunk_slots, z_score
+from eecap.simulate import z_score
 
 # The package re-exports the function simulate under the submodule's name.
 SIM = importlib.import_module("eecap.simulate")
 
-# Slot counts at the edges of one worker's draw chunks (c slots each) and
-# counting blocks (b slots each), as units * unit(n) + extra.
+
+def _refill_slots(tau):
+    """Slots one gap refill spans for a node that always transmits (c)."""
+    return math.ceil(SIM._REFILL_DRAWS / math.fsum(tau))
+
+
+def _block_length(tau):
+    """Slots per counting block (b)."""
+    return SIM._block_slots(math.fsum(tau))
+
+
+# Slot counts at the edges of the gap refills (c slots each for a node
+# that always transmits) and counting blocks (b slots each), as
+# units * unit(tau) + extra.
 SLOT_EDGES = pytest.mark.parametrize(
     "unit, units, extra",
-    ((_chunk_slots, 0, 1), (_chunk_slots, 1, -1), (_chunk_slots, 1, 0), (_chunk_slots, 1, 1),
-     (_chunk_slots, 3, 5), (_block_slots, 1, -1), (_block_slots, 1, 0), (_block_slots, 1, 1),
-     (_block_slots, 3, 5)),
+    ((_refill_slots, 0, 1), (_refill_slots, 1, -1), (_refill_slots, 1, 0), (_refill_slots, 1, 1),
+     (_refill_slots, 3, 5), (_block_length, 1, -1), (_block_length, 1, 0), (_block_length, 1, 1),
+     (_block_length, 3, 5)),
     ids=("1", "c-1", "c", "c+1", "3c+5", "b-1", "b", "b+1", "3b+5"))
 
 
+def _streams(seed, n):
+    """Each node's gap and delivery generators, as simulate seeds them."""
+    return [[np.random.Generator(np.random.PCG64(s)) for s in child.spawn(2)]
+            for child in np.random.SeedSequence(seed).spawn(n)]
+
+
 def _one_shot_simulate(net, tau, nts, cfg):
-    """Reference: simulate as it was before streaming, every draw held at once."""
+    """Reference: the gap sampler with each node's draws made at once and every slot held."""
     n = net.n_nodes
     costs = [net.cost(k, nts[k]) for k in range(n)]
     p_frames = np.array([frame_success_prob(net.nodes[k].seg, nts[k], net.phy.n) for k in range(n)])
@@ -56,10 +81,17 @@ def _one_shot_simulate(net, tau, nts, cfg):
     t_coll = np.array([c.t_collision for c in costs])
     t_idle = costs[0].t_idle
 
-    rng = np.random.default_rng(cfg.seed)
     m = cfg.num_slots
-    tx = rng.random((m, n)) < np.asarray(tau, dtype=float)[None, :]
-    u = rng.random(m)
+    streams = _streams(cfg.seed, n)
+    tx = np.zeros((m, n), dtype=bool)
+    for k, t in enumerate(tau):
+        if t > 0.0:
+            # m gaps of at least one slot each reach past the last slot.
+            u = streams[k][0].random(m)
+            with np.errstate(divide="ignore", over="ignore"):
+                gaps = np.floor(np.log1p(-u) / np.log1p(-t)) + 1
+            slots = np.cumsum(np.minimum(gaps, m + 1).astype(np.int64)) - 1
+            tx[slots[slots < m], k] = True
 
     ntx = tx.sum(axis=1)
     success = ntx == 1
@@ -68,9 +100,9 @@ def _one_shot_simulate(net, tau, nts, cfg):
     n_collision = int(collision.sum())
     n_idle = int((ntx == 0).sum())
 
-    succ_by_node = tx & success[:, None]
-    per_node_success = succ_by_node.sum(axis=0)
-    delivered = (succ_by_node & (u[:, None] < p_frames[None, :])).sum(axis=0)
+    per_node_success = (tx & success[:, None]).sum(axis=0)
+    delivered = [int(np.count_nonzero(streams[k][1].random(s) < p_frames[k]))
+                 for k, s in enumerate(per_node_success)]
     coll_tx = (tx & collision[:, None]).sum(axis=0)
 
     elapsed = float(per_node_success @ t_succ) + n_idle * t_idle
@@ -87,8 +119,8 @@ def _one_shot_simulate(net, tau, nts, cfg):
         "n_collision": n_collision,
         "n_idle": n_idle,
         "per_node_success": tuple(int(v) for v in per_node_success),
-        "per_node_delivered": tuple(int(v) for v in delivered),
-        "per_node_bits": tuple(int(v) * nts[k] for k, v in enumerate(delivered)),
+        "per_node_delivered": tuple(delivered),
+        "per_node_bits": tuple(v * nts[k] for k, v in enumerate(delivered)),
         "per_node_energy": tuple(float(v) for v in energy),
         "elapsed_time": elapsed,
     }
@@ -173,18 +205,23 @@ class TestAgainstReplay:
         cfg = SimConfig(num_slots=2_000, seed=5)
         rep = simulate(lossy_net, tau, nts, cfg)
 
-        rng = np.random.default_rng(5)
-        tx_draws = rng.random((2_000, 3))
-        u = rng.random(2_000)
+        streams = _streams(5, 3)
         costs = [lossy_net.cost(k, nts[k]) for k in range(3)]
         p_frames = [frame_success_prob(lossy_net.nodes[k].seg, nts[k]) for k in range(3)]
+
+        def gap(k):
+            return math.floor(math.log1p(-streams[k][0].random()) / math.log1p(-tau[k])) + 1
+
+        next_slot = [gap(k) - 1 for k in range(3)]
         n_s = n_c = n_i = 0
         succ = [0, 0, 0]
         deliv = [0, 0, 0]
         energy = [0.0, 0.0, 0.0]
         elapsed = 0.0
-        for row in range(2_000):
-            active = [k for k in range(3) if tx_draws[row, k] < tau[k]]
+        for slot in range(2_000):
+            active = [k for k in range(3) if next_slot[k] == slot]
+            for k in active:
+                next_slot[k] += gap(k)
             if not active:
                 n_i += 1
                 elapsed += costs[0].t_idle
@@ -194,7 +231,7 @@ class TestAgainstReplay:
                 succ[k] += 1
                 energy[k] += costs[k].e_success
                 elapsed += costs[k].t_success
-                if u[row] < p_frames[k]:
+                if streams[k][1].random() < p_frames[k]:
                     deliv[k] += 1
             else:
                 n_c += 1
@@ -210,12 +247,12 @@ class TestAgainstReplay:
         assert rep.elapsed_time == pytest.approx(elapsed, rel=1e-12)
 
 
-def _random_case(n, m, edges):
-    """Network, access probabilities, payloads and config of a seeded random run.
+def _random_case(n, edges):
+    """Network, access probabilities, payloads and seed of a seeded random run.
 
     With edges, node 0 always transmits and node 1 never does.
     """
-    rng = np.random.default_rng(n * 1_000 + m)
+    rng = np.random.default_rng(n * 1_000 + edges)
     # Unequal payloads give unequal collision durations, so which
     # transmitter is the longest decides each collision slot's length;
     # past the grid's 41 payloads some must repeat.
@@ -227,17 +264,18 @@ def _random_case(n, m, edges):
         tau[0] = 1.0
         if n > 1:
             tau[1] = 0.0
-    return net, tau, nts, SimConfig(num_slots=m, seed=int(rng.integers(2 ** 63)))
+    return net, tau, nts, int(rng.integers(2 ** 63))
 
 
 class TestChunkedStream:
-    """The chunked simulator replays the one-shot algorithm's random stream."""
+    """The streamed simulator replays the one-shot gap sampler's random stream."""
 
     @pytest.mark.parametrize("n", (1, 2, 7, 16, 300))
     @SLOT_EDGES
     @pytest.mark.parametrize("edges", (False, True), ids=("inner", "edges"))
     def test_matches_one_shot_at_chunk_boundaries(self, n, unit, units, extra, edges):
-        net, tau, nts, cfg = _random_case(n, units * unit(n) + extra, edges)
+        net, tau, nts, seed = _random_case(n, edges)
+        cfg = SimConfig(num_slots=units * unit(tau) + extra, seed=seed)
         rep = simulate(net, tau, nts, cfg)
         want = _one_shot_simulate(net, tau, nts, cfg)
         got = {k: getattr(rep, k) for k in want}
@@ -245,53 +283,53 @@ class TestChunkedStream:
         assert got == want
 
 
-class TestWorkerSplit:
-    """Each worker thread replays its own slice of the one seeded stream."""
+class TestBlockSplit:
+    """A seed gives the same report whatever the block and refill lengths."""
 
-    # n = 256 is where a slot's transmitter count needs more than a uint8.
+    # n = 256 is the most nodes whose ranks (0 to 255) fit in a uint8.
     @pytest.mark.parametrize("n", (1, 2, 16, 256))
     @SLOT_EDGES
     @pytest.mark.parametrize("edges", (False, True), ids=("inner", "edges"))
-    def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch, n, unit, units, extra,
+    def test_reports_do_not_depend_on_the_block_length(self, monkeypatch, n, unit, units, extra,
                                                        edges):
-        net, tau, nts, cfg = _random_case(n, units * unit(n) + extra, edges)
-        reports = {}
-        for workers in (1, 2, 3, 4):
-            monkeypatch.setattr(SIM, "_worker_count", lambda chunks, w=workers: w)
-            reports[workers] = repr(simulate(net, tau, nts, cfg))
-        assert reports[2] == reports[1]
-        assert reports[3] == reports[1]
-        assert reports[4] == reports[1]
+        net, tau, nts, seed = _random_case(n, edges)
+        cfg = SimConfig(num_slots=units * unit(tau) + extra, seed=seed)
+        want = repr(simulate(net, tau, nts, cfg))
+        for block, refill in ((5_000, 1 << 12), (1 << 16, 1 << 17)):
+            monkeypatch.setattr(SIM, "_BLOCK_SLOTS", block)
+            monkeypatch.setattr(SIM, "_REFILL_DRAWS", refill)
+            assert repr(simulate(net, tau, nts, cfg)) == want, (block, refill)
 
-    def test_a_worker_exception_reaches_the_caller(self, monkeypatch, two_node_net):
-        count = SIM._count_slots
 
-        def failing(seed, m, tau_rows, p_frames, by_t_coll, lo, *rest):
-            if lo > 0:
-                raise FloatingPointError("worker failed")
-            return count(seed, m, tau_rows, p_frames, by_t_coll, lo, *rest)
+class TestWorkerSplit:
+    """simulate counts on its caller's thread, so worker threads may call it at once."""
 
-        monkeypatch.setattr(SIM, "_worker_count", lambda chunks: 2)
-        monkeypatch.setattr(SIM, "_count_slots", failing)
-        before = threading.active_count()
-        with pytest.raises(FloatingPointError, match="worker failed"):
-            simulate(two_node_net, (0.3, 0.2), (126, 126), SimConfig(num_slots=100_000))
-        assert threading.active_count() == before
+    @pytest.mark.parametrize("n", (1, 2, 16, 256))
+    @SLOT_EDGES
+    @pytest.mark.parametrize("edges", (False, True), ids=("inner", "edges"))
+    def test_reports_do_not_depend_on_the_worker_count(self, n, unit, units, extra, edges):
+        """Worker threads that simulate one case at once each get the lone call's report."""
+        net, tau, nts, seed = _random_case(n, edges)
+        cfg = SimConfig(num_slots=units * unit(tau) + extra, seed=seed)
+        want = repr(simulate(net, tau, nts, cfg))
+        for workers in (2, 3, 4):
+            start = threading.Barrier(workers, timeout=60)
+            reports = [None] * workers
 
-    def test_threads_stay_within_the_cap(self, monkeypatch, two_node_net):
-        count = SIM._count_slots
-        seen = []
+            def run(i):
+                start.wait()
+                reports[i] = repr(simulate(net, tau, nts, cfg))
 
-        def counting(*args):
-            seen.append(threading.active_count())
-            return count(*args)
-
-        monkeypatch.setattr(SIM, "_count_slots", counting)
-        before = threading.active_count()
-        for m in (1, 100_000, 1_000_000):
-            simulate(two_node_net, (0.3, 0.2), (126, 126), SimConfig(num_slots=m))
-        assert seen and max(seen) <= before + _MAX_WORKERS - 1
-        assert threading.active_count() == before
+            # Daemon threads with a deadline: a call that shares state may never return.
+            threads = [threading.Thread(target=run, args=(i,), daemon=True)
+                       for i in range(workers)]
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 60.0
+            for t in threads:
+                t.join(max(0.0, deadline - time.monotonic()))
+            assert not any(t.is_alive() for t in threads), workers
+            assert reports == [want] * workers, workers
 
     def test_workers_load_no_thread_pool_module(self):
         """concurrent.futures, with the logging and queue modules it loads, costs ~0.4 MB."""
@@ -378,10 +416,83 @@ class TestEstimators:
         r1, se1 = rate_estimate(rep, 1, 1260, net.cost(1, 1260))
         assert abs(r0 - r1) <= 4.0 * math.hypot(se0, se1)
 
+    @pytest.mark.parametrize("tau", ((1e-3, 0.05, 0.25, 0.45), (1.0, 1e-3, 0.1, 0.35)),
+                             ids=("mixed", "saturated"))
+    def test_binomial_z_scores_over_fifty_seeds(self, tau):
+        """Each state count, success count and delivery count is binomial in the slots.
+
+        Over 50 seeds their z-scores pool to mean 0 and spread 1, and no
+        count's mean z strays past 4 standard errors.  A count whose
+        probability is 0 or 1 must be exact.
+        """
+        net = build_network([1.0, 3.0, 4.45, 2.0], [0.0] * 4,
+                            channel=ChannelParams(tx_eb_over_n0_at_d0=500.0))
+        nts = (630, 1260, 126, 2646)
+        m, seeds = 20_000, 50
+        sp = state_probs(tau)
+        want = {"success": sp.p_success, "collision": sp.p_collision, "idle": sp.p_idle}
+        for k in range(4):
+            want[f"success {k}"] = sp.per_node_success[k]
+            want[f"delivered {k}"] = (sp.per_node_success[k]
+                                      * frame_success_prob(net.nodes[k].seg, nts[k]))
+        zs = {q: [] for q, p in want.items() if 0.0 < p < 1.0}
+        for seed in range(seeds):
+            rep = simulate(net, tau, nts, SimConfig(num_slots=m, seed=seed))
+            got = {"success": rep.n_success, "collision": rep.n_collision, "idle": rep.n_idle}
+            for k in range(4):
+                got[f"success {k}"] = rep.per_node_success[k]
+                got[f"delivered {k}"] = rep.per_node_delivered[k]
+            for q, p in want.items():
+                if q in zs:
+                    zs[q].append((got[q] - m * p) / math.sqrt(m * p * (1.0 - p)))
+                else:
+                    assert got[q] == m * p, q
+        pooled = [z for values in zs.values() for z in values]
+        assert abs(statistics.fmean(pooled)) <= 0.3
+        assert 0.7 <= statistics.stdev(pooled) <= 1.3
+        for q, values in zs.items():
+            assert abs(statistics.fmean(values)) <= 4.0 / math.sqrt(seeds), q
+
     def test_z_score_edge_cases(self):
         assert z_score(1.0, 0.0, 1.0) == 0.0
         assert z_score(1.0, 0.0, 2.0) == math.inf
         assert z_score(3.0, 2.0, 1.0) == 1.0
+
+
+class TestPhysicalClock:
+    """Bits per second of the simulator's clock estimate c_k x_k / D~ (eecap.network).
+
+    The model's rate c_k x_k / D_k times every slot with node k's own
+    durations; the simulator times a collision by its longest transmitter.
+    """
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_bits_over_elapsed_time_match_the_physical_rate(self, case):
+        rng = random.Random(f"physical clock/{case}")
+        n = 3 + case
+        # One distance in each n-th of [1, 7.5] m, so the nodes span several n_cpb.
+        net = build_network([1.0 + 6.5 * (k + rng.random()) / n for k in range(n)], [0.0] * n)
+        assert len({nm.link.n_cpb for nm in net.nodes}) > 1
+        nts = [rng.choice(range(126, 2647, 63)) for _ in range(n)]
+        tau = [rng.uniform(0.1, 0.6) / n for _ in range(n)]
+        costs = [net.cost(k, nt) for k, nt in enumerate(nts)]
+        x = [t / (1.0 - t) for t in tau]
+        d_tilde = math.fsum(xk * c.t_success for xk, c in zip(x, costs)) + costs[0].t_idle
+        after = 1.0   # product of 1 + x over the nodes of shorter collisions
+        for i in sorted(range(n), key=lambda k: costs[k].t_collision):
+            d_tilde += costs[i].t_collision * x[i] * (after - 1.0)
+            after *= 1.0 + x[i]
+
+        seeds = 20
+        ratios = [[] for _ in range(n)]
+        for seed in range(seeds):
+            rep = simulate(net, tau, nts, SimConfig(num_slots=200_000, seed=seed))
+            for k in range(n):
+                ratios[k].append(rep.per_node_bits[k] / rep.elapsed_time)
+        for k in range(n):
+            c_k = nts[k] * frame_success_prob(net.nodes[k].seg, nts[k])
+            se = statistics.stdev(ratios[k]) / math.sqrt(seeds)
+            assert abs(z_score(statistics.fmean(ratios[k]), se, c_k * x[k] / d_tilde)) <= 4.0, k
 
 
 class TestReportSerialization:

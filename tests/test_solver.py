@@ -217,6 +217,25 @@ class TestCertificateExit:
         assert sol.variant_used == VARIANT_EE and sol.converged and sol.iterations > 1
         assert sol.upper_bound > sol.objective_value * 1.05
 
+    def test_an_ascent_below_the_candidate_returns_the_candidate(self):
+        # Hard network n = 16, #0 (links to 9.5 m, targets as in the
+        # benchmark pool): the certificate does not close, and the ascent
+        # from the stage point ends about 4e-9 below x*.
+        rng = random.Random("hard/n=16/i=0")
+        d = [rng.uniform(1.0, 9.5) for _ in range(16)]
+        probe = build_network(d, [0.0] * 16)
+        _, rates, _ = evaluate(probe, [0.5 / 16] * 16, [probe.phy.n_t_max] * 16)
+        net = build_network(d, [rng.uniform(0.2, 0.8) * r for r in rates])
+        _, stage_nts, ok = feasibility_stage(net)
+        assert ok
+        cand_tau, cand_nts = solver._certified_point(net, stage_nts)
+        cand_value = math.fsum(evaluate(net, cand_tau, cand_nts)[2])
+        sol = eecap(net, SolverConfig(objective=VARIANT_EE))
+        assert sol.variant_used == VARIANT_EE and sol.feasible and sol.converged
+        assert sol.upper_bound > cand_value * (1.0 + 1e-3)
+        assert sol.objective_value == cand_value
+        assert sol.tau_opt == tuple(cand_tau) and sol.nt_opt == tuple(cand_nts)
+
 
 class TestSingleNode:
     def test_saturates_the_channel_for_throughput(self):
