@@ -7,7 +7,7 @@ one guard; an idle slot is a fixed-length carrier-sense listen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -17,24 +17,17 @@ ACK_PAYLOAD_BITS = 126
 
 @dataclass(frozen=True)
 class TimingParams:
-    """Frame and slot timing shared by all nodes, plus per-node propagation delays."""
+    """Header, guard and idle-slot times, shared by every node of a network."""
 
     t_shr: float = 40.32e-6        # synchronization header duration, seconds
     t_phr: float = 80.052e-6       # physical header duration, seconds
     t_psifs: float = 75e-6         # short interframe space, seconds
     t_idle_slot: float = 292e-6    # idle slot listen time, seconds
-    t_sym: float = 6.4096e-8       # payload symbol period, seconds
-    sigma: tuple[float, ...] = field(default=(1.0 / SPEED_OF_LIGHT,))
 
     def __post_init__(self) -> None:
-        for name in ("t_shr", "t_phr", "t_psifs", "t_idle_slot", "t_sym"):
+        for name in ("t_shr", "t_phr", "t_psifs", "t_idle_slot"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-        if not self.sigma:
-            raise ValueError("sigma must list at least one node")
-        for k, s in enumerate(self.sigma):
-            if s < 0.0:
-                raise ValueError(f"sigma[{k}] must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -84,23 +77,23 @@ class CostModel:
             raise ValueError("e_idle must be zero: idle slots only listen")
 
 
-def ppdu_duration(n_t: int, tp: TimingParams) -> float:
-    """On-air time of a frame with an n_t-bit payload."""
+def ppdu_duration(n_t: int, t_sym: float, tp: TimingParams) -> float:
+    """On-air time of a frame with an n_t-bit payload at symbol period t_sym."""
     if n_t < 0:
         raise ValueError("n_t must be non-negative")
-    return tp.t_shr + tp.t_phr + n_t * tp.t_sym
+    return tp.t_shr + tp.t_phr + n_t * t_sym
 
 
-def ack_duration(tp: TimingParams) -> float:
+def ack_duration(t_sym: float, tp: TimingParams) -> float:
     """On-air time of the fixed minimum-size acknowledgement frame."""
-    return ppdu_duration(ACK_PAYLOAD_BITS, tp)
+    return ppdu_duration(ACK_PAYLOAD_BITS, t_sym, tp)
 
 
-def cost_model(node_index: int, n_t: int, tp: TimingParams, ep: EnergyParams) -> CostModel:
-    """Build the per-state cost model for one node and payload size."""
-    sigma = tp.sigma[node_index]
-    t_frame = ppdu_duration(n_t, tp)
-    t_success = t_frame + ack_duration(tp) + 2.0 * tp.t_psifs + 2.0 * sigma
+def cost_model(n_t: int, t_sym: float, sigma: float, tp: TimingParams,
+               ep: EnergyParams) -> CostModel:
+    """Per-state cost model of a node with symbol period t_sym and propagation delay sigma."""
+    t_frame = ppdu_duration(n_t, t_sym, tp)
+    t_success = t_frame + ack_duration(t_sym, tp) + 2.0 * tp.t_psifs + 2.0 * sigma
     t_collision = t_frame + tp.t_psifs + sigma
     e_success = ep.eps_b * n_t + ep.eps_oh + ep.eps_st
     e_collision = ep.eps_b_tx * n_t + ep.eps_oh_tx + ep.eps_st_tx

@@ -3,8 +3,9 @@
 Combines the channel map, the PHY error chain and the state cost models
 into one immutable network description the solver, the simulator and the
 CLI all consume.  Each node gets its own link budget, segment decode
-probabilities, payload symbol period (scaled by its pulses-per-burst
-count) and propagation delay.
+probabilities and payload symbol period (scaled by its pulses-per-burst
+count); its propagation delay is d / SPEED_OF_LIGHT.  The header, guard
+and idle-slot times (TimingParams) are the network's, held once.
 
 EECAP chooses an access probability and a payload size per node, so every
 layer reads one thing: a node's slot costs and frame success at a payload.
@@ -33,28 +34,26 @@ and on the distance through the burst length n_cpb.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .access import StateProbs, state_probs
 from .channel import ChannelParams, NcpbTable, link_budget
-from .costs import (SPEED_OF_LIGHT, CostModel, EnergyParams, TimingParams, ack_duration,
-                    cost_model)
+from .costs import SPEED_OF_LIGHT, CostModel, EnergyParams, TimingParams, ack_duration, cost_model
 from .phy import LinkBudget, PhyConfig, SegmentProbs, bit_error_prob, segment_probs
 
 
 @dataclass(frozen=True, slots=True)
 class NodeModel:
-    """One node's link, segment decode probabilities and timing, all distance-derived."""
+    """One node's link, segment decode probabilities and symbol period, all distance-derived."""
 
-    index: int
     d: float
     r_min: float
     link: LinkBudget
     seg: SegmentProbs
-    timing: TimingParams      # shared header/guard times; t_sym at this node's burst length
+    t_sym: float      # payload symbol period at this node's burst length, seconds
 
 
 class PayloadTable(NamedTuple):
@@ -66,10 +65,11 @@ class PayloadTable(NamedTuple):
     (the access odds the node's rate target needs per second of its
     average slot) are (n, G) arrays over the nodes and payloads; a is zero
     without a target and infinite for a payload that delivers nothing.  The
-    slot energies e_s and e_c are (G,), since EnergyParams is network-wide,
-    and t_idle and r_min are (n,).  The entries repeat the arithmetic of
-    cost_model and metrics.frame_success_prob step for step, so they agree
-    with those oracles bitwise.
+    slot energies e_s and e_c are (G,) and the idle slot time t_idle is one
+    float, since EnergyParams and TimingParams are network-wide; r_min is
+    (n,).  The entries repeat the arithmetic of cost_model and
+    metrics.frame_success_prob step for step, so they agree with those
+    oracles bitwise.
     """
 
     nt: np.ndarray
@@ -80,20 +80,18 @@ class PayloadTable(NamedTuple):
     f: np.ndarray
     c: np.ndarray
     a: np.ndarray
-    t_idle: np.ndarray
+    t_idle: float
     r_min: np.ndarray
 
     @classmethod
-    def build(cls, phy: PhyConfig, ep: EnergyParams, nodes: Sequence[NodeModel]) -> PayloadTable:
-        def times(nm: NodeModel) -> tuple[float, ...]:
-            tp = nm.timing
-            return tp.t_shr + tp.t_phr, ack_duration(tp), tp.t_sym, tp.t_psifs, tp.sigma[nm.index]
-
+    def build(cls, phy: PhyConfig, tp: TimingParams, ep: EnergyParams,
+              nodes: Sequence[NodeModel]) -> PayloadTable:
         n, grid = phy.n, phy.nt_grid()
         nt = np.array(grid)
-        # Header, ACK, symbol, interframe and propagation times, (n, 1) each.
-        hdr, ack, t_sym, psifs, sigma = np.array([times(nm) for nm in nodes]).T[:, :, None]
-        t_frame = hdr + nt * t_sym
+        # Symbol and propagation times, (n, 1) each.
+        t_sym = np.array([nm.t_sym for nm in nodes])[:, None]
+        sigma = np.array([nm.d / SPEED_OF_LIGHT for nm in nodes])[:, None]
+        t_frame = tp.t_shr + tp.t_phr + nt * t_sym
         # Python's float ** int, as in frame_success_prob: numpy's power can
         # differ from it in the last bit.  Nearby nodes share one p_cw.
         p_cw = [nm.seg.p_cw for nm in nodes]
@@ -106,12 +104,12 @@ class PayloadTable(NamedTuple):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a = np.where(r_min[:, None] > 0.0, r_min[:, None] / c, 0.0)
         return cls(nt=nt,
-                   t_s=t_frame + ack + 2.0 * psifs + 2.0 * sigma,
-                   t_c=t_frame + psifs + sigma,
+                   t_s=t_frame + ack_duration(t_sym, tp) + 2.0 * tp.t_psifs + 2.0 * sigma,
+                   t_c=t_frame + tp.t_psifs + sigma,
                    e_s=ep.eps_b * nt + ep.eps_oh + ep.eps_st,
                    e_c=ep.eps_b_tx * nt + ep.eps_oh_tx + ep.eps_st_tx,
                    f=f, c=c, a=a,
-                   t_idle=np.array([nm.timing.t_idle_slot for nm in nodes]),
+                   t_idle=tp.t_idle_slot,
                    r_min=r_min)
 
     def at(self, nts: Sequence[int]) -> tuple[np.ndarray, ...]:
@@ -141,12 +139,14 @@ class NetworkModel:
     """
 
     phy: PhyConfig
+    timing: TimingParams
     energy: EnergyParams
     nodes: tuple[NodeModel, ...]
     payloads: PayloadTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "payloads", PayloadTable.build(self.phy, self.energy, self.nodes))
+        object.__setattr__(self, "payloads",
+                           PayloadTable.build(self.phy, self.timing, self.energy, self.nodes))
 
     @property
     def n_nodes(self) -> int:
@@ -154,7 +154,8 @@ class NetworkModel:
 
     def cost(self, node_index: int, n_t: int) -> CostModel:
         """Per-state costs for one node at one payload size."""
-        return cost_model(node_index, n_t, self.nodes[node_index].timing, self.energy)
+        nm = self.nodes[node_index]
+        return cost_model(n_t, nm.t_sym, nm.d / SPEED_OF_LIGHT, self.timing, self.energy)
 
 
 def build_network(distances: Sequence[float], r_mins: Sequence[float],
@@ -188,18 +189,12 @@ def build_network(distances: Sequence[float], r_mins: Sequence[float],
     table = table if table is not None else NcpbTable()
     timing = timing if timing is not None else TimingParams()
     energy = energy if energy is not None else EnergyParams()
-    sigma = tuple(d / SPEED_OF_LIGHT for d in distances)
-    timings: dict[float, TimingParams] = {}   # nodes with equal burst length share one
     nodes = []
-    for k, (d, r_min) in enumerate(zip(distances, r_mins)):
+    for d, r_min in zip(distances, r_mins):
         lb = link_budget(d, channel, table, phy)
         seg = segment_probs(bit_error_prob(lb, phy), phy)
-        t_sym = phy.t_sym * lb.n_cpb
-        node_timing = timings.get(t_sym)
-        if node_timing is None:
-            node_timing = timings[t_sym] = replace(timing, t_sym=t_sym, sigma=sigma)
-        nodes.append(NodeModel(index=k, d=d, r_min=r_min, link=lb, seg=seg, timing=node_timing))
-    return NetworkModel(phy=phy, energy=energy, nodes=tuple(nodes))
+        nodes.append(NodeModel(d=d, r_min=r_min, link=lb, seg=seg, t_sym=phy.t_sym * lb.n_cpb))
+    return NetworkModel(phy=phy, timing=timing, energy=energy, nodes=tuple(nodes))
 
 
 def _check_payloads(phy: PhyConfig, nts: Sequence[int]) -> None:
@@ -233,12 +228,12 @@ def evaluate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     p_s, p_c, p_i = sp.p_success, sp.p_collision, sp.p_idle
     pay = net.payloads
     cols = [col.tolist() for col in pay.at(nts)[:5]]
+    idle = p_i * pay.t_idle
     rates = []
     etas = []
-    for n_t, p_k, t_s, t_c, e_s, e_c, f, t_idle in zip(nts, sp.per_node_success, *cols,
-                                                       pay.t_idle.tolist()):
+    for n_t, p_k, t_s, t_c, e_s, e_c, f in zip(nts, sp.per_node_success, *cols):
         num = int(n_t) * p_k * f   # int: a numpy integer would make every result a numpy float
-        rates.append(num / (p_s * t_s + p_c * t_c + p_i * t_idle))
+        rates.append(num / (p_s * t_s + p_c * t_c + idle))
         e_den = p_s * e_s + p_c * e_c
         if e_den > 0.0:
             etas.append(num / e_den)

@@ -73,9 +73,6 @@ class SimReport:
     p_success: float
     p_collision: float
     p_idle: float
-    se_success: float
-    se_collision: float
-    se_idle: float
     per_node_success: tuple[int, ...]
     per_node_delivered: tuple[int, ...]
     per_node_bits: tuple[int, ...]
@@ -154,7 +151,6 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
             raise ValueError("access probabilities must lie in [0, 1]")
     _check_payloads(net.phy, nts)
     t_succ, t_coll, e_succ, e_coll, p_frames, _, _ = net.payloads.at(nts)
-    t_idle = float(net.payloads.t_idle[0])
     # Ranks in the order of decreasing collision duration, ties to the
     # lower index: in a collision slot the transmitter of lowest rank has
     # the longest duration, which is the slot's length.
@@ -218,7 +214,7 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     n_collision = int(coll_longest.sum())
     n_idle = m - n_success - n_collision
 
-    elapsed = float(per_node_success @ t_succ) + n_idle * t_idle
+    elapsed = float(per_node_success @ t_succ) + n_idle * net.payloads.t_idle
     elapsed += float(coll_longest @ t_coll)
 
     energy = per_node_success * e_succ + coll_tx * e_coll
@@ -232,9 +228,6 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
         p_success=n_success / m,
         p_collision=n_collision / m,
         p_idle=n_idle / m,
-        se_success=math.sqrt(n_success / m * (1.0 - n_success / m) / m),
-        se_collision=math.sqrt(n_collision / m * (1.0 - n_collision / m) / m),
-        se_idle=math.sqrt(n_idle / m * (1.0 - n_idle / m) / m),
         per_node_success=tuple(int(v) for v in per_node_success),
         per_node_delivered=tuple(int(v) for v in delivered),
         per_node_bits=tuple(int(v) * int(nts[k]) for k, v in enumerate(delivered)),

@@ -3,7 +3,7 @@
 The solver has one model of the rate targets.  In the access odds
 x = tau / (1 - tau) and the slot aggregates u = sum(x) and
 v = prod(1 + x) - 1 - u, node k's rate is c_k x_k / D_k with
-D_k = u t_s,k + v t_c,k + t_idle,k, so its target reads
+D_k = u t_s,k + v t_c,k + t_idle, so its target reads
 x_k >= a_k D_k, a_k = r_min / c_k.  The solver first runs a feasibility
 stage, a node-by-node pass that moves each node to the least odds meeting
 its target, the others held, and then to its throughput-optimal payload
@@ -257,7 +257,6 @@ def feasibility_stage(net: NetworkModel) -> tuple[tuple[float, ...], tuple[int, 
     grid = list(net.phy.nt_grid())
     pay = net.payloads
     t_s, t_c, a = (col.tolist() for col in (pay.t_s, pay.t_c, pay.a))
-    t_idle = pay.t_idle.tolist()
     tau = [_INIT_TAU] * net.n_nodes
     x = [_INIT_TAU / (1.0 - _INIT_TAU)] * net.n_nodes
     nts = [net.phy.n_t_max] * net.n_nodes
@@ -268,16 +267,16 @@ def feasibility_stage(net: NetworkModel) -> tuple[tuple[float, ...], tuple[int, 
             uo, q = sum(others), math.prod([1.0 + xi for xi in others])
             j = (nts[k] - grid[0]) // n
             t_sk, t_ck, a_k = t_s[k][j], t_c[k][j], a[k][j]
-            y = _least_odds((a_k * t_sk, a_k * t_ck, a_k * t_idle[k]), uo, q)
+            y = _least_odds((a_k * t_sk, a_k * t_ck, a_k * pay.t_idle), uo, q)
             t = y / (1.0 + y)
             if not t < 1.0:
                 return tuple(tau), tuple(nts), False
             tau[k], x[k] = t, y
             u = uo + y
             v = q * (1.0 + y) - 1.0 - u
-            bits_time = nts[k] * nm.timing.t_sym
-            to = u * (t_sk - bits_time) + v * (t_ck - bits_time) + t_idle[k]
-            nts[k] = _nt_opt(nm.seg.p_cw, to, (u + v) * nm.timing.t_sym, grid, n)
+            bits_time = nts[k] * nm.t_sym
+            to = u * (t_sk - bits_time) + v * (t_ck - bits_time) + pay.t_idle
+            nts[k] = _nt_opt(nm.seg.p_cw, to, (u + v) * nm.t_sym, grid, n)
         delta = max(max(abs(new - old) for new, old in zip(tau, prev_tau)),
                     max(abs(new - old) for new, old in zip(nts, prev_nts)) / net.phy.n_t_max)
         if delta < _CONVERGENCE_TOL:
@@ -302,7 +301,7 @@ def _polish_payloads(net: NetworkModel, variant: str, tau: Sequence[float],
     sp = state_probs(tau)
     p_s, p_c, p_i = sp.p_success, sp.p_collision, sp.p_idle
     num = pay.nt * np.array(sp.per_node_success)[:, None] * pay.f
-    r = num / (p_s * pay.t_s + p_c * pay.t_c + p_i * pay.t_idle[:, None])
+    r = num / (p_s * pay.t_s + p_c * pay.t_c + p_i * pay.t_idle)
     if variant == VARIANT_LOGTHR:
         val = r
     else:
@@ -441,10 +440,11 @@ def _lift_many(table: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndar
     return out, etas, ok
 
 
-def _logthr_newton(cols: tuple[np.ndarray, ...]) -> tuple[float, bool]:
+def _logthr_newton(cols: tuple[np.ndarray, np.ndarray, float]) -> tuple[float, bool]:
     """Maximize sum_k log r_k over the access budget at fixed payloads.
 
-    cols holds (t_s, t_c, t_idle, c) per node.  Returns (tau, kkt), tau
+    cols holds (t_s, t_c, t_idle): each node's success and collision slot
+    times and the network's idle slot time.  Returns (tau, kkt), tau
     common to every node (module docstring).  In its log-odds s = log x,
     with u = n x and v = (1 + x)^n - 1 - n x, the objective is
     phi(s) = sum_k log c_k + n s - sum_k log D_k, and
@@ -452,16 +452,16 @@ def _logthr_newton(cols: tuple[np.ndarray, ...]) -> tuple[float, bool]:
     falls from n to n - n^2.  If phi' >= 0 on the face x = 1 / (n - 1),
     tau = 1 / n; otherwise Newton steps on phi', bisecting where one
     leaves the bracket of its root, run to roundoff.  At the bracket's
-    lower end, x = 1 / (2 K) with K = sum_k (t_s,k + 2 t_c,k) / t_idle,k,
+    lower end, x = 1 / (2 K) with K = sum_k (t_s,k + 2 t_c,k) / t_idle,
     sum_k N_k / D_k < x K = 1/2, since below the face (1 + x)^(n-1) < e
-    and D_k > t_idle,k.  kkt is True on the face, or where the Lagrangian's
+    and D_k > t_idle.  kkt is True on the face, or where the Lagrangian's
     per-node derivative |phi'| / n is within _KKT_TOL.
 
     A lone node's rate c x / (t_s x + t_idle) rises with x up to c / t_s,
     so it returns tau = 1.
     """
-    t_s, t_c, t_idle, c = cols
-    n = len(c)
+    t_s, t_c, t_idle = cols
+    n = len(t_s)
     if n == 1:
         return 1.0, True
 
@@ -537,7 +537,7 @@ def _payload_switch(net: NetworkModel, variant: str, tau: list[float],
         with np.errstate(all="ignore"):
             a_s, a_c = a * pay.t_s[k], a * pay.t_c[k]
             den = 1.0 - a_s - (q - 1.0) * a_c
-            y = (uo * a_s + (q - 1.0 - uo) * a_c + a * pay.t_idle[k]) / den
+            y = (uo * a_s + (q - 1.0 - uo) * a_c + a * pay.t_idle) / den
             t_min = y / (1.0 + y)
             cand = (den > 0.0) & (t_min < 1.0) & (t_min > tau[k]) & (pay.nt != nts[k])
             if not cand.any():
@@ -576,7 +576,7 @@ def _ee_bound(net: NetworkModel) -> float:
     if that lift fails, since rho >= 0 everywhere.
     """
     pay = net.payloads
-    lower = [(pay.a * col).min(axis=1).tolist() for col in (pay.t_s, pay.t_c, pay.t_idle[:, None])]
+    lower = [(pay.a * col).min(axis=1).tolist() for col in (pay.t_s, pay.t_c, pay.t_idle)]
     low = _lift([(s, cc, i, 0.0, 0.0, 0.0) for s, cc, i in zip(*lower)], [0.0] * net.n_nodes)
     rho = 0.0
     if low is not None:
@@ -779,8 +779,8 @@ def _logthr_fallback(net: NetworkModel) -> Solution:
     nts = [net.phy.n_t_max] * net.n_nodes
     trace: list[float] = []
     for _ in range(_MAX_OUTER_ITERS):
-        t_s, t_c, _, _, _, c, _ = pay.at(nts)
-        t, kkt = _logthr_newton((t_s, t_c, pay.t_idle, c))
+        t_s, t_c, *_ = pay.at(nts)
+        t, kkt = _logthr_newton((t_s, t_c, pay.t_idle))
         tau = [t] * net.n_nodes
         polished = _polish_payloads(net, VARIANT_LOGTHR, tau, nts)
         settled, nts = polished == nts, polished

@@ -44,6 +44,7 @@ from eecap.metrics import (
     throughput_derivative_tau,
 )
 from eecap.phy import SegmentProbs, _binomial_tail
+from eecap.solver import _lift
 
 PHY = PhyConfig()
 GRID = list(PHY.nt_grid())
@@ -55,17 +56,21 @@ DIST_SCN = "scenarios/distance_sweep.ini"
 
 
 def random_metric_setup(rng: random.Random):
-    """Random access vector, cost model and segment probabilities."""
+    """Random access vector, cost model and segment probabilities.
+
+    The node's symbol period is a random burst length times the base one,
+    and its propagation delay one of n random delays.
+    """
     n = rng.randrange(1, 6)
     tau = [rng.uniform(0.02, 0.5) for _ in range(n)]
     k = rng.randrange(n)
     n_t = rng.choice(GRID)
-    tp = TimingParams(t_sym=PHY.t_sym * rng.choice((1, 2, 4, 8)),
-                      sigma=tuple(rng.uniform(1e-9, 3e-8) for _ in range(n)))
-    cost = cost_model(k, n_t, tp, EnergyParams())
+    t_sym = PHY.t_sym * rng.choice((1, 2, 4, 8))
+    sigma = [rng.uniform(1e-9, 3e-8) for _ in range(n)]
+    cost = cost_model(n_t, t_sym, sigma[k], TimingParams(), EnergyParams())
     seg = SegmentProbs(p_shr=rng.uniform(0.6, 1.0), p_phr=rng.uniform(0.6, 1.0),
                        p_cw=rng.uniform(0.9, 1.0))
-    return tau, k, n_t, tp, cost, seg
+    return tau, k, n_t, t_sym, cost, seg
 
 
 def test_c1_state_probability_normalization():
@@ -125,11 +130,11 @@ def test_c3_throughput_derivative():
     checked = 0
     worst = 0.0
     while checked < 200:
-        tau, k, n_t, tp, cost, seg = random_metric_setup(rng)
+        tau, k, n_t, t_sym, cost, seg = random_metric_setup(rng)
         if not 1e-3 < tau[k] < 0.999:
             continue
         node = Node(index=k, d=1.0, tau=tau[k], n_t=n_t, r_min=0.0)
-        terms = aggregate_terms(tau, k, cost, n_t, tp.t_sym)
+        terms = aggregate_terms(tau, k, cost, n_t, t_sym)
         assert terms.yt >= 0.0
         got = throughput_derivative_tau(node, tau, cost, seg)
         assert got >= 0.0
@@ -149,12 +154,17 @@ def test_c3_throughput_derivative():
 
 
 def test_c4_rate_threshold_self_consistency():
-    """Smallest rate-meeting access probability reproduces the target rate."""
+    """Smallest rate-meeting access probability reproduces the target rate.
+
+    The solver's least lift must find the same point: from the node's tau
+    set to zero, the others held, _lift on the node's odds row (its target
+    only) meets the rate, unless the threshold point breaks the access budget.
+    """
     rng = random.Random(88)
-    checked = 0
+    checked = lifts = 0
     worst = 0.0
     while checked < 200:
-        tau, k, n_t, tp, cost, seg = random_metric_setup(rng)
+        tau, k, n_t, _, cost, seg = random_metric_setup(rng)
         cap_tau = list(tau)
         cap_tau[k] = 1.0 - 1e-9
         cap = throughput(Node(k, 1.0, cap_tau[k], n_t, 0.0),
@@ -172,16 +182,33 @@ def test_c4_rate_threshold_self_consistency():
         worst = max(worst, rel)
         assert rel <= 1e-9
         checked += 1
+
+        c = n_t * frame_success_prob(seg, n_t)
+        a = r_target / c
+        table = [(0.0,) * 6] * len(tau)
+        table[k] = (a * cost.t_success, a * cost.t_collision, a * cost.t_idle,
+                    c, cost.e_success, cost.e_collision)
+        lifted = _lift(table, tau[:k] + [0.0] + tau[k + 1:])
+        if lifted is None:
+            assert math.fsum(back) > 1.0
+            continue
+        t = lifted[0]
+        assert t[:k] == tau[:k] and t[k + 1:] == tau[k + 1:]
+        got = throughput(Node(k, 1.0, t[k], n_t, r_target), state_probs(t), cost, seg)
+        rel = abs(got - r_target) / r_target
+        worst = max(worst, rel)
+        assert rel <= 1e-9
+        lifts += 1
     print(f"\n[PASS] criterion 4: rate threshold plug-back on {checked} feasible "
-          f"cases (max rel err {worst:.2e} <= 1e-9)")
+          f"cases, {lifts} of them lifted in budget (max rel err {worst:.2e} <= 1e-9)")
 
 
 def test_c5_payload_optimum_exactness():
     """Closed-form payload size equals the exhaustive 41-point argmax."""
     rng = random.Random(99)
     for _ in range(200):
-        tau, k, n_t, tp, cost, seg = random_metric_setup(rng)
-        terms = aggregate_terms(tau, k, cost, n_t, tp.t_sym)
+        tau, k, n_t, t_sym, cost, seg = random_metric_setup(rng)
+        terms = aggregate_terms(tau, k, cost, n_t, t_sym)
         got = nt_opt_for_throughput(seg.p_cw, terms, GRID)
 
         def gain(size: int) -> float:
@@ -189,7 +216,7 @@ def test_c5_payload_optimum_exactness():
 
         best = max(gain(size) for size in GRID)
         assert gain(got) == pytest.approx(best, rel=1e-12)
-    terms = aggregate_terms((0.2, 0.2), 0, cost_model(0, 126, TimingParams(sigma=(0.0, 0.0)),
+    terms = aggregate_terms((0.2, 0.2), 0, cost_model(126, PHY.t_sym, 0.0, TimingParams(),
                                                       EnergyParams()), 126, PHY.t_sym)
     assert nt_opt_for_throughput(1.0, terms, GRID) == 2646
     print("\n[PASS] criterion 5: payload optimum equals exhaustive scan on 200 "

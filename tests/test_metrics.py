@@ -39,18 +39,22 @@ SIMPLE_COST = CostModel(t_success=2e-3, t_collision=1e-3, t_idle=0.5e-3,
 
 
 def random_setup(rng: random.Random):
-    """A random cost model, segment probabilities and access vector."""
+    """A random cost model, segment probabilities and access vector.
+
+    Also returns the node's symbol period and propagation delay, which its
+    cost model was built from.
+    """
     n = rng.randrange(1, 6)
     tau = [rng.uniform(0.02, 0.5) for _ in range(n)]
     k = rng.randrange(n)
     n_t = rng.choice(GRID)
-    tp = TimingParams(t_sym=PHY.t_sym * rng.choice((1, 2, 4, 8)),
-                      sigma=tuple(rng.uniform(1e-9, 3e-8) for _ in range(n)))
-    cost = cost_model(k, n_t, tp, EnergyParams())
+    t_sym = PHY.t_sym * rng.choice((1, 2, 4, 8))
+    sigma = [rng.uniform(1e-9, 3e-8) for _ in range(n)][k]
+    cost = cost_model(n_t, t_sym, sigma, TimingParams(), EnergyParams())
     seg = SegmentProbs(p_shr=rng.uniform(0.6, 1.0), p_phr=rng.uniform(0.6, 1.0),
                        p_cw=rng.uniform(0.9, 1.0))
     node = Node(index=k, d=1.0, tau=tau[k], n_t=n_t, r_min=0.0)
-    return node, tau, cost, seg, tp
+    return node, tau, cost, seg, t_sym, sigma
 
 
 class TestFrameSuccess:
@@ -101,7 +105,7 @@ class TestMetricValues:
         # leaves throughput untouched.
         rng = random.Random(41)
         for _ in range(50):
-            node, tau, cost, seg, _ = random_setup(rng)
+            node, tau, cost, seg, _, _ = random_setup(rng)
             sp = state_probs(tau)
             c = rng.uniform(0.1, 10.0)
             scaled = CostModel(t_success=cost.t_success, t_collision=cost.t_collision,
@@ -133,9 +137,9 @@ class TestAggregateTerms:
     def test_both_decompositions_give_the_duration(self):
         rng = random.Random(5)
         for _ in range(200):
-            node, tau, cost, seg, tp = random_setup(rng)
+            node, tau, cost, seg, t_sym, _ = random_setup(rng)
             sp = state_probs(tau)
-            terms = aggregate_terms(tau, node.index, cost, node.n_t, tp.t_sym)
+            terms = aggregate_terms(tau, node.index, cost, node.n_t, t_sym)
             duration = (sp.p_success * cost.t_success
                         + sp.p_collision * cost.t_collision
                         + sp.p_idle * cost.t_idle)
@@ -151,7 +155,7 @@ class TestThroughputDerivative:
         rng = random.Random(17)
         checked = 0
         for _ in range(200):
-            node, tau, cost, seg, _ = random_setup(rng)
+            node, tau, cost, seg, _, _ = random_setup(rng)
             k = node.index
             if not 1e-4 < tau[k] < 1.0 - 1e-4:
                 continue
@@ -176,7 +180,7 @@ class TestRateThreshold:
         rng = random.Random(23)
         checked = 0
         for _ in range(300):
-            node, tau, cost, seg, _ = random_setup(rng)
+            node, tau, cost, seg, _, _ = random_setup(rng)
             k = node.index
             # Ask for a rate below the tau -> 1 supremum so a threshold exists.
             cap_tau = list(tau)
@@ -218,13 +222,13 @@ class TestPayloadOptimum:
     def test_matches_exhaustive_scan_of_true_throughput(self):
         rng = random.Random(31)
         for _ in range(200):
-            node, tau, cost, seg, tp = random_setup(rng)
+            node, tau, cost, seg, t_sym, sigma = random_setup(rng)
             k = node.index
-            terms = aggregate_terms(tau, k, cost, node.n_t, tp.t_sym)
+            terms = aggregate_terms(tau, k, cost, node.n_t, t_sym)
             got = nt_opt_for_throughput(seg.p_cw, terms, GRID)
 
             def rate_at(n_t: int) -> float:
-                c = cost_model(k, n_t, tp, EnergyParams())
+                c = cost_model(n_t, t_sym, sigma, TimingParams(), EnergyParams())
                 return throughput(Node(k, node.d, tau[k], n_t, 0.0),
                                   state_probs(tau), c, seg)
 

@@ -253,8 +253,8 @@ def common_slope(cols, s):
     with mpmath.workdps(30):
         x = mpmath.exp(s)
         total = mpmath.mpf(0)
-        for ts, tc, ti in zip(map(float, t_s), map(float, t_c), map(float, t_idle)):
-            d = n * x * ts + ((1 + x) ** n - 1 - n * x) * tc + ti
+        for ts, tc in zip(map(float, t_s), map(float, t_c)):
+            d = n * x * ts + ((1 + x) ** n - 1 - n * x) * tc + t_idle
             total += x * (ts + ((1 + x) ** (n - 1) - 1) * tc) / d
         return 1 - total
 
@@ -272,7 +272,7 @@ def test_fallback_is_the_logthr_optimum(case):
     cols = (t_s, t_c, pay.t_idle, c)
     # The core, run at the returned payloads, gives every node the returned
     # tau, and the closed-form objective there is evaluate's.
-    t, kkt = _logthr_newton(cols)
+    t, kkt = _logthr_newton(cols[:3])
     assert kkt and tau == [t] * n
     want = _value(net, VARIANT_LOGTHR, tau, nts)
     assert want == sol.objective_value

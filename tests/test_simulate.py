@@ -193,7 +193,6 @@ class TestDegenerateInputs:
         with pytest.raises(ValueError):
             SimReport(num_slots=10, seed=0, n_success=3, n_collision=3, n_idle=3,
                       p_success=0.3, p_collision=0.3, p_idle=0.3,
-                      se_success=0.0, se_collision=0.0, se_idle=0.0,
                       per_node_success=(), per_node_delivered=(), per_node_bits=(),
                       per_node_energy=(), elapsed_time=1.0)
 

@@ -86,7 +86,7 @@ class TestFeasibilityStage:
                                 [rng.uniform(0.05, 0.5) * 2e6 / n for _ in range(n)])
             tau, nts, ok = feasibility_stage(net)
             for k, nm in enumerate(net.nodes if ok else ()):
-                terms = aggregate_terms(tau, k, net.cost(k, nts[k]), nts[k], nm.timing.t_sym)
+                terms = aggregate_terms(tau, k, net.cost(k, nts[k]), nts[k], nm.t_sym)
                 grid = list(net.phy.nt_grid())
                 assert nts[k] == nt_opt_for_throughput(nm.seg.p_cw, terms, grid)
                 checked += 1
@@ -250,7 +250,7 @@ class TestSingleNode:
         cost = net.cost(0, sol.nt_opt[0])
         # aggregate_terms is affine in tau_k and undefined at tau_k = 1, so
         # read the slot split where one slot in 1e12 is idle.
-        terms = aggregate_terms([1.0 - 1e-12], 0, cost, sol.nt_opt[0], net.nodes[0].timing.t_sym)
+        terms = aggregate_terms([1.0 - 1e-12], 0, cost, sol.nt_opt[0], net.nodes[0].t_sym)
         want_nt = nt_opt_for_throughput(net.nodes[0].seg.p_cw, terms, list(net.phy.nt_grid()))
         assert sol.nt_opt[0] == want_nt
 

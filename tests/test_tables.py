@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from eecap import ChannelParams, PhyConfig, build_network, evaluate
 from eecap.access import state_probs
-from eecap.costs import cost_model
+from eecap.costs import SPEED_OF_LIGHT, cost_model
 from eecap.metrics import (Node, energy_efficiency, frame_success_prob, tau_min_for_rate,
                            throughput)
 from eecap.solver import _least_odds
@@ -178,8 +178,8 @@ def test_payload_table_matches_the_oracles_bitwise(case):
     assert pay.r_min.tolist() == list(r_mins)
     for k, nm in enumerate(net.nodes):
         for j, n_t in enumerate(grid):
-            cost = cost_model(k, n_t, nm.timing, net.energy)
-            assert (pay.t_s[k, j], pay.t_c[k, j], pay.t_idle[k]) == (
+            cost = cost_model(n_t, nm.t_sym, nm.d / SPEED_OF_LIGHT, net.timing, net.energy)
+            assert (pay.t_s[k, j], pay.t_c[k, j], pay.t_idle) == (
                 cost.t_success, cost.t_collision, cost.t_idle)
             assert (pay.e_s[j], pay.e_c[j]) == (cost.e_success, cost.e_collision)
             f = frame_success_prob(nm.seg, n_t, net.phy.n)
@@ -202,7 +202,7 @@ def test_payload_table_matches_the_oracles_bitwise(case):
         assert (t_s[k], t_c[k], f[k], c[k], a[k]) == (
             pay.t_s[k, j], pay.t_c[k, j], pay.f[k, j], pay.c[k, j], pay.a[k, j])
         assert (e_s[k], e_c[k]) == (pay.e_s[j], pay.e_c[j])
-        assert pay.odds(nts)[k].tolist() == [a[k] * t_s[k], a[k] * t_c[k], a[k] * pay.t_idle[k],
+        assert pay.odds(nts)[k].tolist() == [a[k] * t_s[k], a[k] * t_c[k], a[k] * pay.t_idle,
                                              c[k], e_s[k], e_c[k]]
 
 
