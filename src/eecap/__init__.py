@@ -8,9 +8,10 @@ validator, all driven by INI scenario files through a CSV-emitting CLI.
 The package exports the entry points: build a network (build_network and
 its parameter configs), solve it (eecap, SolverConfig, Solution and the
 variant names), evaluate or simulate one operating point, and load a
-scenario.  The scalar PHY, cost and metric formulas the model is built
-from, which the tests use as reference oracles, import from their own
-modules, such as eecap.phy, eecap.costs and eecap.metrics.
+scenario.  The scalar PHY and cost formulas the model is built from
+import from their own modules, such as eecap.phy and eecap.costs.  The
+paper's per-node throughput and efficiency formulas are not shipped: the
+tests keep them as reference oracles, in tests/oracles.py.
 """
 
 # The pure-Python layers load first; numpy's first import is network's.

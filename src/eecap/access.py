@@ -22,23 +22,6 @@ class StateProbs:
     p_idle: float                         # P^I, no transmitter
 
 
-@dataclass(frozen=True)
-class LinearCoeffs:
-    """Slopes and intercepts of the slot-state probabilities in one node's tau.
-
-    Holding every other access probability fixed, each network state
-    probability is affine in tau_k: P^S = x_s * tau_k + y_s and likewise
-    for collision and idle.
-    """
-
-    x_s: float
-    x_c: float
-    x_i: float
-    y_s: float
-    y_c: float
-    y_i: float
-
-
 def _validate(tau: Sequence[float]) -> None:
     if len(tau) == 0:
         raise ValueError("access vector must contain at least one node")
@@ -77,31 +60,3 @@ def state_probs(tau: Sequence[float]) -> StateProbs:
         p_collision=p_collision,
         p_idle=p_idle,
     )
-
-
-def linear_coeffs(tau: Sequence[float], node_index: int) -> LinearCoeffs:
-    """Affine decomposition of the slot-state probabilities in tau_k.
-
-    The coefficients depend only on the other nodes' access probabilities,
-    so the decomposition holds for every value of tau_k in [0, 1].  One
-    pass over tau validates it and keeps two running values over the other
-    nodes: none, the probability that none of them transmits, and one, the
-    probability that exactly one of them does.  Then
-    P^S = tau_k * none + (1 - tau_k) * one, P^I = (1 - tau_k) * none, and
-    P^C is the rest.
-    """
-    if len(tau) == 0:
-        _validate(tau)  # raises
-    if not 0 <= node_index < len(tau):
-        raise IndexError(f"node index {node_index} outside 0..{len(tau) - 1}")
-    none, one = 1.0, 0.0
-    for j, t in enumerate(tau):
-        if not 0.0 <= t <= 1.0:
-            _validate(tau)  # raises, naming the entry
-        if j != node_index:
-            c = 1.0 - t
-            one = one * c + none * t
-            none *= c
-    if tau[node_index] == 1.0:
-        raise ValueError(f"linearization undefined at tau_k = 1 (node {node_index})")
-    return LinearCoeffs(none - one, one, -none, one, 1.0 - none - one, none)

@@ -1,173 +1,34 @@
-"""Per-node energy efficiency and throughput, with their closed-form optima.
+"""The feasibility stage's throughput-optimal payload rule.
 
-Both metrics share the numerator N_T * P_k^S * P_frame (payload bits that
-arrive intact per slot); energy efficiency divides by the average energy a
-slot costs, throughput by its average duration.  Holding the other nodes
-fixed, numerator and denominator are affine in the node's own access
-probability, which yields closed forms for the smallest tau meeting a rate
-target and for the payload size maximizing throughput.
+_nt_opt picks, from the admissible payload grid, the size maximizing a
+node's throughput N * p_cw^(N/n) / (to + tn*N) at fixed access
+probabilities, where to and tn split the node's average slot duration into
+its payload-independent part and its per-payload-bit slope.
+eecap.solver.feasibility_stage calls it; every other answer of the package
+is read from the network's PayloadTable.  The paper's scalar throughput,
+efficiency and rate-threshold formulas are reference oracles of the test
+suite, in tests/oracles.py.
 
-These scalar functions are the reference oracles of the paper's formulas,
-which hold for any positive multiple of the codeword length n: they take
-such a payload size even off the admissible grid [n_t_min, n_t_max] of a
-PhyConfig.  That grid is a PHY policy, enforced where a network is
-evaluated (evaluate, simulate, the solver and the scenario loader).
+This module must stay, even if the stage stops calling _nt_opt: the
+benchmark's span tracer imports every layer module by name, this one
+included.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
-from .access import StateProbs, linear_coeffs, state_probs
-from .costs import CostModel
-from .phy import SegmentProbs
-
-
-@dataclass(frozen=True)
-class Node:
-    """One sensor node's link distance, access probability and traffic demand."""
-
-    index: int
-    d: float            # distance to the hub, meters
-    tau: float          # channel access probability
-    n_t: int            # payload frame size, bits
-    r_min: float        # minimum required throughput, bits per second
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError("index must be non-negative")
-        if self.d <= 0.0:
-            raise ValueError("d must be positive")
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau={self.tau} outside [0, 1]")
-        if self.n_t <= 0:
-            raise ValueError("n_t must be positive")
-        if self.r_min < 0.0:
-            raise ValueError("r_min must be non-negative")
-
-
-@dataclass(frozen=True)
-class AggregateTerms:
-    """Affine pieces of one node's average slot duration.
-
-    xt and yt are the slope and intercept of the duration in the node's own
-    tau at fixed payload size; to and tn split the same duration into its
-    payload-independent part and its per-payload-bit slope at fixed tau.
-    """
-
-    xt: float
-    yt: float
-    to: float
-    tn: float
-
-
-def _check_payload(n_t: int, n: int) -> None:
-    """Raise ValueError unless n_t is a positive multiple of n; the grid bounds are not checked."""
-    if n_t <= 0 or n_t % n != 0:
-        raise ValueError(f"n_t must be a positive multiple of n={n}, got {n_t}")
-
-
-def frame_success_prob(seg: SegmentProbs, n_t: int, n: int = 63) -> float:
-    """Probability that a whole frame with an n_t-bit payload decodes."""
-    _check_payload(n_t, n)
-    return seg.p_shr * seg.p_phr * seg.p_cw ** (n_t // n)
-
-
-def aggregate_terms(tau: Sequence[float], node_index: int, cost: CostModel,
-                    n_t: int, t_sym: float) -> AggregateTerms:
-    """Both affine decompositions of node node_index's average slot duration."""
-    lc = linear_coeffs(tau, node_index)
-    xt = lc.x_s * cost.t_success + lc.x_c * cost.t_collision + lc.x_i * cost.t_idle
-    yt = lc.y_s * cost.t_success + lc.y_c * cost.t_collision + lc.y_i * cost.t_idle
-    net = state_probs(tau)
-    cs0 = cost.t_success - n_t * t_sym
-    cc0 = cost.t_collision - n_t * t_sym
-    to = net.p_success * cs0 + net.p_collision * cc0 + net.p_idle * cost.t_idle
-    tn = (net.p_success + net.p_collision) * t_sym
-    return AggregateTerms(xt=xt, yt=yt, to=to, tn=tn)
-
-
-def energy_efficiency(node: Node, net: StateProbs, cost: CostModel,
-                      seg: SegmentProbs, n: int = 63) -> float:
-    """Payload bits delivered per joule spent, network-wide energy in the denominator."""
-    p_frame = frame_success_prob(seg, node.n_t, n)
-    num = node.n_t * net.per_node_success[node.index] * p_frame
-    den = (net.p_success * cost.e_success
-           + net.p_collision * cost.e_collision
-           + net.p_idle * cost.e_idle)
-    if den <= 0.0:
-        raise ValueError("efficiency undefined at zero activity")
-    return num / den
-
-
-def throughput(node: Node, net: StateProbs, cost: CostModel,
-               seg: SegmentProbs, n: int = 63) -> float:
-    """Payload bits delivered per second, network-wide slot duration in the denominator."""
-    p_frame = frame_success_prob(seg, node.n_t, n)
-    num = node.n_t * net.per_node_success[node.index] * p_frame
-    den = (net.p_success * cost.t_success
-           + net.p_collision * cost.t_collision
-           + net.p_idle * cost.t_idle)
-    return num / den
-
-
-def throughput_derivative_tau(node: Node, tau: Sequence[float], cost: CostModel,
-                              seg: SegmentProbs, n: int = 63) -> float:
-    """Closed-form partial derivative of the node's throughput in its own tau.
-
-    With the affine decompositions R = c*tau / (xt*tau + yt), the derivative
-    is c*yt / (xt*tau + yt)^2, which is non-negative because yt >= 0.
-    """
-    lc = linear_coeffs(tau, node.index)
-    xt = lc.x_s * cost.t_success + lc.x_c * cost.t_collision + lc.x_i * cost.t_idle
-    yt = lc.y_s * cost.t_success + lc.y_c * cost.t_collision + lc.y_i * cost.t_idle
-    c = node.n_t * lc.y_i * frame_success_prob(seg, node.n_t, n)
-    den = xt * tau[node.index] + yt
-    if den <= 0.0:
-        raise ValueError("throughput derivative undefined: zero average duration")
-    return c * yt / (den * den)
-
-
-def tau_min_for_rate(node: Node, tau: Sequence[float], cost: CostModel,
-                     seg: SegmentProbs, n: int = 63) -> Optional[float]:
-    """Smallest access probability meeting the node's rate requirement.
-
-    Returns None when no tau in [0, 1) reaches r_min with the other nodes'
-    access probabilities held fixed.  r_min = 0 returns 0.0.
-    """
-    if node.r_min == 0.0:
-        return 0.0
-    lc = linear_coeffs(tau, node.index)
-    xt = lc.x_s * cost.t_success + lc.x_c * cost.t_collision + lc.x_i * cost.t_idle
-    yt = lc.y_s * cost.t_success + lc.y_c * cost.t_collision + lc.y_i * cost.t_idle
-    c = node.n_t * lc.y_i * frame_success_prob(seg, node.n_t, n)
-    denom = c - node.r_min * xt
-    if denom <= 0.0:
-        return None
-    t = node.r_min * yt / denom
-    if t >= 1.0:
-        return None
-    return t
-
-
-def nt_opt_for_throughput(p_cw: float, terms: AggregateTerms,
-                          grid: Sequence[int], n: int = 63) -> int:
-    """Payload size from the admissible grid maximizing the node's throughput.
-
-    The throughput as a function of payload size N is
-    N * p_cw^(N/n) / (to + tn*N), log-concave in N, so the grid optimum is
-    one of the two multiples of n adjacent to the continuous stationary
-    point, found by direct comparison.  p_cw = 1 returns the largest
-    admissible size; p_cw = 0 leaves throughput at zero for every size and
-    returns the smallest one.
-    """
-    return _nt_opt(p_cw, terms.to, terms.tn, grid, n)
+from typing import Sequence
 
 
 def _nt_opt(p_cw: float, to: float, tn: float, grid: Sequence[int], n: int) -> int:
-    """nt_opt_for_throughput on the payload split (to, tn) of the slot duration."""
+    """Payload size from the grid maximizing the throughput N * p_cw^(N/n) / (to + tn*N).
+
+    The throughput is log-concave in N, so the grid optimum is one of the
+    two multiples of n adjacent to the continuous stationary point, found
+    by direct comparison.  p_cw = 1 returns the largest admissible size;
+    p_cw = 0 leaves throughput at zero for every size and returns the
+    smallest one.
+    """
     if not 0.0 <= p_cw <= 1.0:
         raise ValueError(f"p_cw must lie in [0, 1], got {p_cw}")
     if len(grid) == 0:

@@ -11,9 +11,10 @@ EECAP chooses an access probability and a payload size per node, so every
 layer reads one thing: a node's slot costs and frame success at a payload.
 A NetworkModel builds them once, as its PayloadTable of numpy arrays over
 the nodes and every admissible payload size; evaluate, the solver and the
-simulator read them only there.  cost_model, NetworkModel.cost and the
-metrics formulas stay the scalar reference oracles, and the table repeats
-their arithmetic, so both agree bitwise.
+simulator read them only there.  The table repeats the arithmetic of the
+scalar cost formulas (cost_model, NetworkModel.cost) and of the test
+suite's frame-success, throughput and efficiency oracles (tests/oracles.py),
+so it agrees with them bitwise.
 
 The rate model times node k with its own slot durations.  In odds
 x = tau / (1 - tau), with u = sum(x) and v = prod(1 + x) - 1 - u, node k's
@@ -67,9 +68,9 @@ class PayloadTable(NamedTuple):
     without a target and infinite for a payload that delivers nothing.  The
     slot energies e_s and e_c are (G,) and the idle slot time t_idle is one
     float, since EnergyParams and TimingParams are network-wide; r_min is
-    (n,).  The entries repeat the arithmetic of cost_model and
-    metrics.frame_success_prob step for step, so they agree with those
-    oracles bitwise.
+    (n,).  The entries repeat the arithmetic of cost_model and of the
+    frame-success oracle in tests/oracles.py step for step, so they agree
+    with both bitwise.
     """
 
     nt: np.ndarray
@@ -92,8 +93,8 @@ class PayloadTable(NamedTuple):
         t_sym = np.array([nm.t_sym for nm in nodes])[:, None]
         sigma = np.array([nm.d / SPEED_OF_LIGHT for nm in nodes])[:, None]
         t_frame = tp.t_shr + tp.t_phr + nt * t_sym
-        # Python's float ** int, as in frame_success_prob: numpy's power can
-        # differ from it in the last bit.  Nearby nodes share one p_cw.
+        # Python's float ** int, as the frame-success oracle takes it: numpy's
+        # power can differ from it in the last bit.  Nearby nodes share one p_cw.
         p_cw = [nm.seg.p_cw for nm in nodes]
         distinct = sorted(set(p_cw))
         powers = np.array([[p ** (n_t // n) for n_t in grid] for p in distinct])
@@ -218,8 +219,9 @@ def evaluate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     With guard_zero_energy, a zero average-energy denominator yields an
     efficiency of 0.0 instead of an error; the solver uses this to keep
     objective evaluations total during the search.  Reads net.payloads
-    with the arithmetic of metrics.throughput and energy_efficiency.  A
-    payload size off net.phy.nt_grid() raises ValueError.
+    with the arithmetic of the throughput and energy_efficiency oracles in
+    tests/oracles.py.  A payload size off net.phy.nt_grid() raises
+    ValueError.
     """
     if len(tau) != net.n_nodes or len(nts) != net.n_nodes:
         raise ValueError("tau and nts must have one entry per node")

@@ -150,22 +150,6 @@ def codeword_success_prob(p_b: float, phy: PhyConfig) -> float:
     return _binomial_tail(phy.n, phy.t, p_b)
 
 
-def psdu_success_prob(p_b: float, n_t: int, phy: PhyConfig) -> float:
-    """PSDU success: all n_t / n codewords decode."""
-    if n_t <= 0 or n_t % phy.n:
-        raise ValueError(f"n_t must be a positive multiple of n={phy.n}, got {n_t}")
-    return codeword_success_prob(p_b, phy) ** (n_t // phy.n)
-
-
-def ppdu_success_prob(p_b: float, n_t: int, phy: PhyConfig) -> float:
-    """Whole-frame delivery probability: SHR, PHR and PSDU all succeed."""
-    return (
-        shr_success_prob(p_b, phy)
-        * phr_success_prob(p_b, phy)
-        * psdu_success_prob(p_b, n_t, phy)
-    )
-
-
 def segment_probs(p_b: float, phy: PhyConfig) -> SegmentProbs:
     """Bundle the payload-size-independent segment probabilities for one link."""
     return SegmentProbs(
@@ -173,17 +157,3 @@ def segment_probs(p_b: float, phy: PhyConfig) -> SegmentProbs:
         p_phr=phr_success_prob(p_b, phy),
         p_cw=codeword_success_prob(p_b, phy),
     )
-
-
-def codewords_for_payload(n_mac_body: int, phy: PhyConfig) -> tuple[int, int]:
-    """Codeword count and padded PSDU size for a MAC frame body of n_mac_body octets.
-
-    The PSDU carries 8 * n_mac_body payload bits plus 72 bits of MAC header
-    and FCS, split into k-bit groups each protected by one n-bit codeword.
-    """
-    if n_mac_body < 0:
-        raise ValueError("n_mac_body must be non-negative")
-    if n_mac_body > 255:
-        raise ValueError("n_mac_body must not exceed 255 octets")
-    n_cw = -(-(8 * n_mac_body + 72) // phy.k)
-    return n_cw, n_cw * phy.n

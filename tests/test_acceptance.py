@@ -31,20 +31,22 @@ from eecap import (
     eecap,
     evaluate,
 )
-from eecap.access import linear_coeffs, state_probs
+from eecap.access import state_probs
 from eecap.cli import main
 from eecap.costs import cost_model
-from eecap.metrics import (
+from eecap.phy import SegmentProbs, _binomial_tail
+from eecap.solver import _RATE_AIM, _lift, _polish_payloads
+from oracles import (
     Node,
     aggregate_terms,
+    energy_efficiency,
     frame_success_prob,
+    linear_coeffs,
     nt_opt_for_throughput,
     tau_min_for_rate,
     throughput,
     throughput_derivative_tau,
 )
-from eecap.phy import SegmentProbs, _binomial_tail
-from eecap.solver import _lift
 
 PHY = PhyConfig()
 GRID = list(PHY.nt_grid())
@@ -204,7 +206,7 @@ def test_c4_rate_threshold_self_consistency():
 
 
 def test_c5_payload_optimum_exactness():
-    """Closed-form payload size equals the exhaustive 41-point argmax."""
+    """Closed-form payload size, and the solver's payload scan, equal the 41-point argmax."""
     rng = random.Random(99)
     for _ in range(200):
         tau, k, n_t, t_sym, cost, seg = random_metric_setup(rng)
@@ -219,8 +221,50 @@ def test_c5_payload_optimum_exactness():
     terms = aggregate_terms((0.2, 0.2), 0, cost_model(126, PHY.t_sym, 0.0, TimingParams(),
                                                       EnergyParams()), 126, PHY.t_sym)
     assert nt_opt_for_throughput(1.0, terms, GRID) == 2646
-    print("\n[PASS] criterion 5: payload optimum equals exhaustive scan on 200 "
-          "cases; perfect code picks 2646")
+    # The payload scan the solver runs (_polish_payloads), on 200 seeded
+    # networks: per node, the best admitted payload by the scalar throughput
+    # and efficiency oracles.  EE and LogEE admit the payloads meeting the
+    # node's target to _RATE_AIM, the scan's own rule, and score them by
+    # efficiency; the LogTHR fallback drops the targets and scores by rate.
+    # A node with no admitted payload keeps its current one.
+    rng = random.Random(599)
+    worst = 0.0
+    kept = 0
+    for _ in range(200):
+        n = rng.randrange(1, 7)
+        d = [rng.uniform(1.0, 9.5) for _ in range(n)]
+        probe = build_network(d, [0.0] * n)
+        _, rates, _ = evaluate(probe, [0.5 / n] * n, [PHY.n_t_max] * n)
+        net = build_network(d, [rng.uniform(0.2, 0.8) * r for r in rates])
+        w = [rng.expovariate(1.0) for _ in range(n + 1)]
+        tau = [x / sum(w) for x in w[:n]]
+        nts = [rng.choice(GRID) for _ in range(n)]
+        sp = state_probs(tau)
+        for variant in (VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR):
+            got = _polish_payloads(net, variant, tau, nts)
+            for k, nm in enumerate(net.nodes):
+                score = {}
+                for size in GRID:
+                    node = Node(k, nm.d, tau[k], size, nm.r_min)
+                    cost = net.cost(k, size)
+                    r = throughput(node, sp, cost, nm.seg, net.phy.n)
+                    if variant == VARIANT_LOGTHR:
+                        score[size] = r
+                    elif r >= nm.r_min * (1.0 - _RATE_AIM):
+                        score[size] = energy_efficiency(node, sp, cost, nm.seg, net.phy.n)
+                if not score:
+                    assert got[k] == nts[k]
+                    kept += 1
+                    continue
+                best = max(score.values())
+                assert got[k] in score
+                assert score[got[k]] == pytest.approx(best, rel=1e-12, abs=0.0)
+                if best > 0.0:
+                    worst = max(worst, (best - score[got[k]]) / best)
+    print(f"\n[PASS] criterion 5: payload optimum equals exhaustive scan on 200 "
+          f"cases; perfect code picks 2646; the solver's payload scan meets the "
+          f"oracle optimum on 200 networks x 3 variants (max rel shortfall {worst:.2e}, "
+          f"{kept} nodes with no payload meeting the target keep theirs)")
 
 
 def grid_search_ee(net, step: float = 1e-3) -> float:

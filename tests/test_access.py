@@ -13,7 +13,8 @@ import random
 import numpy as np
 import pytest
 
-from eecap.access import _leave_one_out, linear_coeffs, state_probs
+from eecap.access import _leave_one_out, state_probs
+from oracles import linear_coeffs
 
 
 def random_tau(rng: random.Random, n: int) -> list[float]:

@@ -4,7 +4,9 @@ The closed forms are validated against what they claim to optimize: the
 rate-threshold access probability is plugged back into the throughput
 function, the derivative against central finite differences, and the
 payload-size optimum against an exhaustive scan of the admissible grid
-using the genuine throughput function.
+using the genuine throughput function.  The formulas are the oracles of
+tests/oracles.py; the payload optimum runs the shipped closed form,
+eecap.metrics._nt_opt.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import pytest
 from eecap import EnergyParams, PhyConfig, TimingParams
 from eecap.access import state_probs
 from eecap.costs import CostModel, cost_model
-from eecap.metrics import (
+from eecap.phy import SegmentProbs
+from oracles import (
     AggregateTerms,
     Node,
     aggregate_terms,
@@ -28,7 +31,6 @@ from eecap.metrics import (
     throughput,
     throughput_derivative_tau,
 )
-from eecap.phy import SegmentProbs
 
 PHY = PhyConfig()
 GRID = list(PHY.nt_grid())

@@ -20,14 +20,12 @@ from eecap.phy import (
     _binomial_tail,
     bit_error_prob,
     codeword_success_prob,
-    codewords_for_payload,
     kasami_success_prob,
     phr_success_prob,
-    ppdu_success_prob,
-    psdu_success_prob,
     segment_probs,
     shr_success_prob,
 )
+from oracles import codewords_for_payload, ppdu_success_prob, psdu_success_prob
 
 PHY = PhyConfig()
 

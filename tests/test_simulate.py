@@ -38,8 +38,8 @@ from eecap import (
     simulate,
 )
 from eecap.access import state_probs
-from eecap.metrics import frame_success_prob
 from eecap.simulate import z_score
+from oracles import frame_success_prob
 
 # The package re-exports the function simulate under the submodule's name.
 SIM = importlib.import_module("eecap.simulate")

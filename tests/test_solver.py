@@ -32,9 +32,9 @@ from eecap import (
     load_scenario,
 )
 from eecap import solver
-from eecap.metrics import (Node, aggregate_terms, frame_success_prob, nt_opt_for_throughput,
-                           tau_min_for_rate)
 from eecap.solver import _lift, _lift_many, _objective_value, _repair_rates, feasibility_stage
+from oracles import (Node, aggregate_terms, frame_success_prob, nt_opt_for_throughput,
+                     tau_min_for_rate)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 

@@ -2,8 +2,9 @@
 
 evaluate, the feasibility stage's per-node update, the solver and the
 simulator read the PayloadTable that a NetworkModel builds once;
-cost_model, metrics.frame_success_prob, throughput, energy_efficiency and
-tau_min_for_rate build Node and CostModel objects per call.  The table
+cost_model and the oracles of tests/oracles.py (frame_success_prob,
+throughput, energy_efficiency and tau_min_for_rate) build Node and
+CostModel objects per call.  The table
 must equal the oracles bitwise on random networks, and both paths must
 agree on seeded random networks of 1 to 16 nodes, at access probabilities
 of exactly 0, exactly 1 (evaluate only) and within 1e-10 of 1, for every
@@ -23,9 +24,8 @@ from hypothesis import strategies as st
 from eecap import ChannelParams, PhyConfig, build_network, evaluate
 from eecap.access import state_probs
 from eecap.costs import SPEED_OF_LIGHT, cost_model
-from eecap.metrics import (Node, energy_efficiency, frame_success_prob, tau_min_for_rate,
-                           throughput)
 from eecap.solver import _least_odds
+from oracles import Node, energy_efficiency, frame_success_prob, tau_min_for_rate, throughput
 
 GRID = list(PhyConfig().nt_grid())
 REL = 1e-12
