@@ -22,14 +22,18 @@ geometric, binomial and exponential samplers between versions, but not
 its uniform doubles.
 
 The slots are counted on the caller's thread a block at a time, from
-the transmissions in the block.  A node draws its gaps in refills that
-span several blocks and carries the transmissions it has drawn but not
-counted into the next block, so a seed gives the same report whatever
-the block length.  A bincount of the block's transmit slots gives each
-slot's transmitter count.  The nodes write their rank, in the order of
-decreasing collision duration, into the slots they transmit in, the
-longest last; a success slot then holds its sender and a collision slot
-its longest transmitter, whose collision duration is the slot's length.
+the transmissions in the block only, so an idle slot costs no work.  A
+node draws its gaps in refills and carries the transmissions it has
+drawn but not counted into the next block, so a seed gives the same
+report whatever the block and refill lengths.  The nodes are ranked in
+the order of decreasing collision duration, and each writes its rank
+into the slots it transmits in, of one per-slot array the longest last
+and of another the shortest last.  A busy slot then holds its longest
+transmitter in the first, whose collision duration is the slot's
+length, and its shortest in the second, and the two agree in exactly
+the slots with one transmitter.  Each node reads both arrays at its own
+slots.  A node whose frame success probability is 0 or 1 draws no
+delivery uniforms: none could change a delivery.
 """
 
 from __future__ import annotations
@@ -87,61 +91,134 @@ class SimReport:
                 raise ValueError("empirical probabilities must lie in [0, 1]")
 
 
-# Most slots in a counting block, most transmissions expected in one
-# where the access probabilities sum past 1, and most delivery uniforms
-# drawn at a time.
-_BLOCK_SLOTS = 1 << 15
 # Gaps drawn per refill by all nodes, shared in proportion to their access
 # probabilities, so that each node refills about once every
-# _REFILL_DRAWS / sum(tau) slots: two blocks at a sum of 0.5.  On the
-# montecarlo benchmark's points, twice as many raised the peak RSS by
-# 0.9 MB, and half as many saved 0.4 MB but took about 20 % longer.
+# _REFILL_DRAWS / sum(tau) slots.  On the montecarlo benchmark's points,
+# twice as many took about 15 % less time but doubled a call's traced
+# peak (0.7-1.1 to 1.4-1.7 MB), and half as many took about 30 % longer.
 _REFILL_DRAWS = 1 << 15
+# Most slots in a counting block.  Its two rank arrays cost 2 B a slot
+# (4 B past 256 nodes), but its transmissions are held until it is
+# counted, at 8 B each, so a block also spans no more slots than one
+# refill is expected to: about _REFILL_DRAWS transmissions at most.
+_BLOCK_SLOTS = 1 << 17
+# Most delivery uniforms drawn at a time.
+_DELIVERY_DRAWS = 1 << 15
 
 
 def _block_slots(load: float) -> int:
     """Slots per counting block for access probabilities summing to load."""
-    return max(1, int(_BLOCK_SLOTS / max(load, 1.0)))
+    if load * _BLOCK_SLOTS <= _REFILL_DRAWS:
+        return _BLOCK_SLOTS
+    return max(1, int(_REFILL_DRAWS / load))
 
 
-def _transmissions(rng: np.random.Generator, tau: float, size: int, m: int):
-    """Yield one node's transmit slots, size at a time, as increasing int64 arrays.
+def _transmissions(rng: np.random.Generator, tau: float, gaps: np.ndarray, m: int):
+    """Yield one node's transmit slots, len(gaps) at a time, as increasing int64 arrays.
 
-    A gap is clamped to m + 1 slots, past the last slot, so that no access
-    probability, however small, overflows the slot numbers.
+    Each refill draws into gaps, a buffer the nodes may share, and needs
+    overflow ignored.  A gap is clamped to m + 1 slots, past the last
+    slot, so that no access probability, however small, overflows the
+    slot numbers.
     """
     scale = math.log1p(-tau) if tau < 1.0 else -math.inf
     last = -1
     while True:
-        gaps = rng.random(size)
+        rng.random(out=gaps)
         np.log1p(np.negative(gaps, out=gaps), out=gaps)
-        with np.errstate(over="ignore"):
-            gaps /= scale
-        np.floor(gaps, out=gaps)
-        gaps += 1.0
-        np.minimum(gaps, m + 1, out=gaps)
+        gaps /= scale
+        # The quotient is never negative, so truncating it floors it.
+        np.minimum(gaps, m, out=gaps)
         slots = gaps.astype(np.int64)
-        np.cumsum(slots, out=slots)
-        slots += last
+        slots += 1
+        slots[0] += last
+        slots.cumsum(out=slots)
         last = int(slots[-1])
         yield slots
+
+
+def _count_slots(tau: Sequence[float], gap_seeds: list, nodes: list, rank: np.ndarray,
+                 m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each node's transmissions, successes and slots it is the longest transmitter of.
+
+    nodes lists the transmitting nodes in the order of increasing
+    collision duration.  Each draws its share of _REFILL_DRAWS gaps at a
+    time, from its generator seeded with gap_seeds[k], into one shared
+    buffer, and hands each block of _block_slots slots its transmissions
+    before the block's end, keeping the rest for the next block.
+    """
+    n = len(rank)
+    load = math.fsum(tau)
+    sizes = [math.ceil(_REFILL_DRAWS * tau[k] / load) for k in nodes]
+    gaps = np.empty(max(sizes, default=0))
+    refills = {k: _transmissions(np.random.Generator(np.random.PCG64(gap_seeds[k])), tau[k],
+                                 gaps[:size], m)
+               for k, size in zip(nodes, sizes)}
+    block = _block_slots(load)
+    longest = np.empty(block, dtype=rank.dtype)
+    shortest = np.empty(block, dtype=rank.dtype)
+    tally = ([0] * n, [0] * n, [0] * n)
+    with np.errstate(over="ignore"):
+        pending = {k: next(slots) for k, slots in refills.items()}
+        # A silent network's slots are all idle.
+        for start in range(0, m if nodes else 0, block):
+            _count_block(refills, pending, rank, longest, shortest, start,
+                         min(start + block, m), tally)
+    return tuple(np.array(counts, dtype=np.int64) for counts in tally)
+
+
+def _count_block(refills: dict, pending: dict, rank: np.ndarray, longest: np.ndarray,
+                 shortest: np.ndarray, start: int, end: int, tally: tuple) -> None:
+    """Add each node's transmissions, successes and led slots in [start, end) to tally.
+
+    The nodes write their ranks into their slots of longest in the order
+    of refills, the longest last, and of shortest in the reverse order.
+    Each node then reads both at its own slots only: it leads (is the
+    longest transmitter of) the slots where longest holds its rank, and
+    it sends alone where the two agree.
+    """
+    mine = [(k, int(rank[k]), _take(pending, k, refill, start, end))
+            for k, refill in refills.items()]
+    for _, r, own in mine:
+        longest[own] = r
+    for _, r, own in reversed(mine):
+        shortest[own] = r
+    sent, success, led = tally
+    for k, r, own in mine:
+        lead = longest[own]
+        sent[k] += len(own)
+        led[k] += np.count_nonzero(lead == r)
+        success[k] += np.count_nonzero(shortest[own] == lead)
+
+
+def _take(pending: dict, k: int, refill, start: int, end: int) -> np.ndarray:
+    """Node k's transmit slots before end, as offsets from start; the rest stay pending."""
+    slots, parts = pending[k], []
+    while slots[-1] < end:
+        parts.append(slots)
+        slots = next(refill)
+    cut = int(slots.searchsorted(end))
+    pending[k] = slots[cut:]
+    if not parts:
+        # No other block reads these slots, so they are shifted in place.
+        own = slots[:cut]
+    else:
+        parts.append(slots[:cut])
+        own = np.concatenate(parts)
+    own -= start
+    return own
 
 
 def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
              cfg: SimConfig) -> SimReport:
     """Run one seeded simulation; identical inputs give identical reports.
 
-    Every node with a positive access probability draws its share of
-    _REFILL_DRAWS gaps at a time.  The caller's thread counts the slots in
-    blocks of _block_slots slots: each node hands a block its transmissions
-    before the block's end, refilling as often as the block needs, and
-    keeps the rest for the next block.  A bincount of the block's
-    transmit slots gives each slot's transmitter count, and the ranks the
-    nodes write into their slots give each success slot's sender and each
-    collision slot's longest transmitter.  Once every slot is counted,
-    each node draws one delivery uniform per success, _BLOCK_SLOTS at
-    a time.  Memory is a block's per-slot counts and ranks, its
-    transmissions and the nodes' pending refills, whatever num_slots is.
+    _count_slots counts the slots on the caller's thread, a block at a
+    time, reading only the slots the nodes transmit in.  Then each node
+    draws one delivery uniform per success, _DELIVERY_DRAWS at a time,
+    unless its frame success probability is 0 or 1 and so decides every
+    delivery.  Memory is a block's ranks and transmissions and the nodes'
+    pending refills, whatever num_slots is.
     """
     n = net.n_nodes
     if len(tau) != n or len(nts) != n:
@@ -159,57 +236,23 @@ def simulate(net: NetworkModel, tau: Sequence[float], nts: Sequence[int],
     rank[by_t_coll] = np.arange(n)
 
     m = cfg.num_slots
-    load = math.fsum(tau)
     seeds = [child.spawn(2) for child in np.random.SeedSequence(cfg.seed).spawn(n)]
     # The transmitting nodes in the order they write their ranks, longest last.
     nodes = [int(k) for k in by_t_coll[::-1] if tau[k] > 0.0]
-    refills = {k: _transmissions(np.random.Generator(np.random.PCG64(seeds[k][0])), tau[k],
-                                 math.ceil(_REFILL_DRAWS * tau[k] / load), m)
-               for k in nodes}
-    pending = {k: next(refills[k]) for k in nodes}
+    sent, per_node_success, led = _count_slots(tau, [s[0] for s in seeds], nodes, rank, m)
 
-    block = _block_slots(load)
-    owner = np.zeros(block, dtype=rank.dtype)
-    sent = np.zeros(n, dtype=np.int64)
-    # By rank, row 1: success slots sent; row 2: collision slots the longest
-    # transmitter of.  Row 0 counts the idle slots under stale ranks.
-    states = np.zeros(3 * n, dtype=np.int64)
-    # A silent network's slots are all idle.
-    for start in range(0, m if nodes else 0, block):
-        end = min(start + block, m)
-        parts, sizes = [], []
-        for k in nodes:
-            slots, size = pending[k], 0
-            while slots[-1] < end:
-                parts.append(slots)
-                size += len(slots)
-                slots = next(refills[k])
-            cut = int(slots.searchsorted(end))
-            parts.append(slots[:cut])
-            sizes.append(size + cut)
-            pending[k] = slots[cut:]
-        offsets = np.concatenate(parts)
-        offsets -= start
-        lo = 0
-        for k, size in zip(nodes, sizes):
-            owner[offsets[lo:lo + size]] = rank[k]
-            lo += size
-        sent[nodes] += sizes
-        # Each slot's state (0 idle, 1 success, 2 collision) times n, plus its rank.
-        state = np.bincount(offsets, minlength=end - start)
-        np.minimum(state, 2, out=state)
-        state *= n
-        state += owner[:end - start]
-        states += np.bincount(state, minlength=3 * n)
-
-    per_node_success, coll_longest = states.reshape(3, n)[1:, rank]
+    coll_longest = led - per_node_success
     coll_tx = sent - per_node_success
     delivered = np.zeros(n, dtype=np.int64)
     for k in nodes:
-        rng = np.random.Generator(np.random.PCG64(seeds[k][1]))
-        for first in range(0, per_node_success[k], _BLOCK_SLOTS):
-            size = min(_BLOCK_SLOTS, per_node_success[k] - first)
-            delivered[k] += np.count_nonzero(rng.random(size) < p_frames[k])
+        # Every uniform is below 1 and none is below 0.
+        if p_frames[k] == 1.0:
+            delivered[k] = per_node_success[k]
+        elif p_frames[k] > 0.0:
+            rng = np.random.Generator(np.random.PCG64(seeds[k][1]))
+            for first in range(0, per_node_success[k], _DELIVERY_DRAWS):
+                size = min(_DELIVERY_DRAWS, per_node_success[k] - first)
+                delivered[k] += np.count_nonzero(rng.random(size) < p_frames[k])
     n_success = int(per_node_success.sum())
     n_collision = int(coll_longest.sum())
     n_idle = m - n_success - n_collision

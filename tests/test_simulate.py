@@ -149,8 +149,10 @@ class TestDegenerateInputs:
         t_idle = two_node_net.cost(0, 126).t_idle
         assert rep.elapsed_time == pytest.approx(10_000 * t_idle, rel=1e-12)
 
-    # 256 transmitters overflow a uint8 count, which would read as idle.
-    @pytest.mark.parametrize("n", (2, 256))
+    # Every slot holds all n transmitters.  255 is the most a uint8 counts
+    # and 256 the most nodes whose ranks (0 to 255) fit in one; a count or
+    # rank that wrapped would read as a success or as idle.
+    @pytest.mark.parametrize("n", (2, 255, 256, 257))
     def test_saturated_network_only_collides(self, n):
         net = build_network([1.0] * n, [0.0] * n)
         nts = [(126, 252)[k % 2] for k in range(n)]
@@ -274,12 +276,23 @@ class TestChunkedStream:
     @pytest.mark.parametrize("edges", (False, True), ids=("inner", "edges"))
     def test_matches_one_shot_at_chunk_boundaries(self, n, unit, units, extra, edges):
         net, tau, nts, seed = _random_case(n, edges)
-        cfg = SimConfig(num_slots=units * unit(tau) + extra, seed=seed)
+        self.check(net, tau, nts, SimConfig(num_slots=units * unit(tau) + extra, seed=seed))
+
+    def test_matches_one_shot_with_crowded_slots(self):
+        """300 nodes that each send with probability 0.9 or more crowd a slot past 255."""
+        net, tau, nts, seed = _random_case(300, False)
+        tau = [1.0 - t / 6.0 for t in tau]
+        rep = self.check(net, tau, nts, SimConfig(num_slots=3 * _block_length(tau) + 5, seed=seed))
+        assert rep.p_collision == 1.0
+
+    @staticmethod
+    def check(net, tau, nts, cfg):
         rep = simulate(net, tau, nts, cfg)
         want = _one_shot_simulate(net, tau, nts, cfg)
         got = {k: getattr(rep, k) for k in want}
         assert got.pop("elapsed_time") == pytest.approx(want.pop("elapsed_time"), rel=1e-12)
         assert got == want
+        return rep
 
 
 class TestBlockSplit:
@@ -349,8 +362,9 @@ class TestWorkerSplit:
 
 class TestBoundedMemory:
     def test_traced_peak_is_flat_in_slots(self):
-        # A counting block holds the most slots at n = 1 and 2; at n = 256
-        # its bound on transmit flags, not on slots, sets its length.
+        # The access probabilities sum to 0.5 in every case, so a counting
+        # block spans the slots of one refill; n = 1 holds the largest gap
+        # buffer, and n = 256 runs fewer slots to stay fast.
         for n, slots in ((1, 2_000_000), (2, 2_000_000), (16, 2_000_000), (256, 200_000)):
             net = build_network([1.0 + 0.5 * (k % 16) for k in range(n)], [0.0] * n)
             tau = [0.5 / n] * n
