@@ -2,43 +2,34 @@
 
 The pulse energy budget is fixed at the transmitter, so the burst energy
 grows with the number of pulses per burst; longer links trade symbol rate
-for that processing gain through the distance-indexed n_cpb table.
+for that processing gain through the distance-indexed n_cpb table.  A
+link at distance d reaches the hub with the burst SNR
+
+    snr = tx_eb_over_n0_at_d0 (d0 / d)^exponent n_cpb(d) / n_cpb(d0),
+
+the one number of the channel that the PHY error model reads.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 from .phy import ALLOWED_NCPB, LinkBudget, PhyConfig
-
-
-class ChannelOverflowError(ValueError):
-    """Channel parameters whose burst SNR at some link is beyond the floats."""
 
 
 @dataclass(frozen=True)
 class ChannelParams:
     """Deterministic log-distance path loss model."""
 
-    pl0_db: float = 40.0                  # path loss at reference distance, dB
     d0: float = 1.0                       # reference distance, meters
     exponent: float = 3.3                 # path loss exponent
     tx_eb_over_n0_at_d0: float = 5530.0   # burst SNR at d0, dimensionless
 
     def __post_init__(self) -> None:
-        for name in ("pl0_db", "d0", "exponent", "tx_eb_over_n0_at_d0"):
+        for name in ("d0", "exponent", "tx_eb_over_n0_at_d0"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        try:
-            gain = 10.0 ** (-self.pl0_db / 10.0)
-        except OverflowError:
-            gain = math.inf
-        # link_budget divides by the gain, and a subnormal one has lost its precision.
-        if not sys.float_info.min <= gain <= sys.float_info.max:
-            raise ValueError(f"pl0_db = {self.pl0_db} dB gives a path gain 10 ** (-pl0_db / 10) "
-                             f"outside the normal floats")
         if self.d0 <= 0.0:
             raise ValueError("d0 must be positive")
         if self.exponent < 0.0:
@@ -84,21 +75,18 @@ class NcpbTable:
 
 
 def link_budget(d: float, ch: ChannelParams, tbl: NcpbTable, phy: PhyConfig) -> LinkBudget:
-    """Link budget of a node at distance d.
+    """Link budget of a node at distance d, with the burst SNR of the module docstring.
 
-    The channel coefficient follows the log-distance law, normalized so the
-    received burst SNR at d0 equals tx_eb_over_n0_at_d0 under the table's
-    reference n_cpb; farther links gain burst energy in proportion to their
-    n_cpb because the per-pulse energy budget is fixed.  Raises
-    ChannelOverflowError when that burst SNR overflows to infinity.
+    An SNR beyond the floats is infinite: such a link makes no bit errors.
+    A zero tx_eb_over_n0_at_d0 gives SNR 0 at every distance.
     """
     n_cpb = tbl.lookup(d)
     n_cpb_ref = tbl.lookup(ch.d0)
-    gain = 10.0 ** (-ch.pl0_db / 10.0)
-    h = gain * (ch.d0 / d) ** ch.exponent
-    eb_over_n0 = ch.tx_eb_over_n0_at_d0 / gain * (n_cpb / n_cpb_ref)
-    if eb_over_n0 == math.inf:
-        raise ChannelOverflowError(
-            f"tx_eb_over_n0_at_d0 = {ch.tx_eb_over_n0_at_d0} over the path gain of "
-            f"pl0_db = {ch.pl0_db} dB overflows the burst SNR eb_over_n0 at d = {d} m")
-    return LinkBudget(h=h, eb_over_n0=eb_over_n0, n_cpb=n_cpb, t_int=n_cpb * phy.t_p)
+    try:
+        path = (ch.d0 / d) ** ch.exponent
+    except OverflowError:   # float ** raises where float * returns inf
+        path = math.inf
+    snr = 0.0   # not 0 * inf = NaN, however short the link
+    if ch.tx_eb_over_n0_at_d0 > 0.0:
+        snr = ch.tx_eb_over_n0_at_d0 * path * (n_cpb / n_cpb_ref)
+    return LinkBudget(snr=snr, n_cpb=n_cpb, t_int=n_cpb * phy.t_p)

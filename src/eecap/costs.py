@@ -57,14 +57,16 @@ class EnergyParams:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Per-state slot durations and energies for one node at one payload size."""
+    """Per-state slot durations and energies for one node at one payload size.
+
+    An idle slot only listens, so it lasts t_idle and costs no energy.
+    """
 
     t_success: float
     t_collision: float
     t_idle: float
     e_success: float
     e_collision: float
-    e_idle: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.t_success > self.t_collision > 0.0:
@@ -73,8 +75,6 @@ class CostModel:
             raise ValueError("t_idle must be positive")
         if self.e_success < 0.0 or self.e_collision < 0.0:
             raise ValueError("state energies must be non-negative")
-        if self.e_idle != 0.0:
-            raise ValueError("e_idle must be zero: idle slots only listen")
 
 
 def ppdu_duration(n_t: int, t_sym: float, tp: TimingParams) -> float:

@@ -2,10 +2,12 @@
 
 Combines the channel map, the PHY error chain and the state cost models
 into one immutable network description the solver, the simulator and the
-CLI all consume.  Each node gets its own link budget, segment decode
-probabilities and payload symbol period (scaled by its pulses-per-burst
-count); its propagation delay is d / SPEED_OF_LIGHT.  The header, guard
-and idle-slot times (TimingParams) are the network's, held once.
+CLI all consume.  Each node gets its own link budget (its burst SNR,
+pulses-per-burst count and integration interval, from eecap.channel),
+segment decode probabilities and payload symbol period (scaled by its
+pulses-per-burst count); its propagation delay is d / SPEED_OF_LIGHT.
+The header, guard and idle-slot times (TimingParams) are the network's,
+held once.
 
 EECAP chooses an access probability and a payload size per node, so every
 layer reads one thing: a node's slot costs and frame success at a payload.
@@ -135,8 +137,8 @@ class NetworkModel:
     """Immutable bundle of everything needed to evaluate one scenario.
 
     The channel and the pulses-per-burst table enter only through each
-    node's link budget.  payloads is the network's PayloadTable, derived
-    from the other fields.
+    node's link budget: its burst SNR and pulses per burst.  payloads is
+    the network's PayloadTable, derived from the other fields.
     """
 
     phy: PhyConfig

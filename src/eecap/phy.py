@@ -3,6 +3,8 @@
 Models a non-coherent energy-detection receiver for on-off keyed pulse
 bursts: bit errors feed a Kasami-sequence SHR detector, a shortened
 Hamming PHR check, and BCH(63,51) codeword correction over the PSDU.
+A link enters only through its LinkBudget: the received burst SNR, the
+pulses per burst and the integration interval.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ class PhyConfig:
     """
 
     n: int = 63                  # BCH codeword length in bits
-    k: int = 51                  # BCH payload bits per codeword
     t: int = 2                   # correctable errors per codeword
     n_phr: int = 40              # PHR length in bits
     t_phr: int = 2               # correctable errors in the PHR
@@ -36,8 +37,8 @@ class PhyConfig:
     n_t_max: int = 2646          # largest admissible PSDU size, bits
 
     def __post_init__(self) -> None:
-        if not 0 < self.k < self.n:
-            raise ValueError(f"require 0 < k < n, got k={self.k}, n={self.n}")
+        if self.n < 2:
+            raise ValueError(f"n must be at least 2, got n={self.n}")
         if self.t < 0 or self.t > self.n:
             raise ValueError(f"t must lie in [0, n], got t={self.t}")
         if self.t_phr < 0 or self.t_phr > self.n_phr:
@@ -65,16 +66,13 @@ class PhyConfig:
 class LinkBudget:
     """Received-signal description of one node-to-hub link."""
 
-    h: float             # channel power coefficient
-    eb_over_n0: float    # burst energy over noise density, dimensionless
+    snr: float           # received burst energy over noise density, dimensionless
     n_cpb: int           # pulses per burst
     t_int: float         # integration interval, seconds
 
     def __post_init__(self) -> None:
-        if self.h < 0.0:
-            raise ValueError("h must be non-negative")
-        if self.eb_over_n0 < 0.0:
-            raise ValueError("eb_over_n0 must be non-negative")
+        if not self.snr >= 0.0:   # NaN too
+            raise ValueError(f"snr must be non-negative, got {self.snr}")
         if self.n_cpb not in ALLOWED_NCPB:
             raise ValueError(f"n_cpb must be one of {ALLOWED_NCPB}, got {self.n_cpb}")
         if self.t_int <= 0.0:
@@ -120,10 +118,16 @@ def _binomial_tail(n_bits: int, t_max: int, p: float) -> float:
 
 
 def bit_error_prob(link: LinkBudget, phy: PhyConfig) -> float:
-    """Burst error probability of the energy-detection receiver."""
-    snr = link.h * link.eb_over_n0
+    """Burst error probability of the energy-detection receiver.
+
+    It falls from 1/2 at zero SNR to 0 at infinite SNR, the limit of the
+    Gaussian tail, where the formula itself would read inf / inf.
+    """
+    snr = link.snr
     if snr == 0.0:
         return 0.5
+    if snr == math.inf:
+        return 0.0
     noise = snr + link.n_cpb * link.t_int * phy.w_rx
     return _q(math.sqrt(0.5 * snr * snr / noise))
 
@@ -146,7 +150,7 @@ def phr_success_prob(p_b: float, phy: PhyConfig) -> float:
 
 
 def codeword_success_prob(p_b: float, phy: PhyConfig) -> float:
-    """Success probability of one BCH(n, k) codeword with t correctable errors."""
+    """Success probability of one n-bit BCH codeword with t correctable errors."""
     return _binomial_tail(phy.n, phy.t, p_b)
 
 

@@ -12,7 +12,7 @@ import configparser
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .channel import ChannelOverflowError, ChannelParams, NcpbTable
+from .channel import ChannelParams, NcpbTable
 from .costs import EnergyParams, TimingParams
 from .network import NetworkModel, _check_payloads, build_network
 from .phy import PhyConfig
@@ -28,10 +28,10 @@ _OBJECTIVE_NAMES = {"ee": VARIANT_EE, "logee": VARIANT_LOGEE}
 _INT = (int, "integer")      # int() rejects floats masquerading as ints ("2.5")
 _NUMBER = (float, "number")
 # Each parameter section's keys with their (converter, kind), in parse order.
-_PHY_KEYS = {**dict.fromkeys(("n", "k", "t", "n_phr", "t_phr", "kasami_len", "rho",
+_PHY_KEYS = {**dict.fromkeys(("n", "t", "n_phr", "t_phr", "kasami_len", "rho",
                               "preamble_reps", "n_t_min", "n_t_max"), _INT),
              **dict.fromkeys(("t_sym", "t_p", "w_rx"), _NUMBER)}
-_CHANNEL_KEYS = dict.fromkeys(("pl0_db", "d0", "exponent", "tx_eb_over_n0_at_d0"), _NUMBER)
+_CHANNEL_KEYS = dict.fromkeys(("d0", "exponent", "tx_eb_over_n0_at_d0"), _NUMBER)
 _TIMING_KEYS = dict.fromkeys(("t_shr", "t_phr", "t_psifs", "t_idle_slot"), _NUMBER)
 _ENERGY_KEYS = dict.fromkeys(("eps_b", "eps_oh", "eps_st", "eps_b_tx", "eps_oh_tx", "eps_st_tx"),
                              _NUMBER)
@@ -58,8 +58,6 @@ class Scenario:
         try:
             return build_network(self.distances, self.r_mins, self.phy, self.channel,
                                  self.table, self.timing, self.energy)
-        except ChannelOverflowError as exc:
-            raise ScenarioError(f"[channel] {exc}") from exc
         except ValueError as exc:
             raise ScenarioError(f"[nodes] {exc}") from exc
 

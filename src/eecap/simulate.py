@@ -316,9 +316,9 @@ def rate_estimate(report: SimReport, node_index: int, n_t: int,
 
 def efficiency_estimate(report: SimReport, node_index: int, n_t: int,
                         cost: CostModel) -> tuple[float, float]:
-    """Empirical energy efficiency of one node with its standard error."""
+    """Empirical energy efficiency of one node with its standard error; idle slots cost 0 J."""
     return _ratio_estimate(report, node_index, n_t,
-                           cost.e_success, cost.e_collision, cost.e_idle)
+                           cost.e_success, cost.e_collision, 0.0)
 
 
 def z_score(estimate: float, se: float, analytic: float) -> float:

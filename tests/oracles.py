@@ -98,13 +98,14 @@ def codewords_for_payload(n_mac_body: int, phy: PhyConfig) -> tuple[int, int]:
     """Codeword count and padded PSDU size for a MAC frame body of n_mac_body octets.
 
     The PSDU carries 8 * n_mac_body payload bits plus 72 bits of MAC header
-    and FCS, split into k-bit groups each protected by one n-bit codeword.
+    and FCS, split into 51-bit groups each protected by one n-bit codeword
+    (BCH(63,51)).
     """
     if n_mac_body < 0:
         raise ValueError("n_mac_body must be non-negative")
     if n_mac_body > 255:
         raise ValueError("n_mac_body must not exceed 255 octets")
-    n_cw = -(-(8 * n_mac_body + 72) // phy.k)
+    n_cw = -(-(8 * n_mac_body + 72) // 51)
     return n_cw, n_cw * phy.n
 
 
@@ -177,9 +178,7 @@ def energy_efficiency(node: Node, net: StateProbs, cost: CostModel,
     """Payload bits delivered per joule spent, network-wide energy in the denominator."""
     p_frame = frame_success_prob(seg, node.n_t, n)
     num = node.n_t * net.per_node_success[node.index] * p_frame
-    den = (net.p_success * cost.e_success
-           + net.p_collision * cost.e_collision
-           + net.p_idle * cost.e_idle)
+    den = net.p_success * cost.e_success + net.p_collision * cost.e_collision
     if den <= 0.0:
         raise ValueError("efficiency undefined at zero activity")
     return num / den

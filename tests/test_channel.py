@@ -8,15 +8,16 @@ import pytest
 
 from eecap import ChannelParams, NcpbTable, PhyConfig, build_network
 from eecap.channel import link_budget
+from eecap.phy import bit_error_prob
 
 PHY = PhyConfig()
 
-# Frozen 50-digit references for the channel coefficient of the default
-# log-distance law (40 dB at 1 m, exponent 3.3).
-FROZEN_H = (
-    (1.0, 1.0e-4),
-    (2.0, 1.0153154954452944e-5),
-    (4.0, 1.0308655552913236e-6),
+# Frozen 50-digit references for the path gain (d0 / d)^exponent of the
+# default log-distance law (exponent 3.3 from 1 m).
+FROZEN_GAIN = (
+    (1.0, 1.0),
+    (2.0, 1.0153154954452944e-1),
+    (4.0, 1.0308655552913236e-2),
 )
 
 
@@ -24,34 +25,29 @@ class TestPathLoss:
     def test_frozen_channel_coefficients(self):
         ch = ChannelParams()
         tbl = NcpbTable()
-        for d, want in FROZEN_H:
+        for d, want in FROZEN_GAIN:
             lb = link_budget(d, ch, tbl, PHY)
-            assert lb.h == pytest.approx(want, rel=1e-13)
+            assert lb.snr == pytest.approx(5530.0 * want * lb.n_cpb, rel=1e-13)
 
     def test_exponent_two_quarters_at_double_distance(self):
         ch = ChannelParams(exponent=2.0)
         tbl = NcpbTable()
-        h1 = link_budget(1.0, ch, tbl, PHY).h
-        h2 = link_budget(2.0, ch, tbl, PHY).h
-        assert h2 == pytest.approx(h1 / 4.0, rel=1e-15)
-        assert h1 == pytest.approx(1e-4, rel=1e-15)
+        snr1 = link_budget(1.0, ch, tbl, PHY).snr
+        snr2 = link_budget(2.0, ch, tbl, PHY).snr
+        assert snr2 == pytest.approx(snr1 / 4.0, rel=1e-15)
+        assert snr1 == 5530.0
 
     def test_zero_exponent_makes_snr_distance_free(self):
         ch = ChannelParams(exponent=0.0)
         tbl = NcpbTable()
-        snrs = []
-        for d in (1.0, 1.5, 2.0):  # same burst band, so no table jumps
-            lb = link_budget(d, ch, tbl, PHY)
-            snrs.append(lb.h * lb.eb_over_n0)
+        snrs = [link_budget(d, ch, tbl, PHY).snr for d in (1.0, 1.5, 2.0)]  # one burst band
         assert snrs[0] == pytest.approx(snrs[1], rel=1e-15)
         assert snrs[0] == pytest.approx(snrs[2], rel=1e-15)
 
     def test_received_snr_at_reference_distance(self):
-        # At d0 the product h * eb_over_n0 must equal the configured budget.
-        ch = ChannelParams()
-        tbl = NcpbTable()
-        lb = link_budget(1.0, ch, tbl, PHY)
-        assert lb.h * lb.eb_over_n0 == pytest.approx(5530.0, rel=1e-12)
+        # At d0 the burst SNR is the configured budget.
+        lb = link_budget(1.0, ChannelParams(), NcpbTable(), PHY)
+        assert lb.snr == 5530.0
 
     def test_snr_decreasing_within_burst_band(self):
         ch = ChannelParams()
@@ -60,10 +56,9 @@ class TestPathLoss:
         last_ncpb = None
         for d in (1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0):
             lb = link_budget(d, ch, tbl, PHY)
-            snr = lb.h * lb.eb_over_n0
             if last_ncpb == lb.n_cpb:
-                assert snr < last_snr
-            last_snr, last_ncpb = snr, lb.n_cpb
+                assert lb.snr < last_snr
+            last_snr, last_ncpb = lb.snr, lb.n_cpb
 
     def test_longer_bursts_scale_energy_and_integration(self):
         ch = ChannelParams()
@@ -71,8 +66,7 @@ class TestPathLoss:
         lb = link_budget(7.0, ch, tbl, PHY)
         assert lb.n_cpb == 8
         assert lb.t_int == pytest.approx(8 * PHY.t_p, rel=1e-15)
-        base = link_budget(1.0, ch, tbl, PHY)
-        assert lb.eb_over_n0 == pytest.approx(8 * base.eb_over_n0, rel=1e-12)
+        assert lb.snr == pytest.approx(8 * 5530.0 / 7.0 ** 3.3, rel=1e-12)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -82,33 +76,28 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             ChannelParams(tx_eb_over_n0_at_d0=-5.0)
 
-    @pytest.mark.parametrize("name", ["pl0_db", "d0", "exponent", "tx_eb_over_n0_at_d0"])
+    @pytest.mark.parametrize("name", ["d0", "exponent", "tx_eb_over_n0_at_d0"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_parameters(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ChannelParams(**{name: value})
 
-    def test_path_gain_must_be_a_normal_float(self):
-        # link_budget divides by 10 ** (-pl0_db / 10): it underflows to zero
-        # above about 3,240 dB, is subnormal from about 3,080 dB, and
-        # overflows below about -3,080 dB.
-        for pl0_db in (3300.0, 3100.0, -4000.0, -3090.0):
-            with pytest.raises(ValueError, match="pl0_db"):
-                ChannelParams(pl0_db=pl0_db)
-        for pl0_db in (3000.0, -3000.0, 0.0):
-            lb = link_budget(1.0, ChannelParams(pl0_db=pl0_db), NcpbTable(), PHY)
-            assert 0.0 < lb.h < math.inf and 0.0 < lb.eb_over_n0 < math.inf
+    @pytest.mark.parametrize("d, channel", [(1e-200, ChannelParams()),
+                                            (1e-3, ChannelParams(exponent=300.0))],
+                             ids=["short-link", "steep-exponent"])
+    def test_burst_snr_overflow_is_a_perfect_link(self, d, channel):
+        # (d0 / d) ** exponent overflows the floats: float ** raises
+        # OverflowError there, and the burst SNR is infinite.
+        lb = link_budget(d, channel, NcpbTable(), PHY)
+        assert lb.snr == math.inf and bit_error_prob(lb, PHY) == 0.0
+        net = build_network([d, 1.0], [0.0, 0.0], channel=channel)
+        assert net.payloads.f[0].tolist() == [1.0] * len(net.payloads.nt)
 
-    @pytest.mark.parametrize("channel", [ChannelParams(tx_eb_over_n0_at_d0=1e308),
-                                         ChannelParams(pl0_db=3070.0)],
-                             ids=["tx_eb_over_n0_at_d0", "pl0_db"])
-    def test_burst_snr_overflow_names_the_channel(self, channel):
-        # Both give a normal path gain, but the burst SNR over it overflows,
-        # which would make the bit error probability NaN.
-        with pytest.raises(ValueError, match=r"tx_eb_over_n0_at_d0 = .* pl0_db = .* overflows"):
-            link_budget(1.0, channel, NcpbTable(), PHY)
-        with pytest.raises(ValueError, match="eb_over_n0"):
-            build_network([1.0, 2.0], [1e5, 1e5], channel=channel)
+    def test_silent_transmitter_is_a_coin_flip_at_any_distance(self):
+        # 0 * inf would be NaN: without transmit energy the SNR is 0 even
+        # where the path gain overflows.
+        lb = link_budget(1e-200, ChannelParams(tx_eb_over_n0_at_d0=0.0), NcpbTable(), PHY)
+        assert lb.snr == 0.0 and bit_error_prob(lb, PHY) == 0.5
 
 
 class TestBurstTable:

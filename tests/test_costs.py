@@ -56,7 +56,6 @@ class TestCostModel:
         cm = cost_model(1134, T_SYM, 0.0, TimingParams(), EnergyParams())
         assert cm.e_success == pytest.approx(2.0e-9 * 1134 + 6.0e-7, rel=1e-12)
         assert cm.e_collision == pytest.approx(1.0e-9 * 1134 + 3.0e-7, rel=1e-12)
-        assert cm.e_idle == 0.0
         assert cm.e_collision < cm.e_success
 
     def test_largest_frame_success_energy(self):
@@ -88,7 +87,7 @@ class TestCostModel:
                       e_success=1e-6, e_collision=1e-7)
         with pytest.raises(ValueError):
             CostModel(t_success=2e-3, t_collision=1e-3, t_idle=1e-4,
-                      e_success=1e-6, e_collision=1e-7, e_idle=1e-9)
+                      e_success=-1e-6, e_collision=1e-7)
 
 
 class TestParamValidation:

@@ -105,14 +105,14 @@ class TestBitErrorProb:
         tbl = NcpbTable()
         for d, _ in FROZEN_PB:
             lb = link_budget(d, ch, tbl, PHY)
-            snr = mp.mpf(lb.h) * mp.mpf(lb.eb_over_n0)
+            snr = mp.mpf(lb.snr)
             noise = snr + mp.mpf(lb.n_cpb) * mp.mpf(lb.t_int) * mp.mpf(PHY.w_rx)
             want = mp.mpf("0.5") * mp.erfc(mp.sqrt(snr * snr / 2 / noise) / mp.sqrt(2))
             got = bit_error_prob(lb, PHY)
             assert got == pytest.approx(float(want), rel=1e-12)
 
     def test_zero_snr_is_coin_flip(self):
-        lb = LinkBudget(h=0.0, eb_over_n0=1000.0, n_cpb=1, t_int=2.003e-9)
+        lb = LinkBudget(snr=0.0, n_cpb=1, t_int=2.003e-9)
         assert bit_error_prob(lb, PHY) == 0.5
 
     def test_moderate_snr_with_long_burst(self):
@@ -121,20 +121,23 @@ class TestBitErrorProb:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
         t_int = 32.0 / (16 * PHY.w_rx)
-        lb = LinkBudget(h=1.0, eb_over_n0=100.0, n_cpb=16, t_int=t_int)
+        lb = LinkBudget(snr=100.0, n_cpb=16, t_int=t_int)
         got = bit_error_prob(lb, PHY)
         want = mp.mpf("0.5") * mp.erfc(mp.sqrt(mp.mpf(5000) / 132) / mp.sqrt(2))
         assert got == pytest.approx(float(want), rel=1e-12)
         assert got == pytest.approx(3.766e-10, rel=1e-3)
 
     def test_huge_snr_vanishes(self):
-        lb = LinkBudget(h=1.0, eb_over_n0=1e6, n_cpb=1, t_int=2.003e-9)
+        lb = LinkBudget(snr=1e6, n_cpb=1, t_int=2.003e-9)
         assert bit_error_prob(lb, PHY) < 1e-12
+        # The limit of the Gaussian tail, where its argument would read inf / inf.
+        lb = LinkBudget(snr=math.inf, n_cpb=1, t_int=2.003e-9)
+        assert bit_error_prob(lb, PHY) == 0.0
 
     def test_monotone_decreasing_in_snr(self):
         pbs = []
-        for eb in (1e4, 1e5, 1e6, 1e7):
-            lb = LinkBudget(h=1e-4, eb_over_n0=eb, n_cpb=1, t_int=2.003e-9)
+        for snr in (1.0, 10.0, 100.0, 1000.0):
+            lb = LinkBudget(snr=snr, n_cpb=1, t_int=2.003e-9)
             pbs.append(bit_error_prob(lb, PHY))
         assert all(a > b for a, b in zip(pbs, pbs[1:]))
 
@@ -196,7 +199,7 @@ class TestPayloadLayout:
         for body in range(0, 256, 17):
             n_cw, n_t = codewords_for_payload(body, PHY)
             assert n_t == n_cw * PHY.n
-            assert 8 * body + 72 <= n_cw * PHY.k
+            assert 8 * body + 72 <= n_cw * 51
 
 
 class TestConfigValidation:
@@ -208,8 +211,8 @@ class TestConfigValidation:
         assert all(v % 63 == 0 for v in grid)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            PhyConfig(k=63)
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            PhyConfig(n=1)
         with pytest.raises(ValueError):
             PhyConfig(t=-1)
         with pytest.raises(ValueError):

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from eecap import (VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR, ChannelParams, SimConfig,
                    SolverConfig, build_network, eecap, evaluate, simulate)
 from eecap.access import _leave_one_out, state_probs
-from eecap.solver import (_ee_bound, _lift, _lift_many, _logthr_newton, _polish_payloads,
-                          _repair_rates, _value)
+from eecap.solver import (_CERT_GAP, _ee_bound, _lift, _lift_many, _logthr_fallback,
+                          _logthr_newton, _polish_payloads, _repair_rates, _value)
 from oracles import frame_success_prob, linear_coeffs
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -328,6 +328,66 @@ def test_a_lone_node_takes_the_whole_channel():
                    for t in (0.5, 0.9, 1.0 - 1e-5))
 
 
+@st.composite
+def joint_cases(draw):
+    """A network of 2 to 6 nodes at 1 to 9.5 m on the default or the weak channel.
+
+    _logthr_fallback drops the rate targets, so every target is zero.
+    """
+    n = draw(st.integers(2, 6))
+    distances = draw(st.lists(st.floats(1.0, 9.5), min_size=n, max_size=n))
+    channel = ChannelParams(tx_eb_over_n0_at_d0=draw(st.sampled_from((5530.0, 500.0))))
+    return build_network(distances, [0.0] * n, channel=channel)
+
+
+def joint_phi(pay, s):
+    """F(s) = n s + sum_k max_j [log c_kj - log D_kj(s)] for every entry of s.
+
+    D_kj(s) = u t_s,kj + v t_c,kj + t_idle at the common odds x = e^s, with
+    u = n x and v = (1 + x)^n - 1 - n x.
+    """
+    n = len(pay.c)
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    x = np.exp(s)[:, None, None]
+    d = n * x * pay.t_s + ((1.0 + x) ** n - 1.0 - n * x) * pay.t_c + pay.t_idle
+    with np.errstate(divide="ignore"):
+        return n * s + (np.log(pay.c) - np.log(d)).max(axis=2).sum(axis=1)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(joint_cases())
+def test_the_fallback_is_the_joint_optimum(net):
+    """The LogTHR fallback is the joint (access, payload) optimum (ROADMAP item 6).
+
+    Proof.  At any payload assignment J a common odds x = e^s for every
+    node is optimal (solver docstring, "LogTHR fallback"), so the joint
+    optimum is max_J max_s phi_J(s) over s <= -log(n - 1), the budget face
+    tau = 1 / n, where phi_J(s) = n s + sum_k [log c_k,J_k - log D_k,J_k(s)]
+    is sum_k log r_k with every node at odds x.  The two maxima commute, and
+    at fixed s node k's term depends on its own payload J_k alone: u and v
+    depend only on s.  So max_J phi_J(s) = F(s) (joint_phi), and the joint
+    optimum is the maximum of F over s <= -log(n - 1).  Each log D_kj is
+    convex in s (D_kj is a posynomial in x), so F is a maximum of concave
+    functions: its kinks point down, and a local search from the best point
+    of a dense scan reaches the local maximum it brackets.
+    """
+    n, pay = net.n_nodes, net.payloads
+    s_face = -math.log(n - 1)
+    scan = np.linspace(s_face - 20.0, s_face, 20_001)
+    phi = np.concatenate([joint_phi(pay, part) for part in np.array_split(scan, 10)])
+    i = int(np.argmax(phi))
+    lo, hi = scan[max(i - 1, 0)], scan[min(i + 1, len(scan) - 1)]
+    for _ in range(80):   # golden section on the bracket around the best scan point
+        a, b = hi - 0.618 * (hi - lo), lo + 0.618 * (hi - lo)
+        if joint_phi(pay, a)[0] < joint_phi(pay, b)[0]:
+            lo = a
+        else:
+            hi = b
+    best = max(phi[i], joint_phi(pay, 0.5 * (lo + hi))[0])
+    want = _logthr_fallback(net).objective_value
+    assert abs(want - best) <= 1e-12 * abs(best)
+
+
 def payload_scan_loop(net, variant, tau, nts):
     """Reference for the payload scan: one node and one payload at a time.
 
@@ -516,6 +576,30 @@ def test_the_least_feasible_point_rises_with_a_target(case):
         return
     assert lo is not None
     assert all(h >= l for h, l in zip(hi[0], lo[0]))
+
+
+def certified(sol) -> bool:
+    """True for a rate-feasible EE solve within _CERT_GAP of its bound B'."""
+    return (sol.variant_used == VARIANT_EE and sol.feasible
+            and sol.objective_value >= sol.upper_bound * (1.0 - _CERT_GAP))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(raised_targets())
+def test_a_certified_optimum_falls_with_a_target(case):
+    """A certified EE optimum is nonincreasing in any r_min (ROADMAP item 6).
+
+    Proof.  Raising a target removes points from the rate-feasible set and
+    adds none, so its EE optimum OPT falls: OPT_high <= OPT_low.  A
+    certified solve returns a rate-feasible point whose value V is within
+    the gap g = _CERT_GAP of B', which bounds every rate-feasible point
+    (solver docstring, "Certificate exit"): OPT (1 - g) <= B' (1 - g) <= V
+    <= OPT.  So V_high <= OPT_high <= OPT_low <= V_low / (1 - g).
+    """
+    low, high, _ = case
+    sols = [eecap(net, SolverConfig(objective=VARIANT_EE)) for net in (low, high)]
+    if all(certified(sol) for sol in sols):
+        assert sols[1].objective_value <= sols[0].objective_value / (1.0 - _CERT_GAP)
 
 
 @st.composite

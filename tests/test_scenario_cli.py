@@ -8,7 +8,9 @@ invalid inputs and a failed Monte Carlo gate.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eecap import (
@@ -28,6 +30,7 @@ from eecap.cli import (
     VALIDATE_HEADER,
     main,
 )
+from eecap.scenario import _CHANNEL_KEYS, _ENERGY_KEYS, _PHY_KEYS, _TIMING_KEYS
 
 SOLVE_SCN = "scenarios/two_node_1m.ini"
 FIXED_SCN = "scenarios/two_node_1m_fixed.ini"
@@ -104,24 +107,66 @@ r_min = 1e5, 1e5 ; bits per second
         ("[solver]\ninit_tau = 0.01\n" + MINIMAL, "unknown key"),
         ("[solver]\nmultiplier_scale = 1.0\n" + MINIMAL, "unknown key"),
         ("[energy]\neps_b_tx = 9e-9\n" + MINIMAL, "eps_b"),
-        ("[channel]\npl0_db = inf\n" + MINIMAL, "[channel] pl0_db must be finite"),
-        ("[channel]\npl0_db = nan\n" + MINIMAL, "[channel] pl0_db must be finite"),
-        ("[channel]\npl0_db = 3300\n" + MINIMAL, "[channel] pl0_db = 3300.0 dB"),
-        ("[channel]\npl0_db = -4000\n" + MINIMAL, "[channel] pl0_db = -4000.0 dB"),
+        # Not keys: pl0_db cancels out of the burst SNR, and no formula reads [phy] k.
+        ("[channel]\npl0_db = inf\n" + MINIMAL, "[channel] pl0_db: unknown key"),
+        ("[channel]\npl0_db = nan\n" + MINIMAL, "[channel] pl0_db: unknown key"),
+        ("[channel]\npl0_db = 3300\n" + MINIMAL, "[channel] pl0_db: unknown key"),
+        ("[channel]\npl0_db = -4000\n" + MINIMAL, "[channel] pl0_db: unknown key"),
+        ("[channel]\npl0_db = 3070\n" + MINIMAL, "[channel] pl0_db: unknown key"),
+        ("[phy]\nk = 51\n" + MINIMAL, "[phy] k: unknown key"),
         ("[channel]\nexponent = inf\n" + MINIMAL, "[channel] exponent must be finite"),
-        ("[channel]\npl0_db = 3070\n" + MINIMAL,
-         "[channel] tx_eb_over_n0_at_d0 = 5530.0 over the path gain of pl0_db = 3070.0 dB"),
-        ("[channel]\ntx_eb_over_n0_at_d0 = 1e308\n" + MINIMAL,
-         "[channel] tx_eb_over_n0_at_d0 = 1e+308 over the path gain of pl0_db = 40.0 dB"),
     ])
     def test_rejects_malformed_scenarios(self, tmp_path, body, fragment):
         with pytest.raises(ScenarioError) as err:
             load_scenario(write_ini(tmp_path, body))
         assert fragment in str(err.value)
 
+    def test_readme_scenario_block_loads_and_solves(self, tmp_path, capsys):
+        # A key deleted from the scenario format but left in the README fails here.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Scenario files", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        path = write_ini(tmp_path, block)
+        assert load_scenario(path).distances == (1.0, 1.0)
+        assert main(["solve", "--scenario", path]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(SOLVE_HEADER)
+
     def test_missing_file_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_scenario(str(tmp_path / "nope.ini"))
+
+
+# One valid value per scenario key, away from its default.  The link at
+# 9.5 m is lossy enough that each PHY parameter moves its frame success;
+# at 8.5 m two preamble repetitions already detect with probability 1.
+PERTURBED = {
+    "phy": {"n": 21, "t": 3, "n_phr": 41, "t_phr": 3, "kasami_len": 64, "rho": 7,
+            "preamble_reps": 1, "n_t_min": 189, "n_t_max": 2583, "t_sym": 7e-8, "t_p": 3e-9,
+            "w_rx": 4e8},
+    "channel": {"d0": 2.0, "exponent": 3.0, "tx_eb_over_n0_at_d0": 500.0},
+    "timing": {"t_shr": 50e-6, "t_phr": 90e-6, "t_psifs": 80e-6, "t_idle_slot": 300e-6},
+    "energy": {"eps_b": 3e-9, "eps_oh": 5e-7, "eps_st": 3e-7, "eps_b_tx": 5e-10,
+               "eps_oh_tx": 1e-7, "eps_st_tx": 5e-8},
+    "ncpb": {"table": "2:1, 4:2, 6:4, 8:8, 9:16, 10:16"},
+}
+GUARD_NODES = "[nodes]\nd = 1.0, 9.5\nr_min = 1e5, 1e4\n"
+
+
+class TestEveryKeyMatters:
+    def test_every_key_has_a_perturbation(self):
+        keys = {"phy": _PHY_KEYS, "channel": _CHANNEL_KEYS, "timing": _TIMING_KEYS,
+                "energy": _ENERGY_KEYS, "ncpb": {"table": None}}
+        assert {section: set(k) for section, k in keys.items()} == \
+            {section: set(k) for section, k in PERTURBED.items()}
+
+    @pytest.mark.parametrize("section, key", [(section, key) for section, values
+                                              in PERTURBED.items() for key in values])
+    def test_every_key_changes_the_model(self, tmp_path, section, key):
+        """A key that no payload table reads is one no answer depends on."""
+        base = load_scenario(write_ini(tmp_path, GUARD_NODES)).network().payloads
+        body = f"[{section}]\n{key} = {PERTURBED[section][key]}\n" + GUARD_NODES
+        moved = load_scenario(write_ini(tmp_path, body)).network().payloads
+        assert any(np.shape(a) != np.shape(b) or not np.array_equal(a, b)
+                   for a, b in zip(base, moved))
 
 
 class TestSolveCommand:
@@ -172,10 +217,20 @@ class TestSolveCommand:
         assert "error:" in capsys.readouterr().err
 
     def test_unusable_path_loss_is_an_invalid_input(self, tmp_path, capsys):
-        # An infinite path loss made link_budget divide by a zero path gain.
-        path = write_ini(tmp_path, "[channel]\npl0_db = inf\n" + MINIMAL)
+        path = write_ini(tmp_path, "[channel]\nexponent = inf\n" + MINIMAL)
         assert main(["solve", "--scenario", path]) == EXIT_INVALID
-        assert "[channel] pl0_db must be finite" in capsys.readouterr().err
+        assert "[channel] exponent must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", [
+        "[nodes]\nd = 1e-200, 1.0\nr_min = 1e5, 1e5\n",
+        "[channel]\nexponent = 300\n[nodes]\nd = 1e-3, 1.0\nr_min = 1e5, 1e5\n",
+    ], ids=["short-link", "steep-exponent"])
+    def test_overflowing_burst_snr_solves_as_a_perfect_link(self, tmp_path, capsys, body):
+        # (d0 / d) ** exponent overflows the floats at node 0: an infinite
+        # burst SNR, which delivers every frame.
+        path = write_ini(tmp_path, body)
+        assert main(["solve", "--scenario", path]) == EXIT_OK
+        assert "error" not in capsys.readouterr().err
 
     def test_deterministic_output(self, capsys):
         assert main(["solve", "--scenario", SOLVE_SCN]) == EXIT_OK

@@ -343,13 +343,14 @@ class TestWorkerSplit:
             assert not any(t.is_alive() for t in threads), workers
             assert reports == [want] * workers, workers
 
-    def test_workers_load_no_thread_pool_module(self):
-        """concurrent.futures, with the logging and queue modules it loads, costs ~0.4 MB."""
+    def test_a_call_loads_no_concurrent_module(self):
+        """One simulate call loads no concurrent module.
+
+        concurrent.futures, with the logging and queue modules it loads, costs ~0.4 MB.
+        """
         src = os.path.dirname(os.path.dirname(SIM.__file__))
-        code = ("import importlib, sys\n"
+        code = ("import sys\n"
                 "from eecap import SimConfig, build_network, simulate\n"
-                "SIM = importlib.import_module('eecap.simulate')\n"
-                "SIM._worker_count = lambda chunks: 2\n"
                 "simulate(build_network([1.0, 1.0], [0.0, 0.0]), (0.3, 0.2), (126, 126),\n"
                 "         SimConfig(num_slots=100_000))\n"
                 "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n")

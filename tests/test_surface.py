@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import importlib
 import types
+from dataclasses import fields
 
 import pytest
 
 import eecap
 import oracles
-from eecap import metrics
+from eecap import ChannelParams, PhyConfig, channel, metrics
+from eecap.costs import CostModel
+from eecap.phy import LinkBudget
 
 PUBLIC = (
     # solve
@@ -84,6 +87,18 @@ class TestPublicSurface:
         assert not hasattr(importlib.import_module(f"eecap.{module}"), name)
         assert not hasattr(eecap, name)
         assert getattr(oracles, name).__module__ == "oracles"
+
+    def test_config_records_hold_only_what_the_model_reads(self):
+        # No answer depends on a channel's absolute path loss, on the BCH
+        # payload length k or on an idle energy, which must be 0: none is a field.
+        assert [f.name for f in fields(ChannelParams)] == ["d0", "exponent", "tx_eb_over_n0_at_d0"]
+        assert [f.name for f in fields(PhyConfig)] == [
+            "n", "t", "n_phr", "t_phr", "kasami_len", "rho", "preamble_reps", "t_sym", "t_p",
+            "w_rx", "n_t_min", "n_t_max"]
+        assert [f.name for f in fields(LinkBudget)] == ["snr", "n_cpb", "t_int"]
+        assert [f.name for f in fields(CostModel)] == ["t_success", "t_collision", "t_idle",
+                                                       "e_success", "e_collision"]
+        assert not hasattr(channel, "ChannelOverflowError")
 
     def test_metrics_holds_only_the_stage_payload_rule(self):
         # The benchmark's span tracer imports eecap.metrics by name, so the
