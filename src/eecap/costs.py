@@ -1,8 +1,10 @@
-"""Per-slot time and energy costs of the success, collision and idle states.
+"""Per-slot time and energy parameters of the success, collision and idle states.
 
 A successful exchange carries the data frame plus an immediate ACK with
 guard times and two propagation trips; a collision wastes the frame and
-one guard; an idle slot is a fixed-length carrier-sense listen.
+one guard; an idle slot is a fixed-length carrier-sense listen.  Each
+node's slot costs at every payload are priced once, in eecap.network's
+PayloadTable.
 """
 
 from __future__ import annotations
@@ -75,32 +77,3 @@ class CostModel:
             raise ValueError("t_idle must be positive")
         if self.e_success < 0.0 or self.e_collision < 0.0:
             raise ValueError("state energies must be non-negative")
-
-
-def ppdu_duration(n_t: int, t_sym: float, tp: TimingParams) -> float:
-    """On-air time of a frame with an n_t-bit payload at symbol period t_sym."""
-    if n_t < 0:
-        raise ValueError("n_t must be non-negative")
-    return tp.t_shr + tp.t_phr + n_t * t_sym
-
-
-def ack_duration(t_sym: float, tp: TimingParams) -> float:
-    """On-air time of the fixed minimum-size acknowledgement frame."""
-    return ppdu_duration(ACK_PAYLOAD_BITS, t_sym, tp)
-
-
-def cost_model(n_t: int, t_sym: float, sigma: float, tp: TimingParams,
-               ep: EnergyParams) -> CostModel:
-    """Per-state cost model of a node with symbol period t_sym and propagation delay sigma."""
-    t_frame = ppdu_duration(n_t, t_sym, tp)
-    t_success = t_frame + ack_duration(t_sym, tp) + 2.0 * tp.t_psifs + 2.0 * sigma
-    t_collision = t_frame + tp.t_psifs + sigma
-    e_success = ep.eps_b * n_t + ep.eps_oh + ep.eps_st
-    e_collision = ep.eps_b_tx * n_t + ep.eps_oh_tx + ep.eps_st_tx
-    return CostModel(
-        t_success=t_success,
-        t_collision=t_collision,
-        t_idle=tp.t_idle_slot,
-        e_success=e_success,
-        e_collision=e_collision,
-    )

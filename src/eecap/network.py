@@ -12,11 +12,11 @@ held once.
 EECAP chooses an access probability and a payload size per node, so every
 layer reads one thing: a node's slot costs and frame success at a payload.
 A NetworkModel builds them once, as its PayloadTable of numpy arrays over
-the nodes and every admissible payload size; evaluate, the solver and the
-simulator read them only there.  The table repeats the arithmetic of the
-scalar cost formulas (cost_model, NetworkModel.cost) and of the test
-suite's frame-success, throughput and efficiency oracles (tests/oracles.py),
-so it agrees with them bitwise.
+the nodes and every admissible payload size; evaluate, the solver, the
+simulator and NetworkModel.cost read them only there, and no other code
+in the package prices a slot.  The table repeats the arithmetic of the
+test suite's scalar cost, frame-success, throughput and efficiency
+oracles (tests/oracles.py), so it agrees with them bitwise.
 
 The rate model times node k with its own slot durations.  In odds
 x = tau / (1 - tau), with u = sum(x) and v = prod(1 + x) - 1 - u, node k's
@@ -44,7 +44,7 @@ import numpy as np
 
 from .access import StateProbs, state_probs
 from .channel import ChannelParams, NcpbTable, link_budget
-from .costs import SPEED_OF_LIGHT, CostModel, EnergyParams, TimingParams, ack_duration, cost_model
+from .costs import ACK_PAYLOAD_BITS, SPEED_OF_LIGHT, CostModel, EnergyParams, TimingParams
 from .phy import LinkBudget, PhyConfig, SegmentProbs, bit_error_prob, segment_probs
 
 
@@ -70,9 +70,10 @@ class PayloadTable(NamedTuple):
     without a target and infinite for a payload that delivers nothing.  The
     slot energies e_s and e_c are (G,) and the idle slot time t_idle is one
     float, since EnergyParams and TimingParams are network-wide; r_min is
-    (n,).  The entries repeat the arithmetic of cost_model and of the
-    frame-success oracle in tests/oracles.py step for step, so they agree
-    with both bitwise.
+    (n,).  A success slot carries the frame, an ACK, two guards and two
+    propagation trips, a collision the frame, one guard and one trip.  The
+    entries repeat the arithmetic of the cost and frame-success oracles in
+    tests/oracles.py step for step, so they agree with both bitwise.
     """
 
     nt: np.ndarray
@@ -95,6 +96,7 @@ class PayloadTable(NamedTuple):
         t_sym = np.array([nm.t_sym for nm in nodes])[:, None]
         sigma = np.array([nm.d / SPEED_OF_LIGHT for nm in nodes])[:, None]
         t_frame = tp.t_shr + tp.t_phr + nt * t_sym
+        t_ack = tp.t_shr + tp.t_phr + ACK_PAYLOAD_BITS * t_sym
         # Python's float ** int, as the frame-success oracle takes it: numpy's
         # power can differ from it in the last bit.  Nearby nodes share one p_cw.
         p_cw = [nm.seg.p_cw for nm in nodes]
@@ -107,7 +109,7 @@ class PayloadTable(NamedTuple):
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             a = np.where(r_min[:, None] > 0.0, r_min[:, None] / c, 0.0)
         return cls(nt=nt,
-                   t_s=t_frame + ack_duration(t_sym, tp) + 2.0 * tp.t_psifs + 2.0 * sigma,
+                   t_s=t_frame + t_ack + 2.0 * tp.t_psifs + 2.0 * sigma,
                    t_c=t_frame + tp.t_psifs + sigma,
                    e_s=ep.eps_b * nt + ep.eps_oh + ep.eps_st,
                    e_c=ep.eps_b_tx * nt + ep.eps_oh_tx + ep.eps_st_tx,
@@ -156,9 +158,11 @@ class NetworkModel:
         return len(self.nodes)
 
     def cost(self, node_index: int, n_t: int) -> CostModel:
-        """Per-state costs for one node at one payload size."""
-        nm = self.nodes[node_index]
-        return cost_model(n_t, nm.t_sym, nm.d / SPEED_OF_LIGHT, self.timing, self.energy)
+        """Per-state costs for one node at one grid payload size, read from the payload table."""
+        _check_payloads(self.phy, [n_t])
+        pay, j = self.payloads, int(np.searchsorted(self.payloads.nt, n_t))
+        return CostModel(pay.t_s[node_index, j].item(), pay.t_c[node_index, j].item(), pay.t_idle,
+                         pay.e_s[j].item(), pay.e_c[j].item())
 
 
 def build_network(distances: Sequence[float], r_mins: Sequence[float],

@@ -41,17 +41,14 @@ and the fallback is a 1-D concave problem (_logthr_newton).  It alternates
 that solve with the payload scan from the largest payload until the
 payloads settle (_logthr_fallback).
 
-Batched probes.  The 64-point pre-scan of every 1-D search is scored as
-one (64 x n) numpy array, its probes lifted all at once (_lift_many).
-The payload switch and the payload scan rank payloads as arrays too.
-Every stage reads its slot costs, frame success and target odds from the
-network's one per-payload table (NetworkModel.payloads, built once per
-network), the lifts through its odds rows (PayloadTable.odds).  The
-golden-section probes and the commits come one at a time, where numpy's
-call overhead exceeds the arithmetic, so they use the scalar _lift and
-evaluate.  Both lifts run one iteration, guarded Newton steps on the odds
-aggregates (u, v); a lift fails where the Newton guard fails while F(z)
-still rises, which happens only at a critical or absent least fixed point.
+Batched probes.  The 64-point pre-scan of every 1-D search lifts and
+scores its probes as one numpy array (_lift_many); the payload switch and
+scan rank payloads as arrays too.  The golden-section probes and the
+commits come one at a time, where numpy's call overhead exceeds the
+arithmetic, so they use the scalar _lift and evaluate.  Every stage reads
+slot costs, frame success and target odds from the network's one
+per-payload table (NetworkModel.payloads), and every slot-state aggregate
+from the kernel in eecap.access.
 
 Certificate exit.  An EE solve first computes the least rate-feasible
 point x* (_lift from tau = 0) at the stage's payloads, moves each node to
@@ -93,12 +90,13 @@ its Lagrangian is within _KKT_TOL of zero.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .access import state_probs
+from .access import _odds_states, state_probs
 from .metrics import _nt_opt
 from .network import NetworkModel, evaluate
 
@@ -313,6 +311,40 @@ def _polish_payloads(net: NetworkModel, variant: str, tau: Sequence[float],
     return [n_t if k else int(pay.nt[j]) for n_t, k, j in zip(nts, keep, best)]
 
 
+def _lift_map(table: Sequence[tuple[float, ...]], tau: Sequence[float], x0: Sequence[float],
+              u: float, v: float) -> tuple:
+    """The lift's map F at z = (u, v) and its Jacobian: (x, out, m, F(z), J, others).
+
+    Node k asks x_k = max(x0_k, a_s u + a_c v + a_i) (its row of table);
+    out is the lifted tau (None once a raised node reaches tau = 1), m the
+    number of raised nodes, F(z) = (u(x), v(x)) and others[k] = L_k =
+    prod_{j != k}(1 + x_j) - 1 (eecap.access._odds_states).  J = (j11, j12,
+    j21, j22) sums a_s, a_c, a_s L_k and a_c L_k over the raised nodes: the
+    derivative of F in the region of the max terms at z, as dv / dx_k = L_k.
+    """
+    x, out, up = list(x0), list(tau), []
+    for k, (x0k, (as_, ac, ai, _, _, _)) in enumerate(zip(x0, table)):
+        xk = u * as_ + v * ac + ai
+        if xk > x0k:
+            up.append(k)
+            x[k] = xk
+            if out is not None:
+                tk = xk / (1.0 + xk)
+                if not tk < 1.0:
+                    out = None
+                elif tk > out[k]:
+                    out[k] = tk
+    f1, f2, _, others = _odds_states(x, others=True)
+    j11 = j12 = j21 = j22 = 0.0
+    for k in up:
+        as_, ac, lk = table[k][0], table[k][1], others[k]
+        j11 += as_
+        j12 += ac
+        j21 += as_ * lk
+        j22 += ac * lk
+    return x, out, len(up), (f1, f2), (j11, j12, j21, j22), others
+
+
 def _lift(table: Sequence[tuple[float, ...]], tau: Sequence[float]
           ) -> Optional[tuple[list[float], list[float]]]:
     """Least access vector at or above tau that meets every rate target.
@@ -320,7 +352,7 @@ def _lift(table: Sequence[tuple[float, ...]], tau: Sequence[float]
     With z = (u, v) held, the odds form of the targets (module docstring)
     asks x_k(z) = max(x0_k, a_k (u t_s + v t_c + t_idle)) of node k, x0 the
     odds of tau, and the lift is x(z*) for the least solution z* of z = F(z),
-    where F(z) = (sum x(z), prod(1 + x(z)) - 1 - sum x(z)).
+    where F(z) = (sum x(z), prod(1 + x(z)) - 1 - sum x(z)) (_lift_map).
 
     Guarded Newton steps for z = F(z) start at the aggregates z0 of tau,
     where z0 <= z* and F(z0) >= z0.  F is a polynomial with non-negative
@@ -333,8 +365,8 @@ def _lift(table: Sequence[tuple[float, ...]], tau: Sequence[float]
     2010).  A guard that fails while F(z) still rises thus means that z* is
     critical or absent: the lift returns None, as it does once x(z) leaves
     the access budget or reaches tau = 1, or a node with a target cannot
-    meet it however high it goes, the others held (1 - a_s - (q - 1) a_c <= 0,
-    q = prod_{j != k}(1 + x_j)); the iterates only rise, so every point
+    meet it however high it goes, the others held (1 - a_s - L_k a_c <= 0,
+    L_k = prod_{j != k}(1 + x_j) - 1); the iterates only rise, so every point
     above tau then fails too.  Otherwise the lift ends once F(z) - z no
     longer rises, or one step after a step below 1e-8 of 1 + u + v that
     raised no further node (across a kink of F a step is not quadratic),
@@ -342,38 +374,15 @@ def _lift(table: Sequence[tuple[float, ...]], tau: Sequence[float]
     efficiencies c_k x_k / (u e_s + v e_c) at x(z).  tau entries are below 1.
     """
     x0 = [t / (1.0 - t) for t in tau]
-    u = sum(x0)
-    v = math.prod([1.0 + xk for xk in x0]) - 1.0 - u
+    u, v, _, _ = _odds_states(x0)
     last, ups = False, 0
     while True:
-        x, out = [], []
-        f1 = j11 = j12 = s1 = s2 = 0.0
-        p, m = 1.0, 0
-        for t, x0k, (as_, ac, ai, _, _, _) in zip(tau, x0, table):
-            xk = u * as_ + v * ac + ai
-            if xk > x0k:
-                w = 1.0 + xk
-                tk = xk / w
-                if not tk < 1.0:
-                    return None
-                t = tk if tk > t else t
-                m += 1
-                j11 += as_
-                j12 += ac
-                s1 += as_ / w
-                s2 += ac / w
-            else:
-                xk, w = x0k, 1.0 + x0k
-            x.append(xk)
-            out.append(t)
-            f1 += xk
-            p *= w
-        if not math.fsum(out) <= 1.0 + _SUM_SLACK:
+        x, out, m, (f1, f2), (j11, j12, j21, j22), others = _lift_map(table, tau, x0, u, v)
+        if out is None or not math.fsum(out) <= 1.0 + _SUM_SLACK:
             return None
-        r1, r2 = f1 - u, p - 1.0 - f1 - v
+        r1, r2 = f1 - u, f2 - v
         if r1 + r2 <= 0.0 or last and m <= ups:
             break
-        j21, j22 = p * s1 - j11, p * s2 - j12
         d11, d22 = 1.0 - j11, 1.0 - j22
         det = d11 * d22 - j12 * j21
         if not (d11 > 0.0 and d22 > 0.0 and det > 0.0):
@@ -382,12 +391,11 @@ def _lift(table: Sequence[tuple[float, ...]], tau: Sequence[float]
         last, ups = du + dv <= 1e-8 * (1.0 + u + v), m
         u, v = u + du, v + dv
     # The denominators only fall as the iterates rise, so the last one decides.
-    v = p - 1.0 - f1
     etas = []
-    for xk, (as_, ac, _, c, e_s, e_c) in zip(x, table):
-        if not 1.0 - as_ - (p / (1.0 + xk) - 1.0) * ac > 0.0:
+    for xk, lk, (as_, ac, _, c, e_s, e_c) in zip(x, others, table):
+        if not 1.0 - as_ - lk * ac > 0.0:
             return None
-        e_den = f1 * e_s + v * e_c
+        e_den = f1 * e_s + f2 * e_c
         etas.append(c * xk / e_den if e_den > 0.0 else 0.0)
     return out, etas
 
@@ -395,48 +403,56 @@ def _lift(table: Sequence[tuple[float, ...]], tau: Sequence[float]
 def _lift_many(table: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_lift of every row of taus at once: (lifted taus, efficiencies, ok).
 
-    table is PayloadTable.odds at the probes' payloads.  Every row runs _lift's
-    guarded Newton iteration on its own aggregates, with the same end and
-    drop rules; a dropped row has ok False and NaN entries.
+    table is PayloadTable.odds at the probes' payloads.  Every probe, one
+    column of the work arrays, runs _lift's guarded Newton iteration with
+    the same end and drop rules; a dropped row has ok False and NaN entries.
     """
-    out, etas = np.full(taus.shape, math.nan), np.full(taus.shape, math.nan)
-    ok = np.zeros(len(taus), dtype=bool)
-    a_s, a_c, a_i, c, e_s, e_c = table.T
+    a_s, a_c, a_i, c, e_s, e_c = (col[:, None] for col in table.T)
+    a_sc = np.stack((a_s, a_c))
+    add, every = np.add.reduce, np.logical_and.reduce   # the ufuncs' own reductions: no wrapper
+    ended = []   # (rows, t, x, u, v, 1 + q) of the rows that end, step by step
     with np.errstate(all="ignore"):   # a link that delivers nothing has a = inf
-        x0 = taus / (1.0 - taus)
-        u = x0.sum(axis=1)
-        v = np.prod(1.0 + x0, axis=1) - 1.0 - u
-        rows, t0, last, ups = np.arange(len(taus)), taus, np.zeros(len(taus), dtype=bool), 0
+        t0 = taus.T.copy()
+        x0 = t0 / (1.0 - t0)
+        u, v, _, _ = _odds_states(x0)
+        rows, last, ups = np.arange(len(taus)), np.zeros(len(taus), dtype=bool), 0
         while rows.size:
-            need = u[:, None] * a_s + v[:, None] * a_c + a_i
+            need = u * a_s + v * a_c + a_i
             up = need > x0
             x = np.where(up, need, x0)
             w = 1.0 + x
             t = np.where(up, np.maximum(x / w, t0), t0)
-            live = (t.sum(axis=1) <= 1.0 + _SUM_SLACK) & (t < 1.0).all(axis=1)
-            f1 = x.sum(axis=1)
-            p = np.prod(w, axis=1)
-            r1, r2 = f1 - u, p - 1.0 - f1 - v
-            m = up.sum(axis=1)
+            live = (add(t, axis=0) <= 1.0 + _SUM_SLACK) & every(t < 1.0, axis=0)
+            f1, f2, q, _ = _odds_states(x)
+            p = 1.0 + q
+            r1, r2 = f1 - u, f2 - v
+            m = add(up, axis=0, dtype=int)
             done = live & ((r1 + r2 <= 0.0) | last & (m <= ups))
             if done.any():
-                xd, f1d, pd = x[done], f1[done, None], p[done, None]
-                good = (1.0 - a_s - (pd / w[done] - 1.0) * a_c > 0.0).all(axis=1)
-                e_den = f1d * e_s + (pd - 1.0 - f1d) * e_c
-                lifted = rows[done][good]
-                out[lifted] = t[done][good]
-                etas[lifted] = np.divide(c * xd, e_den, out=np.zeros_like(xd), where=e_den > 0.0)[good]
-                ok[lifted] = True
-            g_s, g_c = np.where(up, a_s, 0.0), np.where(up, a_c, 0.0)
-            j11, j12 = g_s.sum(axis=1), g_c.sum(axis=1)
-            j21, j22 = p * (g_s / w).sum(axis=1) - j11, p * (g_c / w).sum(axis=1) - j12
+                ended.append((rows[done], t[:, done], x[:, done], f1[done], f2[done], p[done]))
+            # _lift_map's J, with L_k = P / (1 + x_k) - 1: the kernel's own
+            # leave-one-outs would cost the step about ten numpy calls more.
+            g = np.where(up, a_sc, 0.0)
+            j1 = add(g, axis=1)
+            (j11, j12), (j21, j22) = j1, p * add(g / w, axis=1) - j1
             d11, d22 = 1.0 - j11, 1.0 - j22
             det = d11 * d22 - j12 * j21
             du, dv = (d22 * r1 + j12 * r2) / det, (j21 * r1 + d11 * r2) / det
             keep = live & ~done & (d11 > 0.0) & (d22 > 0.0) & (det > 0.0)
             last, ups = (du + dv <= 1e-8 * (1.0 + u + v))[keep], m[keep]
-            rows, x0, t0 = rows[keep], x0[keep], t0[keep]
+            rows, x0, t0 = rows[keep], x0[:, keep], t0[:, keep]
             u, v = u[keep] + du[keep], v[keep] + dv[keep]
+        out, etas = np.full(taus.shape, math.nan), np.full(taus.shape, math.nan)
+        ok = np.zeros(len(taus), dtype=bool)
+        if ended:
+            rows, t, x, f1, f2, p = (np.concatenate(col, axis=-1) for col in zip(*ended))
+            good = every(1.0 - a_s - (p / (1.0 + x) - 1.0) * a_c > 0.0, axis=0)
+            e_den = f1 * e_s + f2 * e_c
+            lifted = rows[good]
+            out[lifted] = t[:, good].T
+            eta = np.divide(c * x, e_den, out=np.zeros_like(x), where=e_den > 0.0)
+            etas[lifted] = eta[:, good].T
+            ok[lifted] = True
     return out, etas, ok
 
 
@@ -465,14 +481,17 @@ def _logthr_newton(cols: tuple[np.ndarray, np.ndarray, float]) -> tuple[float, b
     if n == 1:
         return 1.0, True
 
+    a, b = t_s / t_c, t_idle / t_c   # N_k / D_k with both divided by t_c,k
+
     def slope(s: float) -> tuple[float, float]:
         """(phi'(s), phi''(s))."""
         x = math.exp(s)
-        q = (1.0 + x) ** (n - 1)
-        d = n * x * t_s + (q * (1.0 + x) - 1.0 - n * x) * t_c + t_idle
-        num = x * (t_s + (q - 1.0) * t_c)
-        dnum = num + (n - 1) * x * x * q / (1.0 + x) * t_c   # dN_k / ds
+        v = _odds_states([x] * n)[1]
+        q1 = ((n - 1) * x + v) / (1.0 + x)   # (1 + x)^(n-1) - 1, as u + v = (1 + x) q1 + x
+        d = n * x * a + (v + b)
+        num = x * (a + q1)
         r = num / d
+        dnum = num + (n - 1) * x * x * (1.0 + q1) / (1.0 + x)   # dN_k / ds, over t_c,k
         return n * (1.0 - float(r.sum())), -n * float((dnum / d - n * r * r).sum())
 
     s = -math.log(n - 1)
@@ -530,20 +549,19 @@ def _payload_switch(net: NetworkModel, variant: str, tau: list[float],
     moved = False
     for k in range(net.n_nodes):
         _, _, e_s, e_c, _, c, _ = pay.at(nts)
-        x = np.array(tau) / (1.0 - np.array(tau))
-        q = np.prod(1.0 + x) / (1.0 + x[k])   # prod(1 + x) and sum(x) over the other nodes
-        uo = x.sum() - x[k]
+        x = [t / (1.0 - t) for t in tau]
+        uo, vo, lo, _ = _odds_states(x[:k] + x[k + 1:])   # lo = prod_{j != k}(1 + x_j) - 1
         c_k, a = pay.c[k], pay.a[k]
         with np.errstate(all="ignore"):
             a_s, a_c = a * pay.t_s[k], a * pay.t_c[k]
-            den = 1.0 - a_s - (q - 1.0) * a_c
-            y = (uo * a_s + (q - 1.0 - uo) * a_c + a * pay.t_idle) / den
+            den = 1.0 - a_s - lo * a_c
+            y = (uo * a_s + vo * a_c + a * pay.t_idle) / den
             t_min = y / (1.0 + y)
             cand = (den > 0.0) & (t_min < 1.0) & (t_min > tau[k]) & (pay.nt != nts[k])
             if not cand.any():
                 continue
             u = uo + y
-            v = q * (1.0 + y) - 1.0 - u
+            v = vo + lo * y
             cols = [np.tile(col, (len(y), 1)) for col in (x, c, e_s, e_c)]
             for col, own in zip(cols, (y, c_k, pay.e_s, pay.e_c)):
                 col[:, k] = own
@@ -580,12 +598,7 @@ def _ee_bound(net: NetworkModel) -> float:
     low = _lift([(s, cc, i, 0.0, 0.0, 0.0) for s, cc, i in zip(*lower)], [0.0] * net.n_nodes)
     rho = 0.0
     if low is not None:
-        u = v = q = 0.0   # v as sum_k x_k (prod_{j<k} (1 + x_j) - 1), free of cancellation
-        for t in low[0]:
-            x = t / (1.0 - t)
-            v += x * q
-            q += x * (1.0 + q)
-            u += x
+        u, v, _, _ = _odds_states([t / (1.0 - t) for t in low[0]])
         if u > 0.0:
             rho = v / u
     with np.errstate(divide="ignore"):   # zero energies give an infinite bound

@@ -14,6 +14,9 @@ one node and one payload at a time.
   a rate target and for the payload size maximizing throughput.
 - The PSDU and whole-frame delivery probabilities, and the codeword count
   of a MAC frame body.
+- A node's per-state slot costs at one payload (cost_model, with
+  ppdu_duration and ack_duration), which the package prices only in its
+  PayloadTable.
 
 These hold for any positive multiple of the codeword length n: they take
 such a payload size even off the admissible grid [n_t_min, n_t_max] of a
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from eecap.access import StateProbs, _validate, state_probs
-from eecap.costs import CostModel
+from eecap.costs import ACK_PAYLOAD_BITS, CostModel, EnergyParams, TimingParams
 from eecap.metrics import _nt_opt
 from eecap.phy import (PhyConfig, SegmentProbs, codeword_success_prob, phr_success_prob,
                        shr_success_prob)
@@ -107,6 +110,35 @@ def codewords_for_payload(n_mac_body: int, phy: PhyConfig) -> tuple[int, int]:
         raise ValueError("n_mac_body must not exceed 255 octets")
     n_cw = -(-(8 * n_mac_body + 72) // 51)
     return n_cw, n_cw * phy.n
+
+
+def ppdu_duration(n_t: int, t_sym: float, tp: TimingParams) -> float:
+    """On-air time of a frame with an n_t-bit payload at symbol period t_sym."""
+    if n_t < 0:
+        raise ValueError("n_t must be non-negative")
+    return tp.t_shr + tp.t_phr + n_t * t_sym
+
+
+def ack_duration(t_sym: float, tp: TimingParams) -> float:
+    """On-air time of the fixed minimum-size acknowledgement frame."""
+    return ppdu_duration(ACK_PAYLOAD_BITS, t_sym, tp)
+
+
+def cost_model(n_t: int, t_sym: float, sigma: float, tp: TimingParams,
+               ep: EnergyParams) -> CostModel:
+    """Per-state cost model of a node with symbol period t_sym and propagation delay sigma."""
+    t_frame = ppdu_duration(n_t, t_sym, tp)
+    t_success = t_frame + ack_duration(t_sym, tp) + 2.0 * tp.t_psifs + 2.0 * sigma
+    t_collision = t_frame + tp.t_psifs + sigma
+    e_success = ep.eps_b * n_t + ep.eps_oh + ep.eps_st
+    e_collision = ep.eps_b_tx * n_t + ep.eps_oh_tx + ep.eps_st_tx
+    return CostModel(
+        t_success=t_success,
+        t_collision=t_collision,
+        t_idle=tp.t_idle_slot,
+        e_success=e_success,
+        e_collision=e_collision,
+    )
 
 
 @dataclass(frozen=True)

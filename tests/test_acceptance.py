@@ -33,12 +33,12 @@ from eecap import (
 )
 from eecap.access import state_probs
 from eecap.cli import main
-from eecap.costs import cost_model
 from eecap.phy import SegmentProbs, _binomial_tail
-from eecap.solver import _RATE_AIM, _lift, _polish_payloads
+from eecap.solver import _RATE_AIM, _lift, _lift_map, _polish_payloads
 from oracles import (
     Node,
     aggregate_terms,
+    cost_model,
     energy_efficiency,
     frame_success_prob,
     linear_coeffs,
@@ -126,15 +126,57 @@ def test_c2_binomial_tail_oracle():
           f"(max rel err {worst:.2e} <= 1e-12)")
 
 
+def lift_jacobian_error(tau, n_t, cost, seg, raised) -> float:
+    """Largest relative gap between the lift's Jacobian and central differences of its map.
+
+    Every node asks for odds a_j (u t_s + v t_c + t_idle), with a_j set so
+    that at z0, the aggregates of tau, it asks for exactly its odds; the
+    nodes not in raised start above that, at twice their odds, and stay
+    held.  F is then a polynomial near z0, and _lift_map's J is its
+    derivative there.
+    """
+    n = len(tau)
+    x = [t / (1.0 - t) for t in tau]
+    u0 = math.fsum(x)
+    v0 = math.prod([1.0 + xj for xj in x]) - 1.0 - u0
+    d0 = u0 * cost.t_success + v0 * cost.t_collision + cost.t_idle
+    c = n_t * frame_success_prob(seg, n_t)
+    table = [(xj / d0 * cost.t_success, xj / d0 * cost.t_collision, xj / d0 * cost.t_idle,
+              c, cost.e_success, cost.e_collision) for xj in x]
+    x0 = [0.0 if j in raised else 2.0 * xj for j, xj in enumerate(x)]
+    _, _, m, _, jac, _ = _lift_map(table, [0.0] * n, x0, u0, v0)
+    assert m == len(raised)
+    worst = 0.0
+    for col, (du, dv) in enumerate(((1e-6 * u0, 0.0), (0.0, 1e-6 * u0))):
+        hi = _lift_map(table, [0.0] * n, x0, u0 + du, v0 + dv)[3]
+        lo = _lift_map(table, [0.0] * n, x0, u0 - du, v0 - dv)[3]
+        step = 2.0 * (du + dv)
+        for row in range(2):
+            fd = (hi[row] - lo[row]) / step
+            got = jac[2 * row + col]
+            if got != fd:
+                worst = max(worst, abs(got - fd) / max(abs(fd), abs(got)))
+    return worst
+
+
 def test_c3_throughput_derivative():
-    """Closed-form derivative: non-negative, matches finite differences."""
+    """Closed-form derivative: non-negative, matches finite differences.
+
+    The same cases pin the Jacobian (j11, j12, j21, j22) of the lift's map
+    F, which _lift's Newton step uses, to central differences of F: with
+    every node raised, and with node k alone raised.
+    """
     rng = random.Random(77)
     checked = 0
-    worst = 0.0
+    worst = worst_jac = 0.0
     while checked < 200:
         tau, k, n_t, t_sym, cost, seg = random_metric_setup(rng)
         if not 1e-3 < tau[k] < 0.999:
             continue
+        for raised in (set(range(len(tau))), {k}):
+            err = lift_jacobian_error(tau, n_t, cost, seg, raised)
+            worst_jac = max(worst_jac, err)
+            assert err <= 1e-4
         node = Node(index=k, d=1.0, tau=tau[k], n_t=n_t, r_min=0.0)
         terms = aggregate_terms(tau, k, cost, n_t, t_sym)
         assert terms.yt >= 0.0
@@ -152,7 +194,8 @@ def test_c3_throughput_derivative():
         assert rel <= 1e-4
         checked += 1
     print(f"\n[PASS] criterion 3: derivative >= 0, matches finite differences "
-          f"on {checked} configs (max rel err {worst:.2e} <= 1e-4)")
+          f"on {checked} configs (max rel err {worst:.2e} <= 1e-4; lift Jacobian "
+          f"{worst_jac:.2e} <= 1e-4)")
 
 
 def test_c4_rate_threshold_self_consistency():

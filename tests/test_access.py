@@ -1,19 +1,25 @@
-"""Slotted access state probabilities and their affine decomposition.
+"""Slotted access state probabilities, the slot-state kernel, and the affine decomposition.
 
 state_probs is the ground truth; linear_coeffs must reproduce it exactly as
 an affine function of any single node's access probability, including at
-degenerate points where some probabilities are 0 or 1.
+degenerate points where some probabilities are 0 or 1.  The slot-state
+kernel (_tau_states, _odds_states) must agree with exact rational
+arithmetic to 1e-14 relative, where every access probability is small too.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from eecap.access import _leave_one_out, state_probs
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eecap.access import _odds_states, _tau_states, state_probs
 from oracles import linear_coeffs
 
 
@@ -134,7 +140,7 @@ class TestLinearCoeffs:
             # Sprinkle in degenerate and near-degenerate entries.
             if rng.random() < 0.5:
                 tau[rng.randrange(n)] = rng.choice([0.0, 1.0, 1.0 - 1e-12])
-            got = _leave_one_out(tau)
+            got = _tau_states(tau)[3]
             for k in range(n):
                 want = math.prod(1.0 - t for j, t in enumerate(tau) if j != k)
                 assert got[k] == pytest.approx(want, abs=1e-12)
@@ -166,3 +172,78 @@ class TestAgainstCounting:
             want = sp.per_node_success[k]
             se = math.sqrt(want * (1 - want) / m)
             assert abs(per_node[k] - want) <= 3 * se
+
+
+def exact_tau_states(tau):
+    """(P^I, P^S, P^C) in Fractions: no, exactly one, and two or more transmitters."""
+    t = [Fraction(x) for x in tau]
+    idle = math.prod((1 - x for x in t), start=Fraction(1))
+    one = sum((x * math.prod((1 - y for j, y in enumerate(t) if j != k), start=Fraction(1))
+               for k, x in enumerate(t)), start=Fraction(0))
+    return idle, one, 1 - idle - one
+
+
+def exact_odds_states(x):
+    """(u, v, q, each) in Fractions, from the products themselves."""
+    f = [Fraction(a) for a in x]
+    p = math.prod((1 + a for a in f), start=Fraction(1))
+    each = [math.prod((1 + a for j, a in enumerate(f) if j != k), start=Fraction(1)) - 1
+            for k in range(len(f))]
+    return sum(f, start=Fraction(0)), p - 1 - sum(f, start=Fraction(0)), p - 1, each
+
+
+def rel_err(got: float, want: Fraction) -> float:
+    return 0.0 if got == want else abs(Fraction(got) - want) / abs(want)
+
+
+# Four nodes around 1e-3, 1e-4, 1e-5 and 1e-6, where 1 - P^S - P^I and
+# prod(1 + x) - 1 - u lose 7e-12 to 3e-6 of their value.
+SMALL = [[scale * f for f in (1.0, 1.7, 2.9, 0.6)] for scale in (1e-3, 1e-4, 1e-5, 1e-6)]
+KERNEL_REL = 1e-14
+
+
+@pytest.mark.parametrize("tau", SMALL, ids=("1e-3", "1e-4", "1e-5", "1e-6"))
+def test_collision_probability_is_exact_at_small_tau(tau):
+    want = exact_tau_states(tau)[2]
+    assert rel_err(state_probs(tau).p_collision, want) <= KERNEL_REL
+    for got, exact in zip(_tau_states(tau)[:3], exact_tau_states(tau)):
+        assert rel_err(got, exact) <= KERNEL_REL
+
+
+def check_odds_kernel(x):
+    """_odds_states on floats (with each) and on a one-column array, against Fractions."""
+    u, v, q, each = exact_odds_states(x)
+    got = _odds_states(list(x), others=True)
+    column = _odds_states(np.array(x, dtype=float)[:, None])
+    for found in (got, [a if a is None else a[0] for a in column]):
+        assert rel_err(found[0], u) <= KERNEL_REL
+        assert rel_err(found[1], v) <= KERNEL_REL
+        assert rel_err(found[2], q) <= KERNEL_REL
+    for g, w in zip(got[3], each):
+        assert rel_err(g, w) <= KERNEL_REL
+
+
+@pytest.mark.parametrize("tau", SMALL, ids=("1e-3", "1e-4", "1e-5", "1e-6"))
+def test_odds_aggregates_are_exact_at_small_odds(tau):
+    check_odds_kernel([t / (1.0 - t) for t in tau])
+
+
+KERNEL_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+# Access probabilities from 1e-9 to 1 (tau = 1 included) and odds from 1e-9 to 1e6.
+SMALL_TO_ONE = st.one_of(st.just(1.0), st.floats(1e-9, 1.0),
+                         st.floats(-9.0, 0.0).map(lambda e: 10.0 ** e))
+
+
+@KERNEL_SETTINGS
+@given(st.lists(SMALL_TO_ONE, min_size=1, max_size=8))
+def test_tau_kernel_matches_exact_arithmetic(tau):
+    for got, exact in zip(_tau_states(tau)[:3], exact_tau_states(tau)):
+        assert rel_err(got, exact) <= KERNEL_REL
+    assert rel_err(state_probs(tau).p_collision, exact_tau_states(tau)[2]) <= KERNEL_REL
+
+
+@KERNEL_SETTINGS
+@given(st.lists(st.one_of(st.just(0.0), st.floats(-9.0, 6.0).map(lambda e: 10.0 ** e)),
+                min_size=1, max_size=8))
+def test_odds_kernel_matches_exact_arithmetic(x):
+    check_odds_kernel(x)

@@ -1,4 +1,4 @@
-"""Per-state slot durations and energies."""
+"""Per-state slot durations and energies: the scalar cost oracle and the records it builds."""
 
 from __future__ import annotations
 
@@ -7,14 +7,8 @@ from dataclasses import fields
 import pytest
 
 from eecap import EnergyParams, PhyConfig, TimingParams
-from eecap.costs import (
-    ACK_PAYLOAD_BITS,
-    SPEED_OF_LIGHT,
-    CostModel,
-    ack_duration,
-    cost_model,
-    ppdu_duration,
-)
+from eecap.costs import ACK_PAYLOAD_BITS, SPEED_OF_LIGHT, CostModel
+from oracles import ack_duration, cost_model, ppdu_duration
 
 T_SYM = PhyConfig().t_sym
 

@@ -18,12 +18,13 @@ import pytest
 
 from eecap import EnergyParams, PhyConfig, TimingParams
 from eecap.access import state_probs
-from eecap.costs import CostModel, cost_model
+from eecap.costs import CostModel
 from eecap.phy import SegmentProbs
 from oracles import (
     AggregateTerms,
     Node,
     aggregate_terms,
+    cost_model,
     energy_efficiency,
     frame_success_prob,
     nt_opt_for_throughput,

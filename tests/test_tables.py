@@ -1,10 +1,10 @@
 """The per-payload table against the scalar oracles.
 
-evaluate, the feasibility stage's per-node update, the solver and the
-simulator read the PayloadTable that a NetworkModel builds once;
-cost_model and the oracles of tests/oracles.py (frame_success_prob,
-throughput, energy_efficiency and tau_min_for_rate) build Node and
-CostModel objects per call.  The table
+evaluate, the feasibility stage's per-node update, the solver, the
+simulator and NetworkModel.cost read the PayloadTable that a NetworkModel
+builds once; the oracles of tests/oracles.py (cost_model,
+frame_success_prob, throughput, energy_efficiency and tau_min_for_rate)
+build Node and CostModel objects per call.  The table
 must equal the oracles bitwise on random networks, and both paths must
 agree on seeded random networks of 1 to 16 nodes, at access probabilities
 of exactly 0, exactly 1 (evaluate only) and within 1e-10 of 1, for every
@@ -23,9 +23,10 @@ from hypothesis import strategies as st
 
 from eecap import ChannelParams, PhyConfig, build_network, evaluate
 from eecap.access import state_probs
-from eecap.costs import SPEED_OF_LIGHT, cost_model
+from eecap.costs import SPEED_OF_LIGHT
 from eecap.solver import _least_odds
-from oracles import Node, energy_efficiency, frame_success_prob, tau_min_for_rate, throughput
+from oracles import (Node, cost_model, energy_efficiency, frame_success_prob, tau_min_for_rate,
+                     throughput)
 
 GRID = list(PhyConfig().nt_grid())
 REL = 1e-12
@@ -130,6 +131,14 @@ def test_rejects_off_grid_payload(n_t):
         evaluate(net, (0.1, 0.2), (126, n_t))
 
 
+@pytest.mark.parametrize("n_t", [0, -63, 63, 100, 2647, 2709, 127.5])
+def test_cost_rejects_off_grid_payload(n_t):
+    # NetworkModel.cost reads the payload table, which holds grid payloads only.
+    net = build_network([1.0, 2.0], [1e5, 0.0])
+    with pytest.raises(ValueError):
+        net.cost(1, n_t)
+
+
 def test_rejects_float_payloads_as_simulate_does():
     # 126.0 lies on the grid in value, but evaluate and simulate share one
     # payload rule, and simulate counts bits in integers.
@@ -181,6 +190,8 @@ def test_payload_table_matches_the_oracles_bitwise(case):
             cost = cost_model(n_t, nm.t_sym, nm.d / SPEED_OF_LIGHT, net.timing, net.energy)
             assert (pay.t_s[k, j], pay.t_c[k, j], pay.t_idle) == (
                 cost.t_success, cost.t_collision, cost.t_idle)
+            got = net.cost(k, n_t)   # read from the table, as Python floats
+            assert got == cost and all(type(value) is float for value in vars(got).values())
             assert (pay.e_s[j], pay.e_c[j]) == (cost.e_success, cost.e_collision)
             f = frame_success_prob(nm.seg, n_t, net.phy.n)
             c = n_t * f
