@@ -9,10 +9,7 @@ of its odds form v = prod(1 + x) - 1 - u (x = tau / (1 - tau), u = sum(x)),
 takes it from _tau_states or _odds_states, which build it from sums and
 products of non-negative terms only: written as 1 - P^S - P^I, or as a
 product minus its first-order terms, it cancels (a relative error of 3e-6
-on four nodes with every tau near 1e-6).  Only the solver's feasibility
-stage (with _least_odds) still forms q (1 + y) - 1 - u, one node at a
-time: its 1e-6 acceptance decides which networks fall back to LogTHR, and
-an exact feasibility decision is to replace it whole.
+on four nodes with every tau near 1e-6).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from .network import NetworkModel, evaluate
 from .scenario import _OBJECTIVE_NAMES, Scenario, ScenarioError, load_scenario
 from .simulate import SimConfig, efficiency_estimate, rate_estimate, simulate, z_score
-from .solver import eecap
+from .solver import _feasible, eecap
 
 EXIT_OK = 0
 EXIT_MISSING_FILE = 1
@@ -76,7 +76,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _, rates, etas = evaluate(net, scn.tau, scn.nts)
         lines = [SOLVE_HEADER]
         lines += _node_rows(net, scn.tau, scn.nts, rates, etas)
-        lines.append(_summary_row("eval", True, 0, True, scn.tau, rates, etas))
+        lines.append(_summary_row("eval", _feasible(net, scn.tau, rates), 0, True,
+                                  scn.tau, rates, etas))
         print("evaluated fixed access probabilities; no solve", file=sys.stderr)
     else:
         sol = eecap(net, scn.solver)

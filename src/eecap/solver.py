@@ -6,11 +6,12 @@ v = prod(1 + x) - 1 - u, node k's rate is c_k x_k / D_k with
 D_k = u t_s,k + v t_c,k + t_idle, so its target reads
 x_k >= a_k D_k, a_k = r_min / c_k.  The solver first runs a feasibility
 stage, a node-by-node pass that moves each node to the least odds meeting
-its target, the others held, and then to its throughput-optimal payload
-size.  If the rate targets are jointly reachable, constrained coordinate
-ascent maximizes the chosen efficiency objective (sum or sum-of-logs) from
-that point; otherwise a sum-log-throughput fallback drops the rate
-constraints and keeps only the access-budget constraint.  eecap() is the
+its target, the others held, and then climbs its row of the payload table
+to its throughput-optimal payload size.  If the rate targets are jointly
+reachable, constrained coordinate ascent maximizes the chosen efficiency
+objective (sum or sum-of-logs) from that point; otherwise a
+sum-log-throughput fallback drops the rate constraints and keeps only the
+access-budget constraint.  eecap() is the
 one entry point: SolverConfig chooses only the objective, and the round
 caps, the tolerances and the start point are module constants.
 
@@ -45,10 +46,10 @@ Batched probes.  The 64-point pre-scan of every 1-D search lifts and
 scores its probes as one numpy array (_lift_many); the payload switch and
 scan rank payloads as arrays too.  The golden-section probes and the
 commits come one at a time, where numpy's call overhead exceeds the
-arithmetic, so they use the scalar _lift and evaluate.  Every stage reads
-slot costs, frame success and target odds from the network's one
-per-payload table (NetworkModel.payloads), and every slot-state aggregate
-from the kernel in eecap.access.
+arithmetic, so they use the scalar _lift and evaluate.  Every stage, the
+feasibility stage included, reads slot costs, frame success and target
+odds from the network's one per-payload table (NetworkModel.payloads), and
+every slot-state aggregate from the kernel in eecap.access.
 
 Certificate exit.  An EE solve first computes the least rate-feasible
 point x* (_lift from tau = 0) at the stage's payloads, moves each node to
@@ -71,20 +72,20 @@ point if that ends below it.
 
 Tolerances.  _RATE_SLACK (relative shortfall of a rate) and _SUM_SLACK
 (absolute excess of the access budget) decide the feasible flag of the
-result and the checks on it.  The rate repair meets every target to
-roundoff and refuses any point past _SUM_SLACK, so the start and every
-probe it passes meet the targets exactly.  The payload scan admits a
-payload up to _RATE_AIM short of its target, so roundoff cannot drop a
-node's current payload; the next probe lifts the node exactly.
-_CERT_GAP (1e-9, relative) is how close to B' an EE solve's x* must come
-to be returned as certified.  The feasibility stage alone accepts its
-fixed point at _STAGE_SLACK: its node-by-node pass can leave the nodes
-updated first a few parts per million short of their targets, and such
-networks then go to the fallback although they are feasible.  Accepting
-them at _RATE_SLACK removes those fallbacks, but the rate-constrained
-ascent costs far more than the fallback on them.  A fallback point counts
-as converged only on the budget face or where the log-odds derivative of
-its Lagrangian is within _KKT_TOL of zero.
+result (_feasible, which the CLI also prints for a fixed point).  The rate
+repair meets every target to roundoff and refuses any point past
+_SUM_SLACK, so the start and every probe it passes meet the targets
+exactly.  The payload scan admits a payload up to _RATE_AIM short of its
+target, so roundoff cannot drop a node's current payload; the next probe
+lifts the node exactly.  _CERT_GAP (1e-9, relative) is how close to B' an
+EE solve's x* must come to be returned as certified.  The feasibility
+stage alone accepts its fixed point at _STAGE_SLACK: its node-by-node pass
+can leave the nodes updated first a few parts per million short of their
+targets, and such networks then go to the fallback although they are
+feasible.  Accepting them at _RATE_SLACK removes those fallbacks, but the
+rate-constrained ascent costs far more than the fallback on them.  A
+fallback point counts as converged only on the budget face or where the
+log-odds derivative of its Lagrangian is within _KKT_TOL of zero.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ from typing import Callable, ClassVar, Optional, Sequence
 import numpy as np
 
 from .access import _odds_states, state_probs
-from .metrics import _nt_opt
 from .network import NetworkModel, evaluate
 
 VARIANT_EE = "EE"
@@ -226,63 +226,69 @@ def _maximize_scalar(f: Callable[[float], float], scan: Callable[[np.ndarray], n
     return best_x, best_f
 
 
-def _least_odds(odds: Sequence[float], uo: float, q: float) -> float:
-    """Least odds x_k meeting a node's rate target, the other nodes held.
-
-    With odds row (a_s, a_c, a_i, ...) (PayloadTable.odds), the target reads
-    x_k >= a_s u + a_c v + a_i, where u = uo + x_k and v = q (1 + x_k) - 1 - u
-    for the other nodes' odds sum uo and product q of their 1 + x.  Returns
-    inf when no odds reach it (1 - a_s - (q - 1) a_c <= 0).
-    """
-    a_s, a_c, a_i = odds[:3]
-    den = 1.0 - a_s - (q - 1.0) * a_c
-    if not den > 0.0:
-        return math.inf
-    return (uo * a_s + (q - 1.0 - uo) * a_c + a_i) / den
+def _feasible(net: NetworkModel, tau: Sequence[float], rates: Sequence[float],
+              slack: float = _RATE_SLACK) -> bool:
+    """The feasible flag: every rate at least r_min (1 - slack), and sum tau <= 1 + _SUM_SLACK."""
+    return (all(r >= nm.r_min * (1.0 - slack) for r, nm in zip(rates, net.nodes))
+            and math.fsum(tau) <= 1.0 + _SUM_SLACK)
 
 
 def feasibility_stage(net: NetworkModel) -> tuple[tuple[float, ...], tuple[int, ...], bool]:
     """Alternate per-node minimum-access and best-payload updates, in odds.
 
-    Node by node, x_k moves to the least odds meeting its rate target at
-    its payload (_least_odds), and the payload to the throughput-optimal
-    one for the split (u (t_s - n_t t_sym) + v (t_c - n_t t_sym) + t_idle,
-    (u + v) t_sym) of the average slot duration over P^I.  Returns the fixed
-    point and whether it meets every rate target with the access budget; a
-    node that cannot meet its target ends the stage with feasible = False.
+    Every node starts at n_t_max.  Node by node, with the other nodes'
+    aggregates (uo, vo, lo) = (sum x, v, prod(1 + x) - 1) from the kernel,
+    x_k moves to the least odds meeting its target at its payload,
+    (uo a_s + vo a_c + a_i) / (1 - a_s - lo a_c) on its PayloadTable.odds
+    row, as in _payload_switch.  Its payload then climbs its row of
+    throughputs c / (u t_s + v t_c + t_idle) from the current one: up while
+    the next entry is larger, then down while the previous one is at least
+    as large.  Returns the fixed point and whether it meets every target to
+    _STAGE_SLACK within the access budget (_feasible); a node that cannot
+    meet its target ends the stage, infeasible.
+
+    The climb is exact: it ends on the row's first maximum, the
+    throughput-optimal payload with ties to the smaller one.  At n_t = m n
+    an entry's log is log n_t + m log p_cw - log(A + B n_t) plus a constant,
+    with B = (u + v) t_sym and A >= t_idle > 0, so it is concave in n_t and
+    the steps between neighbours never rise: the row rises strictly to its
+    first maximum and never rises after it, and the climb stops there from
+    either side (at n_t_min if p_cw = 0, where the row is zero).
     """
-    n = net.phy.n
-    grid = list(net.phy.nt_grid())
     pay = net.payloads
-    t_s, t_c, a = (col.tolist() for col in (pay.t_s, pay.t_c, pay.a))
+    nt, t_s, t_c, a, c = (col.tolist() for col in (pay.nt, pay.t_s, pay.t_c, pay.a, pay.c))
+    t_i = pay.t_idle
     tau = [_INIT_TAU] * net.n_nodes
     x = [_INIT_TAU / (1.0 - _INIT_TAU)] * net.n_nodes
-    nts = [net.phy.n_t_max] * net.n_nodes
+    js = [len(nt) - 1] * net.n_nodes   # each node's payload, as its index into nt
+
+    def thr(i: int) -> float:   # the climbing node's throughput over P^I at nt[i]
+        return ck[i] / (u * ts[i] + v * tc[i] + t_i)
+
     for _ in range(_MAX_FEASIBILITY_ITERS):
-        prev_tau, prev_nts = tau[:], nts[:]
-        for k, nm in enumerate(net.nodes):
-            others = x[:k] + x[k + 1:]
-            uo, q = sum(others), math.prod([1.0 + xi for xi in others])
-            j = (nts[k] - grid[0]) // n
-            t_sk, t_ck, a_k = t_s[k][j], t_c[k][j], a[k][j]
-            y = _least_odds((a_k * t_sk, a_k * t_ck, a_k * pay.t_idle), uo, q)
-            t = y / (1.0 + y)
+        prev_tau, prev_js = tau[:], js[:]
+        for k in range(net.n_nodes):
+            uo, vo, lo, _ = _odds_states(x[:k] + x[k + 1:])
+            ts, tc, ck, j = t_s[k], t_c[k], c[k], js[k]
+            a_s, a_c = a[k][j] * ts[j], a[k][j] * tc[j]
+            den = 1.0 - a_s - lo * a_c
+            y = (uo * a_s + vo * a_c + a[k][j] * t_i) / den if den > 0.0 else math.inf
+            t = y / (1.0 + y)   # NaN where y is infinite
             if not t < 1.0:
-                return tuple(tau), tuple(nts), False
+                return tuple(tau), tuple(nt[i] for i in js), False
             tau[k], x[k] = t, y
-            u = uo + y
-            v = q * (1.0 + y) - 1.0 - u
-            bits_time = nts[k] * nm.t_sym
-            to = u * (t_sk - bits_time) + v * (t_ck - bits_time) + pay.t_idle
-            nts[k] = _nt_opt(nm.seg.p_cw, to, (u + v) * nm.t_sym, grid, n)
-        delta = max(max(abs(new - old) for new, old in zip(tau, prev_tau)),
-                    max(abs(new - old) for new, old in zip(nts, prev_nts)) / net.phy.n_t_max)
-        if delta < _CONVERGENCE_TOL:
+            u, v = uo + y, vo + lo * y
+            here = thr(j)
+            while j + 1 < len(nt) and (there := thr(j + 1)) > here:
+                j, here = j + 1, there
+            while j > 0 and (there := thr(j - 1)) >= here:
+                j, here = j - 1, there
+            js[k] = j
+        if js == prev_js and max(abs(new - old) for new, old in zip(tau, prev_tau)) < _CONVERGENCE_TOL:
             break
+    nts = [nt[j] for j in js]
     _, rates, _ = evaluate(net, tau, nts, guard_zero_energy=True)
-    feasible = (all(r >= nm.r_min * (1.0 - _STAGE_SLACK) for r, nm in zip(rates, net.nodes))
-                and math.fsum(tau) <= 1.0 + _SUM_SLACK)
-    return tuple(tau), tuple(nts), feasible
+    return tuple(tau), tuple(nts), _feasible(net, tau, rates, _STAGE_SLACK)
 
 
 def _polish_payloads(net: NetworkModel, variant: str, tau: Sequence[float],
@@ -644,13 +650,12 @@ def _solution(net: NetworkModel, variant: str, tau: Sequence[float], nts: Sequen
               trace: tuple[float, ...], converged: bool, rates: tuple[float, ...],
               etas: tuple[float, ...], bound: Optional[float]) -> Solution:
     """The checked Solution at (tau, nts), whose rates and etas come from evaluate."""
-    feasible = all(r >= nm.r_min * (1.0 - _RATE_SLACK) for r, nm in zip(rates, net.nodes))
     return _check_solution(net, Solution(
         tau_opt=tuple(tau),
         nt_opt=tuple(nts),
         variant_used=variant,
         trace=trace,
-        feasible=feasible,
+        feasible=_feasible(net, tau, rates),
         converged=converged,
         objective_value=_objective_value(variant, rates, etas),
         rates=rates,

@@ -1,9 +1,9 @@
 """Scalar reference oracles of the paper's formulas, used only by the tests.
 
 No solve, sweep or validate runs these: the package computes every answer
-from a network's PayloadTable and, in the feasibility stage,
-eecap.metrics._nt_opt.  The tests check those against the formulas here,
-one node and one payload at a time.
+from a network's PayloadTable and the slot-state kernel of eecap.access.
+The tests check those against the formulas here, one node and one payload
+at a time.
 
 - Per-node throughput and energy efficiency.  Both share the numerator
   N_T * P_k^S * P_frame (payload bits that arrive intact per slot); energy
@@ -26,12 +26,12 @@ evaluated (evaluate, simulate, the solver and the scenario loader).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from eecap.access import StateProbs, _validate, state_probs
 from eecap.costs import ACK_PAYLOAD_BITS, CostModel, EnergyParams, TimingParams
-from eecap.metrics import _nt_opt
 from eecap.phy import (PhyConfig, SegmentProbs, codeword_success_prob, phr_success_prob,
                        shr_success_prob)
 
@@ -273,9 +273,35 @@ def nt_opt_for_throughput(p_cw: float, terms: AggregateTerms,
     The throughput as a function of payload size N is
     N * p_cw^(N/n) / (to + tn*N), log-concave in N, so the grid optimum is
     one of the two multiples of n adjacent to the continuous stationary
-    point, found by direct comparison.  p_cw = 1 returns the largest
-    admissible size; p_cw = 0 leaves throughput at zero for every size and
-    returns the smallest one.  It runs the shipped closed form,
-    eecap.metrics._nt_opt, which the feasibility stage calls.
+    point, found by direct comparison, ties to the smaller one.  p_cw = 1
+    returns the largest admissible size; p_cw = 0 leaves throughput at zero
+    for every size and returns the smallest one.  The feasibility stage
+    climbs the same rows of the payload table (eecap.solver).
     """
-    return _nt_opt(p_cw, terms.to, terms.tn, grid, n)
+    if not 0.0 <= p_cw <= 1.0:
+        raise ValueError(f"p_cw must lie in [0, 1], got {p_cw}")
+    if len(grid) == 0:
+        raise ValueError("grid must be non-empty")
+    n_min, n_max = grid[0], grid[-1]
+    if p_cw == 0.0:
+        return n_min
+    if p_cw == 1.0:
+        return n_max
+    to, tn = terms.to, terms.tn
+    b = -math.log(p_cw) / n
+    if tn <= 0.0:
+        n_cont = 1.0 / b
+    else:
+        # Stationary point of log throughput: b*tn*N^2 + b*to*N - to = 0.
+        disc = (b * to) ** 2 + 4.0 * b * tn * to
+        n_cont = (-b * to + math.sqrt(disc)) / (2.0 * b * tn)
+    n_cont = min(max(n_cont, float(n_min)), float(n_max))
+    lo = min(int((n_cont - n_min) // n), len(grid) - 1)
+    hi = min(lo + 1, len(grid) - 1)
+
+    def gain(n_t: int) -> float:
+        return n_t * p_cw ** (n_t // n) / (to + tn * n_t)
+
+    if gain(grid[hi]) > gain(grid[lo]):
+        return grid[hi]
+    return grid[lo]

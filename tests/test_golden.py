@@ -21,9 +21,11 @@ sum_eta moves in the 10th digit (437020742.3 -> 437020742.2), with node
 solve_two_node_1m_logee.csv pins the LogEE coordinate ascent,
 sweep_rate_2e5_2p4e6.csv the EE certificate exit and two interior LogTHR
 fallback points, and sweep_distance_1_10.csv an EE solve whose certificate
-does not close (distance 9 m, four rounds of the ascent) and the fallback
-at 10 m.  All three are two-node networks, so no sum depends on the
-reduction order of numpy.
+does not close (distance 9 m, four rounds of the ascent) and, at 10 m, a
+false LogTHR fallback: the feasibility stage gives up at n_t_max, yet the
+fallback's point meets both targets (21,721 b/s per node against 12,000,
+feasible=1; ROADMAP item 2).  All three are two-node networks, so no sum
+depends on the reduction order of numpy.
 
 Regenerate a file only for a deliberate change of results, and say so in
 the change log:

@@ -5,8 +5,9 @@ rate-threshold access probability is plugged back into the throughput
 function, the derivative against central finite differences, and the
 payload-size optimum against an exhaustive scan of the admissible grid
 using the genuine throughput function.  The formulas are the oracles of
-tests/oracles.py; the payload optimum runs the shipped closed form,
-eecap.metrics._nt_opt.
+tests/oracles.py, against which tests/test_tables.py and
+tests/test_solver.py check the feasibility stage's least odds and payload
+climb.
 """
 
 from __future__ import annotations

@@ -194,6 +194,20 @@ class TestSolveCommand:
             assert float(cells[7]) == pytest.approx(etas[k], rel=1e-9)
         assert out[3].startswith("summary,variant=eval,")
 
+    @pytest.mark.parametrize("nodes, feasible", [
+        ("d = 1.0, 1.0\nr_min = 1e6, 5e5\ntau = 0.143, 0.077\nn_t = 2646, 2646\n", 1),
+        ("d = 1.0, 1.0\nr_min = 5e6, 5e6\ntau = 0.6, 0.6\nn_t = 126, 126\n", 0),
+        ("d = 1.0, 1.0\nr_min = 1e5, 1e5\ntau = 0.6, 0.6\nn_t = 2646, 2646\n", 0),
+        ("d = 1.0, 1.0\nr_min = 5e6, 0\ntau = 0.143, 0.077\nn_t = 2646, 2646\n", 0),
+    ], ids=["shipped-point", "both-short-over-budget", "over-budget", "one-short"])
+    def test_eval_mode_prints_the_solver_feasible_rule(self, tmp_path, capsys, nodes, feasible):
+        # A fixed point is feasible when every rate meets its target to the
+        # solver's _RATE_SLACK and sum tau is within its budget: the shipped
+        # point's rates (1,004,930 and 502,423 b/s) meet theirs.
+        assert main(["solve", "--scenario", write_ini(tmp_path, "[nodes]\n" + nodes)]) == EXIT_OK
+        summary = capsys.readouterr().out.strip().splitlines()[-1]
+        assert summary.startswith(f"summary,variant=eval,feasible={feasible},")
+
     def test_objective_flag_overrides_scenario(self, capsys):
         assert main(["solve", "--scenario", SOLVE_SCN, "--objective", "logee"]) == EXIT_OK
         out = capsys.readouterr()

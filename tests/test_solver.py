@@ -22,6 +22,7 @@ import pytest
 
 from eecap import (
     ChannelParams,
+    PhyConfig,
     SolverConfig,
     VARIANT_EE,
     VARIANT_LOGEE,
@@ -76,21 +77,27 @@ class TestFeasibilityStage:
         assert not ok
 
     def test_fixed_point_payloads_maximize_throughput(self):
-        # Each node's stage payload is the throughput optimum of the tau-affine
-        # closed form at the fixed point.
+        # Each node's stage payload, where its payload climb ended, is the
+        # throughput optimum of the tau-affine closed form at the fixed point,
+        # ties to the smaller payload.  Links reach 10 m, where the optimum
+        # leaves n_t_max; a third of the nodes have no target.
         rng = random.Random(7)
-        checked = 0
-        for _ in range(40):
+        grid = list(PhyConfig().nt_grid())
+        checked, untargeted, payloads = 0, 0, set()
+        for _ in range(80):
             n = rng.randrange(1, 9)
-            net = build_network([rng.uniform(1.0, 9.5) for _ in range(n)],
-                                [rng.uniform(0.05, 0.5) * 2e6 / n for _ in range(n)])
+            d = [rng.uniform(1.0, 10.0) for _ in range(n)]
+            r_min = [rng.choice([0.0, 1.0, 1.0]) * rng.uniform(0.05, 0.5) * 2e6 / n
+                     for _ in range(n)]
+            net = build_network(d, r_min)
             tau, nts, ok = feasibility_stage(net)
             for k, nm in enumerate(net.nodes if ok else ()):
                 terms = aggregate_terms(tau, k, net.cost(k, nts[k]), nts[k], nm.t_sym)
-                grid = list(net.phy.nt_grid())
                 assert nts[k] == nt_opt_for_throughput(nm.seg.p_cw, terms, grid)
                 checked += 1
-        assert checked > 50
+                untargeted += nm.r_min == 0.0
+                payloads.add(nts[k])
+        assert checked > 200 and untargeted > 80 and len(payloads) > 5, (checked, untargeted, payloads)
 
     def test_zero_rates_trivially_feasible(self):
         net = build_network([1.0, 1.0], [0.0, 0.0])

@@ -1,8 +1,8 @@
 """The per-payload table against the scalar oracles.
 
-evaluate, the feasibility stage's per-node update, the solver, the
-simulator and NetworkModel.cost read the PayloadTable that a NetworkModel
-builds once; the oracles of tests/oracles.py (cost_model,
+evaluate, the feasibility stage's least odds, the solver, the simulator
+and NetworkModel.cost read the PayloadTable that a NetworkModel builds
+once; the oracles of tests/oracles.py (cost_model,
 frame_success_prob, throughput, energy_efficiency and tau_min_for_rate)
 build Node and CostModel objects per call.  The table
 must equal the oracles bitwise on random networks, and both paths must
@@ -22,9 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eecap import ChannelParams, PhyConfig, build_network, evaluate
-from eecap.access import state_probs
+from eecap.access import _odds_states, state_probs
 from eecap.costs import SPEED_OF_LIGHT
-from eecap.solver import _least_odds
 from oracles import (Node, cost_model, energy_efficiency, frame_success_prob, tau_min_for_rate,
                      throughput)
 
@@ -81,8 +80,12 @@ def test_evaluate_matches_scalar_metrics():
 def test_stage_update_matches_scalar_oracle():
     """The feasibility stage's least odds per node against tau_min_for_rate.
 
-    The stage's iterates stay below tau = 1, so exact ones of random_tau
-    are moved just below it.
+    The stage (and _payload_switch, over every payload at once) takes the
+    other nodes' aggregates (uo, vo, lo) from the kernel and the node's
+    odds row (a_s, a_c, a_i) from the payload table, and moves x_k to
+    (uo a_s + vo a_c + a_i) / (1 - a_s - lo a_c), with no root where the
+    denominator is not positive.  The stage's iterates stay below tau = 1,
+    so exact ones of random_tau are moved just below it.
     """
     outcomes = {"none": 0, "zero": 0, "value": 0}
     for rng, net in networks():
@@ -90,12 +93,13 @@ def test_stage_update_matches_scalar_oracle():
         tau = [min(t, 1.0 - 1e-12) for t in random_tau(rng, n)]
         x = [t / (1.0 - t) for t in tau]
         for k, nm in enumerate(net.nodes):
-            others = x[:k] + x[k + 1:]
-            uo, q = sum(others), math.prod([1.0 + xi for xi in others])
+            uo, vo, lo, _ = _odds_states(x[:k] + x[k + 1:])
             for n_t in GRID:
                 node = Node(index=k, d=nm.d, tau=tau[k], n_t=n_t, r_min=nm.r_min)
                 want = tau_min_for_rate(node, tau, net.cost(k, n_t), nm.seg, net.phy.n)
-                y = _least_odds(net.payloads.odds([n_t] * n)[k].tolist(), uo, q)
+                a_s, a_c, a_i = net.payloads.odds([n_t] * n)[k, :3].tolist()
+                den = 1.0 - a_s - lo * a_c
+                y = (uo * a_s + vo * a_c + a_i) / den if den > 0.0 else math.inf
                 got = y / (1.0 + y)
                 got = got if got < 1.0 else None
                 assert close(got, want), (n, k, n_t)
