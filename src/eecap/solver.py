@@ -4,59 +4,27 @@ The solver has one model of the rate targets.  In the access odds
 x = tau / (1 - tau) and the slot aggregates u = sum(x) and
 v = prod(1 + x) - 1 - u, node k's rate is c_k x_k / D_k with
 D_k = u t_s,k + v t_c,k + t_idle, so its target reads
-x_k >= a_k D_k, a_k = r_min / c_k.  The solver first runs a feasibility
-stage, a node-by-node pass that moves each node to the least odds meeting
-its target, the others held, and then climbs its row of the payload table
-to its throughput-optimal payload size.  If the rate targets are jointly
-reachable, constrained coordinate ascent maximizes the chosen efficiency
-objective (sum or sum-of-logs) from that point; otherwise a
-sum-log-throughput fallback drops the rate constraints and keeps only the
-access-budget constraint.  eecap() is the
-one entry point: SolverConfig chooses only the objective, and the round
-caps, the tolerances and the start point are module constants.
+x_k >= a_k D_k, a_k = r_min / c_k.  eecap(), the one entry point, takes
+the solve paths below in their order.  SolverConfig chooses only the
+objective; the round caps, the tolerances and the stage's start point are
+module constants.
 
-One round of the ascent runs a 1-D search on the true objective over each
-node's access probability, then a per-node payload scan.  Every probe is
-first lifted to the least point above it that meets every target (_lift),
-so the search can travel along an active rate constraint; probes score
-from closed forms in the odds of the lifted point, and a move is kept only
-if evaluate confirms the gain.  Once a round settles, a node may switch to
-a payload that meets its rate target only with more access (see
-_payload_switch).  Only moves that raise the objective are kept; the loop
-stops when no coordinate moves by more than _CONVERGENCE_TOL, or after
-SolverConfig.max_outer_iters rounds.
+Feasibility stage.  A node-by-node pass moves each node to the least odds
+meeting its target, the others held, then climbs its row of the payload
+table to its throughput-optimal payload (feasibility_stage).  If it finds
+the targets out of reach together, the solve takes the LogTHR fallback.
 
-LogTHR fallback.  At fixed payloads it maximizes, over the log-odds
-y = log x within the access budget, f(y) = sum_k [log c_k + y_k - log D_k].
-f is concave: each D_k is a posynomial in x (v sums the products of two or
-more odds), so log D_k is convex in y (Boyd, Kim, Vandenberghe and
-Hassibi, "A tutorial on geometric programming", 2007).  The budget is
-convex in y too: times P = prod(1 + x), sum tau <= 1 reads
-sum_{|S|>=2} (|S| - 1) prod_{j in S} x_j <= 1.  Both are symmetric under
-any permutation of the nodes: f reads y only through sum(y) and the
-symmetric aggregates (u, v), whatever each node's c_k and slot times, and
-the budget only through sum tau.  So the mean of y's permutations, the
-point whose every entry is mean(y), lies in the budget (convexity) and
-scores at least f(y) (concavity): a common odds for every node is optimal,
-and the fallback is a 1-D concave problem (_logthr_newton).  It alternates
-that solve with the payload scan from the largest payload until the
-payloads settle (_logthr_fallback).
+Least point x*.  At the stage's payloads the solve lifts tau = 0 onto the
+rate targets (_lift), the least access vector meeting every target there,
+moves each node to its best EE payload at that point, and lifts again,
+until the payloads settle or for _CERT_ROUNDS lifts (_least_point).  Each
+lift meets every target at its own payloads, so x* does, settled or not.
+x*, computed once, is the EE certificate candidate and the start of both
+ascents; where a lift fails, the solve takes the LogTHR fallback.
 
-Batched probes.  The 64-point pre-scan of every 1-D search lifts and
-scores its probes as one numpy array (_lift_many); the payload switch and
-scan rank payloads as arrays too.  The golden-section probes and the
-commits come one at a time, where numpy's call overhead exceeds the
-arithmetic, so they use the scalar _lift and evaluate.  Every stage, the
-feasibility stage included, reads slot costs, frame success and target
-odds from the network's one per-payload table (NetworkModel.payloads), and
-every slot-state aggregate from the kernel in eecap.access.
-
-Certificate exit.  An EE solve first computes the least rate-feasible
-point x* (_lift from tau = 0) at the stage's payloads, moves each node to
-its best EE payload there, and repeats until the payloads settle
-(_certified_point).  It returns x* at once, with no round of the ascent,
-if evaluate puts it within _CERT_GAP of the bound B' (_ee_bound), which
-holds for every rate-feasible point at any payloads:
+Certificate exit.  An EE solve returns x* at once, with no round of the
+ascent, if evaluate puts it within _CERT_GAP of the bound B' (_ee_bound),
+which holds for every rate-feasible point at any payloads:
   (1) EE = sum_k (x_k / u) c_k / (e_s,k + rho e_c,k), with rho = v / u, is
       a mean of per-node ratios with weights summing to 1, so
       EE <= max_{k, n_t} c_k / (e_s,k + rho e_c,k) at every payload choice;
@@ -67,8 +35,45 @@ holds for every rate-feasible point at any payloads:
 So B' = max_{k, n_t} c_k / (e_s,k + rho_lo e_c,k) >= EE(x), and an x*
 within _CERT_GAP of B' is globally optimal to that gap, not only a
 stationary point.  The solve reports B' as Solution.upper_bound either way.
-Otherwise it runs the ascent and returns x* in place of the ascent's
-point if that ends below it.
+
+Ascent from x*.  Otherwise, for EE and LogEE alike, constrained
+coordinate ascent maximizes the objective from x* (_coordinate_solve).
+One round runs a 1-D search on the true objective over each node's access
+probability, then a per-node payload scan.  Every probe is first lifted
+to the least point above it that meets every target (_lift), so the
+search can travel along an active rate constraint; probes score from
+closed forms in the odds of the lifted point, and a move is kept only if
+evaluate confirms the gain.  Once a round settles, a node may switch to a
+payload that meets its rate target only with more access
+(_payload_switch).  Only moves that raise the objective are kept, so the
+ascent never ends below x*; it stops when no coordinate moves by more
+than _CONVERGENCE_TOL, or after SolverConfig.max_outer_iters rounds.
+
+Batched probes.  The 64-point pre-scan of every 1-D search lifts and
+scores its probes as one numpy array (_lift_many); the payload switch and
+scan rank payloads as arrays too.  The golden-section probes and the
+commits come one at a time, where numpy's call overhead exceeds the
+arithmetic, so they use the scalar _lift and evaluate.  Every stage reads
+slot costs, frame success and target odds from the network's one
+per-payload table (NetworkModel.payloads), and every slot-state aggregate
+from the kernel in eecap.access.
+
+LogTHR fallback.  With the rate targets dropped, at fixed payloads it
+maximizes f(y) = sum_k [log c_k + y_k - log D_k] over the log-odds
+y = log x within the access budget.  f is concave: each D_k is a
+posynomial in x (v sums the products of two or more odds), so log D_k is
+convex in y (Boyd, Kim, Vandenberghe and Hassibi, "A tutorial on
+geometric programming", 2007).  The budget is convex in y too: times
+P = prod(1 + x), sum tau <= 1 reads
+sum_{|S|>=2} (|S| - 1) prod_{j in S} x_j <= 1.  Both are symmetric under
+any permutation of the nodes: f reads y only through sum(y) and the
+symmetric aggregates (u, v), whatever each node's c_k and slot times, and
+the budget only through sum tau.  So the mean of y's permutations, the
+point whose every entry is mean(y), lies in the budget (convexity) and
+scores at least f(y) (concavity): a common odds for every node is optimal,
+and the fallback is a 1-D concave problem (_logthr_newton).  It alternates
+that solve with the payload scan from the largest payload until the
+payloads settle (_logthr_fallback).
 
 Tolerances.  _RATE_SLACK (relative shortfall of a rate) and _SUM_SLACK
 (absolute excess of the access budget) decide the feasible flag of the
@@ -77,15 +82,15 @@ repair meets every target to roundoff and refuses any point past
 _SUM_SLACK, so the start and every probe it passes meet the targets
 exactly.  The payload scan admits a payload up to _RATE_AIM short of its
 target, so roundoff cannot drop a node's current payload; the next probe
-lifts the node exactly.  _CERT_GAP (1e-9, relative) is how close to B' an
-EE solve's x* must come to be returned as certified.  The feasibility
-stage alone accepts its fixed point at _STAGE_SLACK: its node-by-node pass
-can leave the nodes updated first a few parts per million short of their
-targets, and such networks then go to the fallback although they are
-feasible.  Accepting them at _RATE_SLACK removes those fallbacks, but the
-rate-constrained ascent costs far more than the fallback on them.  A
-fallback point counts as converged only on the budget face or where the
-log-odds derivative of its Lagrangian is within _KKT_TOL of zero.
+lifts the node exactly.  _CERT_GAP (1e-9, relative) is the certificate's
+gap to B'.  The feasibility stage alone accepts its fixed point at
+_STAGE_SLACK: its node-by-node pass can leave the nodes updated first a
+few parts per million short of their targets, and such networks then go to
+the fallback although they are feasible.  Accepting them at _RATE_SLACK
+removes those fallbacks, but the rate-constrained ascent costs far more
+than the fallback on them.  A fallback point counts as converged only on
+the budget face or where the log-odds derivative of its Lagrangian is
+within _KKT_TOL of zero.
 """
 
 from __future__ import annotations
@@ -117,7 +122,7 @@ _CONVERGENCE_TOL = 1e-6       # largest coordinate move of a settled round or pa
 _SEARCH_TOL = 1e-5            # bracket width of the 1-D search, and its margin below tau = 1
 _INIT_TAU = 0.01              # start access probability of every node
 _CERT_GAP = 1e-9              # relative gap to the EE upper bound at which a solve returns at once
-_CERT_ROUNDS = 4              # lift-and-polish rounds of the certificate candidate
+_CERT_ROUNDS = 4              # lift-and-polish rounds of the least point x*
 _NEWTON_STEPS = 50            # Newton steps of one LogTHR access solve
 _KKT_TOL = 1e-9               # largest log-odds derivative of the Lagrangian at a LogTHR optimum
 
@@ -612,25 +617,26 @@ def _ee_bound(net: NetworkModel) -> float:
                                where=pay.c > 0.0).max())
 
 
-def _certified_point(net: NetworkModel, nts: Sequence[int]
-                     ) -> Optional[tuple[list[float], list[int]]]:
-    """The certificate candidate x* with its payloads, or None.
+def _least_point(net: NetworkModel, nts: Sequence[int]
+                 ) -> Optional[tuple[list[float], list[int]]]:
+    """x* with its payloads, or None if a lift fails (module docstring, "Least point x*").
 
     Lifts tau = 0 onto the rate targets at nts (the least rate-feasible
     point there), moves every node to its best EE payload at that point
-    (_polish_payloads), and repeats until the payloads stop changing.
-    None if a lift fails or the payloads still change after _CERT_ROUNDS.
+    (_polish_payloads), and repeats until the payloads stop changing, for
+    at most _CERT_ROUNDS lifts; the last lift is returned with the payloads
+    it was lifted at.
     """
-    nts = list(nts)
+    polished = list(nts)
     for _ in range(_CERT_ROUNDS):
+        nts = polished
         lifted = _lift(net.payloads.odds(nts).tolist(), [0.0] * len(nts))
         if lifted is None:
             return None
         polished = _polish_payloads(net, VARIANT_EE, lifted[0], nts)
         if polished == nts:
-            return lifted[0], nts
-        nts = polished
-    return None
+            break
+    return lifted[0], nts
 
 
 def _check_solution(net: NetworkModel, sol: Solution) -> Solution:
@@ -664,26 +670,15 @@ def _solution(net: NetworkModel, variant: str, tau: Sequence[float], nts: Sequen
     ))
 
 
-def _coordinate_solve(net: NetworkModel, variant: str,
-                      start_tau: Sequence[float], start_nts: Sequence[int]) -> Solution:
+def _coordinate_solve(net: NetworkModel, variant: str, start_tau: Sequence[float],
+                      start_nts: Sequence[int], bound: Optional[float]) -> Solution:
     """Rate-constrained coordinate ascent on the EE or LogEE objective from a start point.
 
-    See the module docstring for the moves of one round.  An EE solve
-    first tries the certificate exit from start_nts (module docstring),
-    runs the ascent only if it does not close, and keeps x* if the ascent
-    ends below it.
+    See the module docstring for the moves of one round.  eecap() starts it
+    at x*; every kept move raises the objective, so it ends at or above
+    the start's.  bound is reported as Solution.upper_bound.
     """
     n = net.n_nodes
-    bound = cert = None
-    if variant == VARIANT_EE:
-        bound = _ee_bound(net)
-        cand = _certified_point(net, start_nts)
-        if cand is not None:
-            _, rates, etas = evaluate(net, cand[0], cand[1], guard_zero_energy=True)
-            value = math.fsum(etas)
-            if value >= bound * (1.0 - _CERT_GAP):
-                return _solution(net, variant, cand[0], cand[1], (value,), True, rates, etas, bound)
-            cert = (value, *cand, rates, etas)
     tol = _SEARCH_TOL
     lo = 0.0 if variant == VARIANT_EE else tol
     t = list(start_tau)
@@ -775,9 +770,6 @@ def _coordinate_solve(net: NetworkModel, variant: str,
             break
 
     _, rates, etas = evaluate(net, t, nts, guard_zero_energy=True)
-    if cert is not None and cert[0] > math.fsum(etas):
-        # The ascent ended below x*, which is rate-feasible by construction.
-        _, t, nts, rates, etas = cert
     return _solution(net, variant, t, nts, tuple(trace), converged, rates, etas, bound)
 
 
@@ -810,15 +802,22 @@ def _logthr_fallback(net: NetworkModel) -> Solution:
 
 
 def eecap(net: NetworkModel, cfg: SolverConfig) -> Solution:
-    """Full pipeline: feasibility stage, then the rate-constrained ascent or the fallback.
+    """Full pipeline: stage, x*, then the certificate exit and the ascent, or the fallback.
 
-    When the stage finds every rate target reachable, the ascent maximizes
-    cfg.objective from the stage point; otherwise the fallback returns the
-    sum-log-throughput optimum over the access budget, with the rate
-    targets dropped (_logthr_fallback): one access probability shared by
-    every node, and tau = 1, the whole channel, for a lone node.
+    The module docstring has one section per path, in this order.  The
+    fallback drops the rate targets: every node shares one access
+    probability, and a lone node takes tau = 1, the whole channel.
     """
-    tau0, nts0, ok = feasibility_stage(net)
-    if ok:
-        return _coordinate_solve(net, cfg.objective, tau0, nts0)
-    return _logthr_fallback(net)
+    _, nts0, ok = feasibility_stage(net)
+    least = _least_point(net, nts0) if ok else None
+    if least is None:
+        return _logthr_fallback(net)
+    tau, nts = least
+    bound = None
+    if cfg.objective == VARIANT_EE:
+        bound = _ee_bound(net)
+        _, rates, etas = evaluate(net, tau, nts, guard_zero_energy=True)
+        value = math.fsum(etas)
+        if value >= bound * (1.0 - _CERT_GAP):
+            return _solution(net, VARIANT_EE, tau, nts, (value,), True, rates, etas, bound)
+    return _coordinate_solve(net, cfg.objective, tau, nts, bound)

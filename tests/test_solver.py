@@ -33,7 +33,8 @@ from eecap import (
     load_scenario,
 )
 from eecap import solver
-from eecap.solver import _lift, _lift_many, _objective_value, _repair_rates, feasibility_stage
+from eecap.solver import (_lift, _lift_many, _objective_value, _repair_rates, _value,
+                          feasibility_stage)
 from oracles import (Node, aggregate_terms, frame_success_prob, nt_opt_for_throughput,
                      tau_min_for_rate)
 
@@ -224,10 +225,10 @@ class TestCertificateExit:
         assert sol.variant_used == VARIANT_EE and sol.converged and sol.iterations > 1
         assert sol.upper_bound > sol.objective_value * 1.05
 
-    def test_an_ascent_below_the_candidate_returns_the_candidate(self):
+    def test_an_ascent_from_x_star_that_finds_no_gain_returns_x_star(self):
         # Hard network n = 16, #0 (links to 9.5 m, targets as in the
-        # benchmark pool): the certificate does not close, and the ascent
-        # from the stage point ends about 4e-9 below x*.
+        # benchmark pool): the certificate does not close, and no move of
+        # the ascent from x* raises the objective, so x* is the answer.
         rng = random.Random("hard/n=16/i=0")
         d = [rng.uniform(1.0, 9.5) for _ in range(16)]
         probe = build_network(d, [0.0] * 16)
@@ -235,13 +236,23 @@ class TestCertificateExit:
         net = build_network(d, [rng.uniform(0.2, 0.8) * r for r in rates])
         _, stage_nts, ok = feasibility_stage(net)
         assert ok
-        cand_tau, cand_nts = solver._certified_point(net, stage_nts)
+        cand_tau, cand_nts = solver._least_point(net, stage_nts)
         cand_value = math.fsum(evaluate(net, cand_tau, cand_nts)[2])
         sol = eecap(net, SolverConfig(objective=VARIANT_EE))
         assert sol.variant_used == VARIANT_EE and sol.feasible and sol.converged
         assert sol.upper_bound > cand_value * (1.0 + 1e-3)
         assert sol.objective_value == cand_value
         assert sol.tau_opt == tuple(cand_tau) and sol.nt_opt == tuple(cand_nts)
+
+    @pytest.mark.parametrize("objective", [VARIANT_EE, VARIANT_LOGEE])
+    def test_no_least_point_falls_back_to_logthr(self, objective, two_node_net, monkeypatch):
+        # The stage accepts this network; where x* does not exist, the
+        # solve takes the fallback as if the stage had rejected it.
+        assert feasibility_stage(two_node_net)[2]
+        monkeypatch.setattr(solver, "_least_point", lambda net, nts: None)
+        sol = eecap(two_node_net, SolverConfig(objective=objective))
+        assert sol.variant_used == VARIANT_LOGTHR and sol.upper_bound is None
+        assert sol == solver._logthr_fallback(two_node_net)
 
 
 class TestSingleNode:
@@ -371,10 +382,12 @@ class TestPrimalMoves:
             tau0, nts0, ok = feasibility_stage(net)
             assert ok
             _, start_rates, start_etas = _repair_rates(net, tau0, nts0)
+            least_tau, least_nts = solver._least_point(net, nts0)
             sol = eecap(net, cfg)
             assert sol.variant_used == cfg.objective
             assert sol.converged and sol.feasible
             assert sol.objective_value >= _objective_value(cfg.objective, start_rates, start_etas)
+            assert sol.objective_value >= _value(net, cfg.objective, least_tau, least_nts)
 
 
 class TestSolutionInvariants:
