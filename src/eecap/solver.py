@@ -49,6 +49,20 @@ payload that meets its rate target only with more access
 ascent never ends below x*; it stops when no coordinate moves by more
 than _CONVERGENCE_TOL, or after SolverConfig.max_outer_iters rounds.
 
+A node's 1-D search is skipped where the node sits on its rate target
+and loses on its first step up (_holds_on_target).  The left side of the
+search is exactly flat there.  _lift returns the least rate-feasible
+point at or above its probe, so it is monotone in the probe, and the
+current point t is rate-feasible, so it lifts to itself.  A probe that
+lowers t_k to any s in [lo, t_k], lo the search's lower end (0 for EE,
+_SEARCH_TOL for LogEE), therefore lifts to a point between the lift of
+the probe at s = lo and t; if that lift is t, so is every one of them,
+and the search can gain only by moving t_k up.  The skip reads this off
+the scores: the probe at lo must score as t does, and the probe at
+t_k + _CONVERGENCE_TOL (at most hi) no higher.  Nothing proves the lifted
+profile unimodal above t_k, so for these nodes the skip gives up the
+pre-scan's global look over [t_k, hi].
+
 Batched probes.  The 64-point pre-scan of every 1-D search lifts and
 scores its probes as one numpy array (_lift_many); the payload switch and
 scan rank payloads as arrays too.  The golden-section probes and the
@@ -670,6 +684,23 @@ def _solution(net: NetworkModel, variant: str, tau: Sequence[float], nts: Sequen
     ))
 
 
+def _holds_on_target(score: Callable[[list[float]], float], t: list[float], k: int,
+                     lo: float, hi: float, here: float) -> bool:
+    """Whether node k's 1-D search can be skipped at t, whose score is here.
+
+    True where the probe with t[k] = lo scores as t does, so node k is on
+    its target and the search's left side is flat, and the probe at
+    min(hi, t[k] + _CONVERGENCE_TOL) scores no higher (module docstring,
+    "Ascent from x*").
+    """
+    p = t[:]
+    p[k] = lo
+    if score(p) != here:
+        return False
+    p[k] = min(hi, t[k] + _CONVERGENCE_TOL)
+    return score(p) <= here
+
+
 def _coordinate_solve(net: NetworkModel, variant: str, start_tau: Sequence[float],
                       start_nts: Sequence[int], bound: Optional[float]) -> Solution:
     """Rate-constrained coordinate ascent on the EE or LogEE objective from a start point.
@@ -677,6 +708,16 @@ def _coordinate_solve(net: NetworkModel, variant: str, start_tau: Sequence[float
     See the module docstring for the moves of one round.  eecap() starts it
     at x*; every kept move raises the objective, so it ends at or above
     the start's.  bound is reported as Solution.upper_bound.
+
+    A node whose probe at lo lifts to a point scoring as the current one
+    sits on its rate target: the lift is monotone and the current point is
+    rate-feasible, so every probe between lo and t[k] lifts to that point,
+    and the search could only move t[k] up.  Where the first step up, by
+    _CONVERGENCE_TOL, scores no higher either, the node's search is skipped
+    (_holds_on_target).  The lifted profile above t[k] is not known to be
+    unimodal, so such a node gives up the pre-scan's global look.  The
+    current point's score is kept across the nodes of a round and
+    refreshed after each commit.
     """
     n = net.n_nodes
     tol = _SEARCH_TOL
@@ -733,10 +774,11 @@ def _coordinate_solve(net: NetworkModel, variant: str, start_tau: Sequence[float
         prev_t, prev_nts = t[:], nts[:]
         odds = net.payloads.odds(nts)   # nts holds until the payload scan below
         table = odds.tolist()
+        here = score(t)
         for k in range(n):
             rest = math.fsum(t) - t[k]
             hi = min(1.0 - tol, 1.0 - rest)
-            if hi <= lo:
+            if hi <= lo or _holds_on_target(score, t, k, lo, hi, here):
                 continue
 
             def probe(x: float) -> list[float]:
@@ -755,6 +797,7 @@ def _coordinate_solve(net: NetworkModel, variant: str, start_tau: Sequence[float
                 f, p = commit(probe(x))
                 if f > value:
                     value, t = f, p
+                    here = score(t)
         nts = _polish_payloads(net, variant, t, nts)
         if nts != prev_nts:
             value = _value(net, variant, t, nts)

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from eecap import (VARIANT_EE, VARIANT_LOGEE, VARIANT_LOGTHR, ChannelParams, SimConfig,
                    SolverConfig, build_network, eecap, evaluate, simulate)
 from eecap.access import _tau_states, state_probs
-from eecap.solver import (_CERT_GAP, _ee_bound, _least_point, _lift, _lift_many,
-                          _logthr_fallback, _logthr_newton, _polish_payloads, _repair_rates,
-                          _value, feasibility_stage)
+from eecap.solver import (_CERT_GAP, _SEARCH_TOL, _ee_bound, _least_point, _lift, _lift_many,
+                          _logthr_fallback, _logthr_newton, _objective_value, _polish_payloads,
+                          _repair_rates, _value, feasibility_stage)
 from oracles import frame_success_prob, linear_coeffs
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -696,6 +696,50 @@ def test_every_ascent_ends_at_or_above_x_star(net):
         sol = eecap(net, SolverConfig(objective=variant))
         assert sol.variant_used == variant
         assert sol.objective_value >= _value(net, variant, *least)
+
+
+def below(a: float, b: float, ulps: int = 4) -> bool:
+    """a <= b, to ulps units in the last place of b."""
+    return a <= b + ulps * math.ulp(b)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=30)
+@given(targeted_networks())
+@example(build_network([1.0, 1.0], [5e5, 5e5]))
+@pytest.mark.parametrize("variant", [VARIANT_EE, VARIANT_LOGEE])
+def test_below_a_node_on_its_target_every_probe_scores_as_the_point(variant, net):
+    """The premise of the ascent's skip (solver docstring, "Ascent from x*").
+
+    The lift returns the least rate-feasible point at or above its probe,
+    so it is monotone in the probe, and a rate-feasible point t lifts to
+    itself.  For lo <= s <= t_k, the probe with t_k = s lies between the
+    probes with t_k = lo and t itself, and so does its lift.  Checked at
+    the returned point with s = max(lo, t_k / 2), to 4 ulp: the lift at s
+    lies between the lifts at lo and at t_k, and where the one at lo
+    scores as t, the one at s does too.
+    """
+    sol = eecap(net, SolverConfig(objective=variant))
+    if sol.variant_used != variant or not sol.feasible:
+        return
+    lo = 0.0 if variant == VARIANT_EE else _SEARCH_TOL
+    t = list(sol.tau_opt)
+    table = net.payloads.odds(sol.nt_opt).tolist()
+
+    def lifted(k: int, s: float) -> tuple:
+        probe = t[:]
+        probe[k] = s
+        out = _lift(table, probe)
+        return (None, -math.inf) if out is None else (out[0], _objective_value(variant, (), out[1]))
+
+    _, here = lifted(0, t[0])
+    for k in range(len(t)):
+        low, low_score = lifted(k, lo)
+        if low is None or t[k] < lo:
+            continue
+        mid, score = lifted(k, max(lo, t[k] / 2.0))
+        assert all(below(a, b) and below(b, c) for a, b, c in zip(low, mid, t))
+        if low_score == here:
+            assert below(score, here) and below(here, score)
 
 
 @st.composite

@@ -390,6 +390,79 @@ class TestPrimalMoves:
             assert sol.objective_value >= _value(net, cfg.objective, least_tau, least_nts)
 
 
+def rule_network(rule: str, n: int, index: int):
+    """A benchmark-rule network: the pool ("pool", links to 6 m) or the hard set (to 9.5 m).
+
+    Targets are 0.2 to 0.8 times each node's rate when every node sends
+    with probability 0.5 / n at the largest payload, as
+    perfbench/make_reference.py draws them.
+    """
+    key, far = ((f"solve_ladder/n={n}/index={index}", 6.0) if rule == "pool"
+                else (f"hard/n={n}/i={index}", 9.5))
+    rng = random.Random(key)
+    d = [rng.uniform(1.0, far) for _ in range(n)]
+    probe = build_network(d, [0.0] * n)
+    _, rates, _ = evaluate(probe, [0.5 / n] * n, [probe.phy.n_t_max] * n)
+    return build_network(d, [rng.uniform(0.2, 0.8) * r for r in rates])
+
+
+class TestOnTargetSkip:
+    """The ascent skips the search of a node on its target that loses on its first step up."""
+
+    @staticmethod
+    def counted_solve(net, objective, monkeypatch) -> tuple:
+        """The solve and the number of 1-D searches it ran."""
+        calls = []
+        search = solver._maximize_scalar
+
+        def counted(*args):
+            calls.append(None)
+            return search(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_maximize_scalar", counted)
+            return eecap(net, SolverConfig(objective=objective)), len(calls)
+
+    @pytest.mark.parametrize("rule, n, index, objective", [
+        ("uniform", 16, 0, VARIANT_LOGEE),
+        ("pool", 8, 2, VARIANT_LOGEE),    # 22 rounds, two payload switches
+        ("pool", 4, 2, VARIANT_LOGEE),
+        ("pool", 2, 0, VARIANT_LOGEE),
+        ("hard", 8, 5, VARIANT_EE),       # uncertified, 5 rounds
+    ])
+    def test_skipping_changes_no_output(self, rule, n, index, objective, monkeypatch):
+        # Both solves run here, in one process: a stored Solution could
+        # differ in its last bits on another Python, whose sum() rounds
+        # differently.  repr round-trips every float, so equal reprs are
+        # bitwise equal Solutions.
+        net = (build_network([1.0] * n, [1e6 / n] * n) if rule == "uniform"
+               else rule_network(rule, n, index))
+        skipped, fewer = self.counted_solve(net, objective, monkeypatch)
+        monkeypatch.setattr(solver, "_holds_on_target", lambda *args: False)
+        searched, more = self.counted_solve(net, objective, monkeypatch)
+        assert skipped.variant_used == objective and skipped.converged
+        assert fewer < more
+        assert repr(skipped) == repr(searched)
+
+    def test_a_uniform_network_runs_no_search(self, monkeypatch):
+        # Sixteen nodes at 1 m, each at 1e6 / 16 b/s: x* puts every node on
+        # its target, and each loses on its first step up.
+        net = build_network([1.0] * 16, [1e6 / 16] * 16)
+        sol, searches = self.counted_solve(net, VARIANT_LOGEE, monkeypatch)
+        assert sol.variant_used == VARIANT_LOGEE and sol.converged
+        assert searches == 0
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_large_uniform_logee_solves_converge(self, n):
+        net = build_network([1.0] * n, [1e6 / n] * n)
+        _, stage_nts, ok = feasibility_stage(net)
+        assert ok
+        least = solver._least_point(net, stage_nts)
+        sol = eecap(net, SolverConfig(objective=VARIANT_LOGEE))
+        assert sol.variant_used == VARIANT_LOGEE and sol.converged and sol.feasible
+        assert sol.objective_value >= _value(net, VARIANT_LOGEE, *least)
+
+
 class TestSolutionInvariants:
     def test_random_scenarios(self):
         rng = random.Random(97)
