@@ -64,8 +64,10 @@ profile unimodal above t_k, so for these nodes the skip gives up the
 pre-scan's global look over [t_k, hi].
 
 Batched probes.  The 64-point pre-scan of every 1-D search lifts and
-scores its probes as one numpy array (_lift_many); the payload switch and
-scan rank payloads as arrays too.  The golden-section probes and the
+scores its probes as one numpy array (_lift_many), each probe in a column
+of its own to the end, with every sum over the nodes in node order, so a
+probe gets the same bits in any batch.  The payload switch and scan rank
+payloads as arrays too.  The golden-section probes and the
 commits come one at a time, where numpy's call overhead exceeds the
 arithmetic, so they use the scalar _lift and evaluate.  Every stage reads
 slot costs, frame success and target odds from the network's one
@@ -430,55 +432,51 @@ def _lift_many(table: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndar
 
     table is PayloadTable.odds at the probes' payloads.  Every probe, one
     column of the work arrays, runs _lift's guarded Newton iteration with
-    the same end and drop rules; a dropped row has ok False and NaN entries.
+    the same end and drop rules.  A probe that ends or drops keeps its
+    column and its (u, v), so each later pass recomputes its point bit for
+    bit and the last pass holds every ended probe's point.  Every sum over
+    the nodes runs in node order, so that point does not depend on the
+    batch.  A dropped row has ok False and NaN entries.
     """
     a_s, a_c, a_i, c, e_s, e_c = (col[:, None] for col in table.T)
     a_sc = np.stack((a_s, a_c))
-    add, every = np.add.reduce, np.logical_and.reduce   # the ufuncs' own reductions: no wrapper
-    ended = []   # (rows, t, x, u, v, 1 + q) of the rows that end, step by step
+    every = np.logical_and.reduce
     with np.errstate(all="ignore"):   # a link that delivers nothing has a = inf
         t0 = taus.T.copy()
         x0 = t0 / (1.0 - t0)
         u, v, _, _ = _odds_states(x0)
-        rows, last, ups = np.arange(len(taus)), np.zeros(len(taus), dtype=bool), 0
-        while rows.size:
+        ok, run = np.zeros(len(taus), dtype=bool), np.ones(len(taus), dtype=bool)
+        last, ups = False, 0
+        while True:
             need = u * a_s + v * a_c + a_i
             up = need > x0
             x = np.where(up, need, x0)
             w = 1.0 + x
             t = np.where(up, np.maximum(x / w, t0), t0)
-            live = (add(t, axis=0) <= 1.0 + _SUM_SLACK) & every(t < 1.0, axis=0)
+            live = (np.add.accumulate(t)[-1] <= 1.0 + _SUM_SLACK) & every(t < 1.0, axis=0)
             f1, f2, q, _ = _odds_states(x)
             p = 1.0 + q
             r1, r2 = f1 - u, f2 - v
-            m = add(up, axis=0, dtype=int)
-            done = live & ((r1 + r2 <= 0.0) | last & (m <= ups))
-            if done.any():
-                ended.append((rows[done], t[:, done], x[:, done], f1[done], f2[done], p[done]))
+            m = np.add.reduce(up, axis=0, dtype=int)
+            done = run & live & ((r1 + r2 <= 0.0) | last & (m <= ups))
+            ok |= done
             # _lift_map's J, with L_k = P / (1 + x_k) - 1: the kernel's own
             # leave-one-outs would cost the step about ten numpy calls more.
             g = np.where(up, a_sc, 0.0)
-            j1 = add(g, axis=1)
-            (j11, j12), (j21, j22) = j1, p * add(g / w, axis=1) - j1
+            j1 = np.add.accumulate(g, axis=1)[:, -1]
+            (j11, j12), (j21, j22) = j1, p * np.add.accumulate(g / w, axis=1)[:, -1] - j1
             d11, d22 = 1.0 - j11, 1.0 - j22
             det = d11 * d22 - j12 * j21
             du, dv = (d22 * r1 + j12 * r2) / det, (j21 * r1 + d11 * r2) / det
-            keep = live & ~done & (d11 > 0.0) & (d22 > 0.0) & (det > 0.0)
-            last, ups = (du + dv <= 1e-8 * (1.0 + u + v))[keep], m[keep]
-            rows, x0, t0 = rows[keep], x0[:, keep], t0[:, keep]
-            u, v = u[keep] + du[keep], v[keep] + dv[keep]
-        out, etas = np.full(taus.shape, math.nan), np.full(taus.shape, math.nan)
-        ok = np.zeros(len(taus), dtype=bool)
-        if ended:
-            rows, t, x, f1, f2, p = (np.concatenate(col, axis=-1) for col in zip(*ended))
-            good = every(1.0 - a_s - (p / (1.0 + x) - 1.0) * a_c > 0.0, axis=0)
-            e_den = f1 * e_s + f2 * e_c
-            lifted = rows[good]
-            out[lifted] = t[:, good].T
-            eta = np.divide(c * x, e_den, out=np.zeros_like(x), where=e_den > 0.0)
-            etas[lifted] = eta[:, good].T
-            ok[lifted] = True
-    return out, etas, ok
+            run &= live & ~done & (d11 > 0.0) & (d22 > 0.0) & (det > 0.0)
+            if not run.any():
+                break
+            last, ups = du + dv <= 1e-8 * (1.0 + u + v), m
+            u, v = np.where(run, u + du, u), np.where(run, v + dv, v)
+        ok &= every(1.0 - a_s - (p / w - 1.0) * a_c > 0.0, axis=0)
+        e_den = f1 * e_s + f2 * e_c
+        eta = np.divide(c * x, e_den, out=np.zeros_like(x), where=e_den > 0.0)
+    return np.where(ok, t, math.nan).T.copy(), np.where(ok, eta, math.nan).T.copy(), ok
 
 
 def _logthr_newton(cols: tuple[np.ndarray, np.ndarray, float]) -> tuple[float, bool]:

@@ -247,3 +247,28 @@ def test_tau_kernel_matches_exact_arithmetic(tau):
                 min_size=1, max_size=8))
 def test_odds_kernel_matches_exact_arithmetic(x):
     check_odds_kernel(x)
+
+
+def left_to_right(values) -> float:
+    total = 0.0
+    for a in values:
+        total += a
+    return total
+
+
+def test_the_kernel_sums_left_to_right():
+    """u and P^S add node by node, on floats and on every column of an array.
+
+    Here a compensated sum (Python 3.12's sum(), math.fsum) and numpy's
+    pairwise sum of a lone column both keep the small terms that a plain
+    left-to-right sum rounds away, so any of them would show.
+    """
+    x = [1.0] + [1e-16] * 10
+    assert math.fsum(x) != left_to_right(x)
+    assert _odds_states(x)[0] == left_to_right(x)
+    for columns in (np.array(x)[:, None], np.array([x, x[::-1]]).T):
+        assert _odds_states(columns)[0][0] == left_to_right(x)
+    tau = [0.5] + [1e-16] * 10
+    per_node = state_probs(tau).per_node_success
+    assert math.fsum(per_node) != left_to_right(per_node)
+    assert state_probs(tau).p_success == left_to_right(per_node)

@@ -205,6 +205,30 @@ def test_batched_lift_matches_the_scalar_lift(case):
             assert np.allclose(got_etas, want[1], rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [8, 16])
+def test_a_probe_lifts_alike_alone_and_in_a_batch(n):
+    """Every probe of a 64-probe batch, as the pre-scan lifts them, gets the bits it gets alone.
+
+    numpy adds a lone column pairwise from eight rows on, but many columns
+    row by row, so any sum over the nodes that numpy reduces would make a
+    probe's lift depend on the batch around it.
+    """
+    rng = random.Random(f"alone/n={n}")
+    distances = [rng.uniform(1.0, 9.5) for _ in range(n)]
+    nts = [rng.choice(NT_GRID) for _ in range(n)]
+    _, rates, _ = evaluate(build_network(distances, [0.0] * n), [0.5 / n] * n, nts)
+    net = build_network(distances, [rng.uniform(0.2, 0.8) * r for r in rates])
+    probes = np.array([[rng.uniform(0.0, 1.0 / n) for _ in range(n)] for _ in range(64)])
+    odds = net.payloads.odds(nts)
+    out, etas, ok = _lift_many(odds, probes)
+    assert ok.sum() >= 32
+    for row, got, got_etas, got_ok in zip(probes, out, etas, ok):
+        alone = _lift_many(odds, row[None, :])
+        assert alone[2][0] == got_ok
+        assert np.array_equal(alone[0][0], got, equal_nan=True)
+        assert np.array_equal(alone[1][0], got_etas, equal_nan=True)
+
+
 @st.composite
 def fallback_cases(draw):
     """A network of 2 to 8 nodes at 1 to 9.5 m that the solve sends to LogTHR.
