@@ -10,8 +10,10 @@ objective; the round caps, the tolerances and the stage's start point are
 module constants.
 
 Feasibility stage.  A node-by-node pass moves each node to the least odds
-meeting its target, the others held, then climbs its row of the payload
-table to its throughput-optimal payload (feasibility_stage).  If it finds
+meeting its target, the others held.  After each pass every node takes
+the first maximum of its throughput row c / (u t_s + v t_c + t_idle) at
+the aggregates its own update left, its throughput-optimal payload: one
+row argmax on the payload table (feasibility_stage).  If the stage finds
 the targets out of reach together, the solve takes the LogTHR fallback.
 
 Least point x*.  At the stage's payloads the solve lifts tau = 0 onto the
@@ -50,18 +52,18 @@ ascent never ends below x*; it stops when no coordinate moves by more
 than _CONVERGENCE_TOL, or after SolverConfig.max_outer_iters rounds.
 
 A node's 1-D search is skipped where the node sits on its rate target
-and loses on its first step up (_holds_on_target).  The left side of the
-search is exactly flat there.  _lift returns the least rate-feasible
-point at or above its probe, so it is monotone in the probe, and the
-current point t is rate-feasible, so it lifts to itself.  A probe that
-lowers t_k to any s in [lo, t_k], lo the search's lower end (0 for EE,
-_SEARCH_TOL for LogEE), therefore lifts to a point between the lift of
-the probe at s = lo and t; if that lift is t, so is every one of them,
-and the search can gain only by moving t_k up.  The skip reads this off
-the scores: the probe at lo must score as t does, and the probe at
-t_k + _CONVERGENCE_TOL (at most hi) no higher.  Nothing proves the lifted
-profile unimodal above t_k, so for these nodes the skip gives up the
-pre-scan's global look over [t_k, hi].
+and loses on its first step up (_holds_on_target; the argument is stated
+here only).  The left side of the search is exactly flat there.  _lift
+returns the least rate-feasible point at or above its probe, so it is
+monotone in the probe, and the current point t is rate-feasible, so it
+lifts to itself.  A probe that lowers t_k to any s in [lo, t_k], lo the
+search's lower end (0 for EE, _SEARCH_TOL for LogEE), therefore lifts to
+a point between the lift of the probe at s = lo and t; if that lift is t,
+so is every one of them, and the search can gain only by moving t_k up.
+The skip reads this off the scores: the probe at lo must score as t does,
+and the probe at t_k + _CONVERGENCE_TOL (at most hi) no higher.  Nothing
+proves the lifted profile unimodal above t_k, so for these nodes the skip
+gives up the pre-scan's global look over [t_k, hi].
 
 Batched probes.  The 64-point pre-scan of every 1-D search lifts and
 scores its probes as one numpy array (_lift_many), each probe in a column
@@ -96,17 +98,20 @@ Tolerances.  _RATE_SLACK (relative shortfall of a rate) and _SUM_SLACK
 result (_feasible, which the CLI also prints for a fixed point).  The rate
 repair meets every target to roundoff and refuses any point past
 _SUM_SLACK, so the start and every probe it passes meet the targets
-exactly.  The payload scan admits a payload up to _RATE_AIM short of its
-target, so roundoff cannot drop a node's current payload; the next probe
-lifts the node exactly.  _CERT_GAP (1e-9, relative) is the certificate's
-gap to B'.  The feasibility stage alone accepts its fixed point at
-_STAGE_SLACK: its node-by-node pass can leave the nodes updated first a
-few parts per million short of their targets, and such networks then go to
-the fallback although they are feasible.  Accepting them at _RATE_SLACK
-removes those fallbacks, but the rate-constrained ascent costs far more
-than the fallback on them.  A fallback point counts as converged only on
-the budget face or where the log-odds derivative of its Lagrangian is
-within _KKT_TOL of zero.
+exactly.  The payload scan runs only on such lifted points and needs no
+slack: it admits a node's current payload as it is, so roundoff cannot
+drop it, and any other payload only where the node's rate meets its
+target.  The payload switch takes the payloads that need more access, so
+the two split each node's payload grid at its current access.  _CERT_GAP
+(1e-9, relative) is the certificate's gap to B'.  The feasibility stage
+alone accepts its fixed point at _STAGE_SLACK, the only other rate slack:
+its node-by-node pass can leave the nodes updated first a few parts per
+million short of their targets, and such networks then go to the fallback
+although they are feasible.  Accepting them at _RATE_SLACK removes those
+fallbacks, but the rate-constrained ascent costs far more than the
+fallback on them.  A fallback point counts as converged only on the
+budget face or where the log-odds derivative of its Lagrangian is within
+_KKT_TOL of zero.
 """
 
 from __future__ import annotations
@@ -128,7 +133,6 @@ VARIANT_LOGTHR = "LogTHR"
 _OBJECTIVES = (VARIANT_EE, VARIANT_LOGEE)
 _RATE_SLACK = 1e-4        # relative rate shortfall an accepted point may have
 _SUM_SLACK = 1e-9         # absolute excess over the access-probability budget
-_RATE_AIM = 1e-9          # relative rate shortfall the payload scan admits
 _STAGE_SLACK = 1e-6       # relative rate shortfall the feasibility stage accepts
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _PRESCAN = 64
@@ -255,56 +259,51 @@ def _feasible(net: NetworkModel, tau: Sequence[float], rates: Sequence[float],
 
 
 def feasibility_stage(net: NetworkModel) -> tuple[tuple[float, ...], tuple[int, ...], bool]:
-    """Alternate per-node minimum-access and best-payload updates, in odds.
+    """Alternate node-by-node minimum-access passes and best-payload updates, in odds.
 
-    Every node starts at n_t_max.  Node by node, with the other nodes'
-    aggregates (uo, vo, lo) = (sum x, v, prod(1 + x) - 1) from the kernel,
-    x_k moves to the least odds meeting its target at its payload,
+    Every node starts at n_t_max.  A pass goes node by node: with the other
+    nodes' aggregates (uo, vo, lo) = (sum x, v, prod(1 + x) - 1) from the
+    kernel, x_k moves to the least odds meeting its target at its payload,
     (uo a_s + vo a_c + a_i) / (1 - a_s - lo a_c) on its PayloadTable.odds
-    row, as in _payload_switch.  Its payload then climbs its row of
-    throughputs c / (u t_s + v t_c + t_idle) from the current one: up while
-    the next entry is larger, then down while the previous one is at least
-    as large.  Returns the fixed point and whether it meets every target to
-    _STAGE_SLACK within the access budget (_feasible); a node that cannot
-    meet its target ends the stage, infeasible.
-
-    The climb is exact: it ends on the row's first maximum, the
-    throughput-optimal payload with ties to the smaller one.  At n_t = m n
-    an entry's log is log n_t + m log p_cw - log(A + B n_t) plus a constant,
-    with B = (u + v) t_sym and A >= t_idle > 0, so it is concave in n_t and
-    the steps between neighbours never rise: the row rises strictly to its
-    first maximum and never rises after it, and the climb stops there from
-    either side (at n_t_min if p_cw = 0, where the row is zero).
+    row, as in _payload_switch.  After the pass, every node takes the first
+    maximum of its row of throughputs c / (u t_s + v t_c + t_idle) at the
+    aggregates (u, v) its own update left: its throughput-optimal payload,
+    ties to the smaller one, by one row argmax on the PayloadTable.  A
+    node's payload enters only its own update, so taking it after the pass
+    changes no step.  Returns the fixed point and whether it meets every
+    target to _STAGE_SLACK within the access budget (_feasible); a node
+    that cannot meet its target ends the stage, infeasible, once the nodes
+    before it have taken their payloads.
     """
     pay = net.payloads
-    nt, t_s, t_c, a, c = (col.tolist() for col in (pay.nt, pay.t_s, pay.t_c, pay.a, pay.c))
+    nt, t_s, t_c, a = (col.tolist() for col in (pay.nt, pay.t_s, pay.t_c, pay.a))
     t_i = pay.t_idle
     tau = [_INIT_TAU] * net.n_nodes
     x = [_INIT_TAU / (1.0 - _INIT_TAU)] * net.n_nodes
     js = [len(nt) - 1] * net.n_nodes   # each node's payload, as its index into nt
 
-    def thr(i: int) -> float:   # the climbing node's throughput over P^I at nt[i]
-        return ck[i] / (u * ts[i] + v * tc[i] + t_i)
-
     for _ in range(_MAX_FEASIBILITY_ITERS):
-        prev_tau, prev_js = tau[:], js[:]
+        prev_tau, prev_js = tau[:], js
+        us, vs = [], []   # the aggregates (u, v) after each node's update
         for k in range(net.n_nodes):
             uo, vo, lo, _ = _odds_states(x[:k] + x[k + 1:])
-            ts, tc, ck, j = t_s[k], t_c[k], c[k], js[k]
-            a_s, a_c = a[k][j] * ts[j], a[k][j] * tc[j]
+            ak, j = a[k], js[k]
+            a_s, a_c = ak[j] * t_s[k][j], ak[j] * t_c[k][j]
             den = 1.0 - a_s - lo * a_c
-            y = (uo * a_s + vo * a_c + a[k][j] * t_i) / den if den > 0.0 else math.inf
+            y = (uo * a_s + vo * a_c + ak[j] * t_i) / den if den > 0.0 else math.inf
             t = y / (1.0 + y)   # NaN where y is infinite
             if not t < 1.0:
-                return tuple(tau), tuple(nt[i] for i in js), False
+                break
             tau[k], x[k] = t, y
-            u, v = uo + y, vo + lo * y
-            here = thr(j)
-            while j + 1 < len(nt) and (there := thr(j + 1)) > here:
-                j, here = j + 1, there
-            while j > 0 and (there := thr(j - 1)) >= here:
-                j, here = j - 1, there
-            js[k] = j
+            us.append(uo + y)
+            vs.append(vo + lo * y)
+        m = len(us)
+        d = np.array(us)[:, None] * pay.t_s[:m]   # u t_s + v t_c + t_idle, row by row, in place
+        d += np.array(vs)[:, None] * pay.t_c[:m]
+        d += t_i
+        js = (pay.c[:m] / d).argmax(axis=1).tolist() + js[m:]
+        if m < net.n_nodes:
+            return tuple(tau), tuple(nt[i] for i in js), False
         if js == prev_js and max(abs(new - old) for new, old in zip(tau, prev_tau)) < _CONVERGENCE_TOL:
             break
     nts = [nt[j] for j in js]
@@ -318,7 +317,10 @@ def _polish_payloads(net: NetworkModel, variant: str, tau: Sequence[float],
 
     Each node's rate and efficiency depend on no other node's payload, so
     the scan decouples: pick the payload maximizing the node's objective
-    term among those still meeting its rate target (the fallback has none).
+    term among those it admits (the fallback admits every payload).  tau
+    must be a point lifted onto the rate targets at nts (_lift), as every
+    caller passes, so each node's current payload is admitted as it is;
+    any other payload only where the node's rate at tau meets its target.
     The scan runs on every node and payload at once, with the arithmetic
     of evaluate; ties go to the smallest payload.
     """
@@ -332,10 +334,10 @@ def _polish_payloads(net: NetworkModel, variant: str, tau: Sequence[float],
     else:
         den_e = p_s * pay.e_s + p_c * pay.e_c
         val = np.divide(num, den_e, out=np.zeros_like(num), where=den_e > 0.0)
-        val[r < pay.r_min[:, None] * (1.0 - _RATE_AIM)] = -math.inf
-    best = np.argmax(val, axis=1)
-    keep = val[np.arange(len(nts)), best] == -math.inf   # no payload meets the target
-    return [n_t if k else int(pay.nt[j]) for n_t, k, j in zip(nts, keep, best)]
+        short = r < pay.r_min[:, None]
+        short[np.arange(len(nts)), np.searchsorted(pay.nt, nts)] = False
+        val[short] = -math.inf
+    return pay.nt[np.argmax(val, axis=1)].tolist()
 
 
 def _lift_map(table: Sequence[tuple[float, ...]], tau: Sequence[float], x0: Sequence[float],
@@ -562,8 +564,8 @@ def _payload_switch(net: NetworkModel, variant: str, tau: list[float],
     """Move nodes to payloads that meet their rate target only with more access.
 
     The payload scan keeps each node on the payloads its current access
-    probability already serves.  Here every other payload of a node is
-    lifted to its minimum access probability, the others held, and ranked
+    probability already serves.  Here every payload that needs more access
+    than the node has is lifted to that minimum, the others held, and ranked
     by the objective at that point, all payloads at once from the odds
     closed forms (see _lift); the best one is repaired once and kept if the
     objective rises.  Returns the improved point, or None if no node moved.
@@ -686,10 +688,9 @@ def _holds_on_target(score: Callable[[list[float]], float], t: list[float], k: i
                      lo: float, hi: float, here: float) -> bool:
     """Whether node k's 1-D search can be skipped at t, whose score is here.
 
-    True where the probe with t[k] = lo scores as t does, so node k is on
-    its target and the search's left side is flat, and the probe at
-    min(hi, t[k] + _CONVERGENCE_TOL) scores no higher (module docstring,
-    "Ascent from x*").
+    True where the probe with t[k] = lo scores as t does and the probe at
+    min(hi, t[k] + _CONVERGENCE_TOL) scores no higher; the module docstring
+    ("Ascent from x*") has the argument for the skip.
     """
     p = t[:]
     p[k] = lo
@@ -703,18 +704,12 @@ def _coordinate_solve(net: NetworkModel, variant: str, start_tau: Sequence[float
                       start_nts: Sequence[int], bound: Optional[float]) -> Solution:
     """Rate-constrained coordinate ascent on the EE or LogEE objective from a start point.
 
-    See the module docstring for the moves of one round.  eecap() starts it
-    at x*; every kept move raises the objective, so it ends at or above
-    the start's.  bound is reported as Solution.upper_bound.
-
-    A node whose probe at lo lifts to a point scoring as the current one
-    sits on its rate target: the lift is monotone and the current point is
-    rate-feasible, so every probe between lo and t[k] lifts to that point,
-    and the search could only move t[k] up.  Where the first step up, by
-    _CONVERGENCE_TOL, scores no higher either, the node's search is skipped
-    (_holds_on_target).  The lifted profile above t[k] is not known to be
-    unimodal, so such a node gives up the pre-scan's global look.  The
-    current point's score is kept across the nodes of a round and
+    See the module docstring for the moves of one round and for the
+    on-target skip (_holds_on_target).  eecap() starts it at x*; every kept
+    move raises the objective, so it ends at or above the start's.  A start
+    that no lift brings onto the targets is returned as it is, with no
+    round and no payload scan.  bound is reported as Solution.upper_bound.
+    The current point's score is kept across the nodes of a round and
     refreshed after each commit.
     """
     n = net.n_nodes
@@ -757,18 +752,17 @@ def _coordinate_solve(net: NetworkModel, variant: str, start_tau: Sequence[float
             return -math.inf, probe
         return _objective_value(variant, rep[1], rep[2]), rep[0]
 
-    trace: list[float] = []
-    converged = False
-    rounds = _MAX_OUTER_ITERS
     start = _repair_rates(net, t, nts)
-    if start is None:
-        rounds = 0  # no rate-feasible start: report the start point as it is
-    else:
-        t = start[0]
+    if start is None:   # no rate-feasible start: report the start point as it is
+        _, rates, etas = evaluate(net, t, nts, guard_zero_energy=True)
+        return _solution(net, variant, t, nts, (), False, rates, etas, bound)
+    t = start[0]
     nts = _polish_payloads(net, variant, t, nts)
     value = _value(net, variant, t, nts)
+    trace: list[float] = []
+    converged = False
 
-    for _ in range(rounds):
+    for _ in range(_MAX_OUTER_ITERS):
         prev_t, prev_nts = t[:], nts[:]
         odds = net.payloads.odds(nts)   # nts holds until the payload scan below
         table = odds.tolist()

@@ -276,7 +276,8 @@ def nt_opt_for_throughput(p_cw: float, terms: AggregateTerms,
     point, found by direct comparison, ties to the smaller one.  p_cw = 1
     returns the largest admissible size; p_cw = 0 leaves throughput at zero
     for every size and returns the smallest one.  The feasibility stage
-    climbs the same rows of the payload table (eecap.solver).
+    takes the same optimum by a row argmax on the payload table
+    (eecap.solver).
     """
     if not 0.0 <= p_cw <= 1.0:
         raise ValueError(f"p_cw must lie in [0, 1], got {p_cw}")

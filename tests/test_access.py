@@ -9,9 +9,11 @@ arithmetic to 1e-14 relative, where every access probability is small too.
 
 from __future__ import annotations
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eecap
 from eecap.access import _odds_states, _tau_states, state_probs
 from oracles import linear_coeffs
 
@@ -272,3 +275,17 @@ def test_the_kernel_sums_left_to_right():
     per_node = state_probs(tau).per_node_success
     assert math.fsum(per_node) != left_to_right(per_node)
     assert state_probs(tau).p_success == left_to_right(per_node)
+
+
+def test_the_package_calls_no_builtin_sum():
+    """No eecap module calls the builtin sum(), whose float rounding changed in 3.12.
+
+    The summation order the eecap.access docstring sets holds in every
+    module, not only in the kernel that the test above runs.
+    """
+    calls = []
+    for path in sorted(Path(eecap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum":
+                calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, calls

@@ -6,8 +6,8 @@ function, the derivative against central finite differences, and the
 payload-size optimum against an exhaustive scan of the admissible grid
 using the genuine throughput function.  The formulas are the oracles of
 tests/oracles.py, against which tests/test_tables.py and
-tests/test_solver.py check the feasibility stage's least odds and payload
-climb.
+tests/test_solver.py check the feasibility stage's least odds and
+payloads.
 """
 
 from __future__ import annotations

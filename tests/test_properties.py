@@ -418,8 +418,8 @@ def payload_scan_loop(net, variant, tau, nts):
     """Reference for the payload scan: one node and one payload at a time.
 
     Per node, the first payload with the largest objective term (rate in
-    the fallback, efficiency otherwise) among those within 1e-9 of the
-    node's rate target; the current payload if none is.
+    the fallback, efficiency otherwise) among the node's current payload
+    and those meeting its rate target.
     """
     sp = state_probs(tau)
     out = list(nts)
@@ -432,7 +432,7 @@ def payload_scan_loop(net, variant, tau, nts):
                        + sp.p_idle * cost.t_idle)
             if variant == VARIANT_LOGTHR:
                 val = r
-            elif r < nm.r_min * (1.0 - 1e-9):
+            elif n_t != nts[k] and r < nm.r_min:
                 continue
             else:
                 den_e = sp.p_success * cost.e_success + sp.p_collision * cost.e_collision
@@ -911,14 +911,17 @@ AGGREGATE = st.one_of(st.just(0.0), st.floats(1e-12, 1e3))
 @given(st.lists(st.floats(0.5, 10.0), min_size=1, max_size=8), st.sampled_from((500.0, 5530.0)),
        AGGREGATE, AGGREGATE)
 def test_throughput_rows_rise_to_their_first_maximum_and_never_after(distances, tx, u, v):
-    """The premise of the feasibility stage's payload climb, in floating point.
+    """A node's throughput row is unimodal in floating point.
 
     At aggregates (u, v), node k's throughput over P^I at each payload is
-    its row of c / (u t_s + v t_c + t_idle), with the stage's arithmetic.
-    The stage's docstring proves, in exact arithmetic, that the row rises
-    strictly to its first maximum and never rises after it; this checks
-    that roundoff keeps it so, on near and far links, strong and weak
-    transmitters, and aggregates from none to far past the access budget.
+    its row of c / (u t_s + v t_c + t_idle), with the feasibility stage's
+    arithmetic.  At n_t = m n an entry's log is log n_t + m log p_cw -
+    log(A + B n_t) plus a constant, with B = (u + v) t_sym and
+    A >= t_idle > 0, so it is concave in n_t: in exact arithmetic the row
+    rises strictly to its first maximum and never rises after it.  This
+    checks that roundoff keeps it so, on near and far links, strong and
+    weak transmitters, and aggregates from none to far past the access
+    budget.
     """
     net = build_network(distances, [0.0] * len(distances),
                         channel=ChannelParams(tx_eb_over_n0_at_d0=tx))

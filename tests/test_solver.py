@@ -78,7 +78,7 @@ class TestFeasibilityStage:
         assert not ok
 
     def test_fixed_point_payloads_maximize_throughput(self):
-        # Each node's stage payload, where its payload climb ended, is the
+        # Each node's stage payload, its row argmax after the last pass, is the
         # throughput optimum of the tau-affine closed form at the fixed point,
         # ties to the smaller payload.  Links reach 10 m, where the optimum
         # leaves n_t_max; a third of the nodes have no target.
@@ -369,6 +369,26 @@ class TestPrimalMoves:
         assert sol.variant_used == VARIANT_EE and sol.feasible
         assert sol.nt_opt == (1386, 1386)
         assert sol.objective_value >= 343.5e6 * (1 - 1e-4)
+
+    def test_the_scan_admits_no_other_payload_short_of_its_target(self):
+        # At tau = (0.2, 0.2) node 0 at 9.5 m has a higher efficiency at
+        # payload 441 than at its current 504, but its target sits 1e-10
+        # above its rate at 441.  Its current payload is admitted as it is,
+        # any other one only where it meets the target exactly.
+        tau = [0.2, 0.2]
+        _, rates, _ = evaluate(build_network([9.5, 2.0], [0.0, 0.0]), tau, [441, 126])
+        net = build_network([9.5, 2.0], [rates[0] * (1.0 + 1e-10), 0.0])
+        for variant in (VARIANT_EE, VARIANT_LOGEE):
+            assert solver._polish_payloads(net, variant, tau, [504, 126])[0] == 504
+
+    def test_an_unrepairable_start_is_returned_as_it_is(self):
+        # Node 1's target is out of reach, so the start cannot be lifted;
+        # node 0 would take payload 441 in a payload scan at the start.
+        net = build_network([9.5, 1.0], [1e3, 1e9])
+        for variant in (VARIANT_EE, VARIANT_LOGEE):
+            sol = solver._coordinate_solve(net, variant, (0.2, 0.2), (2646, 2646), None)
+            assert (sol.tau_opt, sol.nt_opt, sol.trace) == ((0.2, 0.2), (2646, 2646), ())
+            assert not (sol.converged or sol.feasible)
 
     def test_converges_without_losing_the_start_objective(self):
         rng = random.Random(20)
